@@ -21,6 +21,7 @@ from .engine import (
     q_minus_one_dependence_check,
     q_range_real_uniform,
     q_range_two_text,
+    real_uniform_overlap,
     solve_real_uniform_central,
     solve_two_text,
     thin_extension_family,
@@ -46,7 +47,7 @@ from .procedures import (
     unitary_from_correspondence,
     verify_procedure,
 )
-from .search import SearchOptions, SearchResult, default_q_grid, feasibility_search
+from .search import SearchOptions, SearchResult, feasibility_search
 from .texts import (
     DirectSumSplit,
     EquivalenceWitness,

@@ -77,16 +77,15 @@ class EnscriptionParams:
 
     @classmethod
     def from_Q(cls, Q: float, tablet, phases=None, n_states: int | None = None) -> "EnscriptionParams":
-        q = canonical_q(Q)
-        if phases is None:
-            if n_states is None:
-                raise DimensionMismatch("phases or n_states required")
-            phases = np.ones(n_states, dtype=complex)
-        return cls(complex(q), q_to_Q(q), np.asarray(tablet, dtype=complex), np.asarray(phases, dtype=complex))
+        return cls.from_q(canonical_q(Q), tablet, phases, n_states)
 
     @property
     def n_states(self) -> int:
         return self.phases.shape[0]
+
+
+# Residual below which a certificate is valid; every accept_tol default reads it.
+ACCEPT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class EnscriptionCertificate:
     residual: float
     flavor: str
 
-    def is_valid(self, accept_tol: float = 1e-8) -> bool:
+    def is_valid(self, accept_tol: float = ACCEPT_TOL) -> bool:
         return self.residual < accept_tol
 
 

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from . import engine, files, machine, procedures, texts, verification
+from . import engine, files, linalg, machine, procedures, texts, verification
+from .certificates import ACCEPT_TOL, EnscriptionParams, certificate
 from .errors import EnscribeError
 from .search import SearchOptions, feasibility_search
 
@@ -58,22 +59,8 @@ def _load_text(args) -> texts.QuantumText:
     return files.load_text(_inputs(args)[0])
 
 
-def _is_real_uniform(text: texts.QuantumText) -> float | None:
-    g = texts.gram(text)
-    n = text.n_states
-    if n < 3:
-        return None
-    off = g[np.triu_indices(n, 1)]
-    if np.max(np.abs(off.imag)) > 1e-9:
-        return None
-    vals = off.real
-    if np.max(vals) - np.min(vals) > 1e-9:
-        return None
-    return float(np.mean(vals))
-
-
 def _search_options(args) -> SearchOptions:
-    return SearchOptions(seed=args.seed, starts=args.starts, accept_tol=args.tolerance, q_grid=args.q_grid)
+    return SearchOptions(seed=args.seed, starts=args.starts, accept_tol=args.tolerance)
 
 
 def cmd_classify(args) -> int:
@@ -116,16 +103,27 @@ def cmd_gram(args) -> int:
     return 0
 
 
+def _real_uniform_certificate(text: texts.QuantumText, z: float):
+    """Closed-form certificate of a real uniform text, moved onto the input's own states.
+
+    The solver certifies ``make_real_uniform(N, z)``. Keeping the tablet's
+    coefficients over the states keeps every overlap, so Q and the phases carry over.
+    """
+    p = engine.solve_real_uniform_central(text.n_states, z).params
+    coeffs = np.linalg.solve(texts.make_real_uniform(text.n_states, z).states, p.tablet)
+    return certificate(text, EnscriptionParams(p.q, p.Q, linalg.unit(text.states @ coeffs), p.phases))
+
+
 def _solve_dispatch(text: texts.QuantumText, args):
     """Closed-form solvers first, the numeric search as fallback or on request."""
-    uniform_z = _is_real_uniform(text)
     if args.q is None and not args.search:
         if text.n_states == 2:
             log.info("dispatching to the 2-text central solver")
             return engine.solve_two_text(text), None
+        uniform_z = engine.real_uniform_overlap(text)
         if uniform_z is not None:
             log.info("dispatching to the real-uniform central solver (z=%g)", uniform_z)
-            return engine.solve_real_uniform_central(text.n_states, uniform_z), None
+            return _real_uniform_certificate(text, uniform_z), None
     options = _search_options(args)
     result = feasibility_search(text, args.q, options)
     if result.feasible:
@@ -161,7 +159,7 @@ def cmd_qrange(args) -> int:
         z = abs(complex(texts.gram(text)[0, 1]))
         rng_result = engine.q_range_two_text(z)
     else:
-        uniform_z = _is_real_uniform(text)
+        uniform_z = engine.real_uniform_overlap(text)
         if uniform_z is None:
             raise EnscribeError("no closed-form Q range for this text (need a 2-text or a real uniform text)")
         rng_result = engine.q_range_real_uniform(text.n_states, uniform_z)
@@ -209,24 +207,17 @@ def cmd_clone(args) -> int:
     cert = _certificate_for(args, text)
     u = procedures.build_procedure(text, cert, accept_tol=args.tolerance)
     rows = []
-    q = complex(cert.params.q)
     for i in range(text.n_states):
         outcome = machine.run_clone(text, cert, i, procedure=u, accept_tol=args.tolerance)
-        if abs(q.imag) < 1e-12:
-            ov = abs(np.vdot(text.state(i), cert.params.tablet)) ** 2
-            p_real = (1.0 + cert.params.Q * ov) / (1.0 + abs(cert.params.Q))
-            sym = machine.failure_state_symmetry_check(text, cert, i)
-            sym_text = "n/a" if sym.expected_parity is None else f"{sym.expected_parity:+d}"
-        else:
-            p_real = None
-            sym_text = "n/a"
+        p_real = machine.real_q_success_probability(text, cert.params, i)
+        parity = None if p_real is None else machine.failure_state_symmetry_check(text, cert, i).expected_parity
         rows.append(
             {
                 "i": i,
                 "p_success": outcome.p_success,
                 "p_formula_real_q": p_real,
                 "fidelity": outcome.fidelity,
-                "failure_symmetry": sym_text,
+                "failure_symmetry": "n/a" if parity is None else f"{parity:+d}",
             }
         )
     _emit({"results": rows, "Q": cert.params.Q}, args.output)
@@ -255,43 +246,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--input",
-            action="append",
-            help="input JSON file; repeat to pass a text then a certificate",
-        )
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--tolerance", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=64)
-        p.add_argument("--q", type=float, default=None, help="fix the entanglement parameter")
-        p.add_argument("--q-grid", dest="q_grid", type=float, default=0.01)
-        p.add_argument("--only", default=None, help="filter verification checks by name")
-        p.add_argument("--search", action="store_true", help="force the numeric search path")
+    # flag groups: each subcommand takes exactly the flags it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write the JSON report here instead of stdout")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    reader = argparse.ArgumentParser(add_help=False, parents=[output])
+    reader.add_argument(
+        "--input", action="append", help="input JSON file; repeat to pass a text then a certificate"
+    )
+    solver = argparse.ArgumentParser(add_help=False, parents=[reader, seed])
+    solver.add_argument("--tolerance", type=float, default=ACCEPT_TOL)
+    solver.add_argument("--starts", type=int, default=64)
+    solver.add_argument("--q", type=float, default=None, help="fix the entanglement parameter")
+    solver.add_argument("--search", action="store_true", help="force the numeric search path")
+    checks = argparse.ArgumentParser(add_help=False, parents=[output, seed])
+    checks.add_argument("--only", default=None, help="filter verification checks by name")
 
-    for name, fn in (
-        ("classify", cmd_classify),
-        ("gram", cmd_gram),
-        ("solve", cmd_solve),
-        ("qrange", cmd_qrange),
-        ("build-procedure", cmd_build_procedure),
-        ("clone", cmd_clone),
-        ("verify-theorems", cmd_verify_theorems),
+    for name, fn, flags in (
+        ("classify", cmd_classify, reader),
+        ("gram", cmd_gram, reader),
+        ("solve", cmd_solve, solver),
+        ("qrange", cmd_qrange, reader),
+        ("build-procedure", cmd_build_procedure, solver),
+        ("clone", cmd_clone, solver),
+        ("verify-theorems", cmd_verify_theorems, checks),
     ):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(func=fn)
+        sub.add_parser(name, parents=[flags]).set_defaults(func=fn)
     return parser
 
 
 def _validate(args) -> None:
-    if args.tolerance <= 0:
+    if "tolerance" in args and args.tolerance <= 0:
         raise EnscribeError("tolerance must be positive")
-    if args.starts < 1:
+    if "starts" in args and args.starts < 1:
         raise EnscribeError("starts must be at least 1")
-    if not 0.0 < args.q_grid < 0.5:
-        raise EnscribeError("q-grid must lie in (0, 0.5)")
 
 
 def main(argv=None) -> int:

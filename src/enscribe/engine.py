@@ -8,6 +8,7 @@ import numpy as np
 
 from . import linalg, texts
 from .certificates import (
+    ACCEPT_TOL,
     EnscriptionCertificate,
     EnscriptionParams,
     certificate,
@@ -24,9 +25,6 @@ from .errors import (
     TOutOfRange,
     ZOutOfRange,
 )
-
-ACCEPT_TOL = 1e-8
-RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -315,8 +313,7 @@ def direct_sum_enscribe(
 
 def _dialect_basis(text: texts.QuantumText) -> np.ndarray:
     u, s, _ = np.linalg.svd(text.states, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * max(float(s[0]), 1e-300)))
-    return u[:, :rank]
+    return u[:, :linalg.numerical_rank(s)]
 
 
 def thin_extension_family(
@@ -360,30 +357,28 @@ def q_minus_one_dependence_check(text: texts.QuantumText, tablet) -> bool:
     omegas = np.column_stack(
         [entangled_input(text, i, -1.0, tab) for i in range(text.n_states)]
     )
-    s = np.linalg.svd(omegas, compute_uv=False)
-    rank = int(np.sum(s > RANK_TOL * max(float(s[0]), 1e-300)))
-    return rank < text.n_states
+    return linalg.numerical_rank(np.linalg.svd(omegas, compute_uv=False)) < text.n_states
 
 
-def _uniform_real_overlap(g: np.ndarray, tol: float) -> float | None:
-    n = g.shape[0]
-    iu = np.triu_indices(n, 1)
-    off = g[iu]
-    if off.size == 0:
+def real_uniform_overlap(text: texts.QuantumText, tol: float = texts.DEFAULT_TOL) -> float | None:
+    """Common overlap z of a real uniform text with N >= 3 states, else None.
+
+    Uniform means every off-diagonal overlap has an imaginary part of at most
+    ``tol`` and the real parts spread by at most ``tol``; z is their mean.
+    """
+    n = text.n_states
+    if n < 3:
         return None
+    off = texts.gram(text)[np.triu_indices(n, 1)]
     if np.max(np.abs(off.imag)) > tol:
         return None
     vals = off.real
-    if np.max(vals) - np.min(vals) > 100 * tol:
+    if np.max(vals) - np.min(vals) > tol:
         return None
     return float(np.mean(vals))
 
 
-def illegibility_screen(
-    text: texts.QuantumText,
-    tol: float = texts.DEFAULT_TOL,
-    rank_tol: float = RANK_TOL,
-) -> IllegibilityReport:
+def illegibility_screen(text: texts.QuantumText, tol: float = texts.DEFAULT_TOL) -> IllegibilityReport:
     """Run the necessary conditions for enscribability and report the verdict.
 
     Checks, in order: linear independence of the states; the zero/nonzero
@@ -408,8 +403,7 @@ def illegibility_screen(
         block = g[np.ix_(busy, busy)]
         m = 1.0 / block
         eig = np.linalg.eigvalsh(m)
-        scale = max(float(np.max(np.abs(eig))), 1e-300)
-        if np.min(np.abs(eig)) <= rank_tol * scale:
+        if linalg.numerical_rank(np.abs(eig)) < eig.size:
             eigen_ok = False
         else:
             pos = int(np.sum(eig > 0))
@@ -422,10 +416,9 @@ def illegibility_screen(
                 eigen_ok = False
 
     uniform_ok: bool | None = None
-    if n >= 3:
-        z = _uniform_real_overlap(g, tol)
-        if z is not None and abs(z) > tol:
-            uniform_ok = z >= z0_threshold(n) - 1e-9
+    z = real_uniform_overlap(text, tol)
+    if z is not None and abs(z) > tol:
+        uniform_ok = z >= z0_threshold(n) - 1e-9
 
     reason = None
     if not cls.efficient:

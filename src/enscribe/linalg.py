@@ -78,12 +78,16 @@ def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(added)
 
 
+def numerical_rank(values: np.ndarray) -> int:
+    """Count of singular values (or PSD eigenvalues) above RANK_TOL times the largest."""
+    return int(np.sum(values > RANK_TOL * max(float(np.max(values)), 1e-300)))
+
+
 def unitary_from_correspondence(
     inputs,
     outputs,
     dim: int | None = None,
     gram_tol: float = GRAM_TOL,
-    rank_tol: float = RANK_TOL,
 ) -> np.ndarray:
     """Unitary W with W @ inputs[k] = outputs[k] for Gram-matched vector families.
 
@@ -115,8 +119,9 @@ def unitary_from_correspondence(
         raise GramMismatch(f"Gram matrices differ by {gap:.3e} (> {gram_tol:.1e})")
 
     w, e = np.linalg.eigh(0.5 * (ga + gb))
-    keep = w > rank_tol * max(float(w[-1]), 1e-300)
-    mix = e[:, keep] / np.sqrt(w[keep])
+    # eigh sorts ascending, so the kept eigenvalues are the last ones
+    keep = w.size - numerical_rank(w)
+    mix = e[:, keep:] / np.sqrt(w[keep:])
     a_frame = _polar_orthonormal(a @ mix)
     b_frame = _polar_orthonormal(b @ mix)
     a_full = np.column_stack([a_frame, complete_orthonormal(a_frame)])

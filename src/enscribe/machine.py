@@ -15,6 +15,7 @@ import numpy as np
 
 from . import linalg, procedures, texts
 from .certificates import (
+    ACCEPT_TOL,
     EnscriptionCertificate,
     EnscriptionParams,
     certificate,
@@ -22,8 +23,6 @@ from .certificates import (
     input_normalizer,
 )
 from .errors import ComplexQ, InvalidCertificate, QZero, ZOutOfRange
-
-ACCEPT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,17 +85,24 @@ def controlled_swap(dim: int) -> np.ndarray:
     return s
 
 
+def real_q_success_probability(text: texts.QuantumText, params: EnscriptionParams, i: int) -> float | None:
+    """(1 + Q|<psi_i|psi_0>|^2) / (1 + |Q|), the form of p_i for real q; None for complex q."""
+    if abs(complex(params.q).imag) >= 1e-12:
+        return None
+    ov = abs(np.vdot(text.state(i), params.tablet)) ** 2
+    return (1.0 + params.Q * ov) / (1.0 + abs(params.Q))
+
+
 def success_probability(text: texts.QuantumText, params: EnscriptionParams, i: int) -> float:
-    """p_i = A_i / (1 + |q|)^2; for real q this equals (1 + Q|<psi_i|psi_0>|^2)/(1+|Q|)."""
+    """p_i = A_i / (1 + |q|)^2; InvalidCertificate if it misses the real-q form by 1e-10."""
     q = complex(params.q)
     if abs(q) == 0.0:
         raise QZero("the cloning machine is undefined at q = 0")
     a = input_normalizer(text, i, q, params.tablet)
     p = a / (1.0 + abs(q)) ** 2
-    if abs(q.imag) < 1e-12:
-        ov = abs(np.vdot(text.state(i), params.tablet)) ** 2
-        p_real = (1.0 + params.Q * ov) / (1.0 + abs(params.Q))
-        assert abs(p - p_real) < 1e-10, "real-q probability forms disagree"
+    p_real = real_q_success_probability(text, params, i)
+    if p_real is not None and not abs(p - p_real) < 1e-10:
+        raise InvalidCertificate(f"real-q probability forms disagree for state {i}: {p!r} vs {p_real!r}")
     return float(p)
 
 

@@ -5,13 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, texts
-from .certificates import EnscriptionCertificate, EnscriptionParams, certificate, entangled_input
+from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, certificate, entangled_input
 from .errors import InvalidCertificate, NotQOne
-
-ACCEPT_TOL = 1e-8
 
 unitary_from_correspondence = linalg.unitary_from_correspondence
 swap_operator = linalg.swap_operator
+
+
+def _inputs_and_clones(text: texts.QuantumText, p: EnscriptionParams) -> tuple:
+    """Entangled inputs omega_i and their phased clones alpha_i psi_i (x) psi_i."""
+    inputs = [entangled_input(text, i, p.q, p.tablet) for i in range(text.n_states)]
+    clones = [p.phases[i] * np.kron(text.state(i), text.state(i)) for i in range(text.n_states)]
+    return inputs, clones
 
 
 def build_procedure(
@@ -30,12 +35,10 @@ def build_procedure(
         raise InvalidCertificate("certificate does not match the text size")
     if not cert.is_valid(accept_tol):
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {accept_tol:.1e}")
-    p = cert.params
-    inputs = [entangled_input(text, i, p.q, p.tablet) for i in range(text.n_states)]
-    outputs = [p.phases[i] * np.kron(text.state(i), text.state(i)) for i in range(text.n_states)]
+    inputs, clones = _inputs_and_clones(text, cert.params)
     gram_tol = max(linalg.GRAM_TOL, 10.0 * cert.residual)
     dim = text.dimension ** 2
-    return unitary_from_correspondence(inputs, outputs, dim, gram_tol=gram_tol)
+    return unitary_from_correspondence(inputs, clones, dim, gram_tol=gram_tol)
 
 
 def verify_procedure(
@@ -48,12 +51,9 @@ def verify_procedure(
     Returns max_i ||U omega_i - alpha_i psi_i (x) psi_i|| plus ||U^dag U - I||;
     both must be small for the procedure to count as a realization.
     """
-    p = cert.params
     action = 0.0
-    for i in range(text.n_states):
-        omega = entangled_input(text, i, p.q, p.tablet)
-        target = p.phases[i] * np.kron(text.state(i), text.state(i))
-        action = max(action, float(np.linalg.norm(u @ omega - target)))
+    for omega, clone in zip(*_inputs_and_clones(text, cert.params)):
+        action = max(action, float(np.linalg.norm(u @ omega - clone)))
     defect = float(np.linalg.norm(linalg.dagger(u) @ u - np.eye(u.shape[0])))
     return action + defect
 
@@ -77,13 +77,12 @@ def symmetrize_procedure(
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {accept_tol:.1e}")
     d = text.dimension
     iso = linalg.symmetric_basis(d)
-    inputs = [linalg.dagger(iso) @ entangled_input(text, i, p.q, p.tablet) for i in range(text.n_states)]
-    outputs = [
-        linalg.dagger(iso) @ (p.phases[i] * np.kron(text.state(i), text.state(i)))
-        for i in range(text.n_states)
-    ]
+    proj = linalg.dagger(iso)
+    inputs, clones = _inputs_and_clones(text, p)
     gram_tol = max(linalg.GRAM_TOL, 10.0 * cert.residual)
-    w_sym = unitary_from_correspondence(inputs, outputs, iso.shape[1], gram_tol=gram_tol)
+    w_sym = unitary_from_correspondence(
+        [proj @ v for v in inputs], [proj @ v for v in clones], iso.shape[1], gram_tol=gram_tol
+    )
     full = iso @ w_sym @ linalg.dagger(iso)
     full += np.eye(d * d) - iso @ linalg.dagger(iso)
     return full

@@ -20,20 +20,17 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from . import texts
-from .certificates import EnscriptionCertificate, EnscriptionParams, certificate
+from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, certificate
 
-ACCEPT_TOL = 1e-8
 FLOOR_TOL = 1e-4
+MAX_ITERATIONS = 4000
 
 
 @dataclass(frozen=True)
 class SearchOptions:
     seed: int = 0
     starts: int = 64
-    max_iterations: int = 4000
     accept_tol: float = ACCEPT_TOL
-    floor_tol: float = FLOOR_TOL
-    q_grid: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None, opti
         x0,
         method="Nelder-Mead",
         options={
-            "maxfev": min(options.max_iterations, 300 * n),
+            "maxfev": min(MAX_ITERATIONS, 300 * n),
             "xatol": 1e-10,
             "fatol": 1e-13,
         },
@@ -258,7 +255,7 @@ def feasibility_search(
     if best_res < options.accept_tol:
         params = EnscriptionParams.from_Q(qv, tablet, phases=obj.phases_for(tablet, qv))
         return SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
-    verdict = "infeasible" if best_res > options.floor_tol else "inconclusive"
+    verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
     return SearchResult(None, best_res, verdict, qv, best_idx, evals)
 
 
@@ -269,9 +266,3 @@ def _grid_search(text: texts.QuantumText, grid: list, options: SearchOptions) ->
         if best is None or result.best_residual < best.best_residual:
             best = result
     return best if best is not None else SearchResult(None, np.inf, "infeasible", None, -1, 0)
-
-
-def default_q_grid(step: float = 0.01) -> np.ndarray:
-    """Grid over (-1, 1] used when sweeping the entanglement parameter."""
-    count = int(round(2.0 / step))
-    return np.linspace(-1.0 + step, 1.0, count)

@@ -23,7 +23,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -120,15 +119,14 @@ def gram(text: QuantumText) -> np.ndarray:
     return linalg.dagger(text.states) @ text.states
 
 
-def classify(text: QuantumText, tol: float = DEFAULT_TOL, rank_tol: float = RANK_TOL) -> TextClassification:
+def classify(text: QuantumText, tol: float = DEFAULT_TOL) -> TextClassification:
     """Flags: pairwise-orthogonal, pairwise-overlapping, linearly independent, spanning."""
     g = gram(text)
     n = text.n_states
     off = np.abs(g[np.triu_indices(n, 1)])
     classical = bool(np.all(off < tol)) if off.size else True
     fully_quantum = bool(np.all(off > tol)) if off.size else True
-    eigs = np.linalg.eigvalsh(g)
-    dialect_dim = int(np.sum(eigs > rank_tol * max(float(eigs[-1]), 1e-300)))
+    dialect_dim = linalg.numerical_rank(np.linalg.eigvalsh(g))
     # one or two valid states are always independent, whatever the eigen cutoff says
     efficient = dialect_dim == n or n <= 2
     if n <= 2:

@@ -20,7 +20,12 @@ from .certificates import (
     input_normalizer,
     residual_via_states,
 )
+from .errors import EnscribeError, ZOutOfRange
 from .search import SearchOptions, feasibility_search
+
+# Bound on the draws behind one random text; the windows the checks and the
+# benchmark ask for accept a draw within ten, so only a (near-)empty window hits it.
+MAX_DRAWS = 1000
 
 
 @dataclass
@@ -31,14 +36,14 @@ class CheckResult:
 
 
 def _random_text(rng: np.random.Generator, n: int, d: int) -> texts.QuantumText:
-    while True:
+    for attempt in range(MAX_DRAWS):
         mat = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
         mat /= np.linalg.norm(mat, axis=0)
         try:
-            cand = texts.make_text(d, [mat[:, i] for i in range(n)])
-        except Exception:
-            continue
-        return cand
+            return texts.make_text(d, [mat[:, i] for i in range(n)])
+        except EnscribeError:
+            if attempt == MAX_DRAWS - 1:
+                raise
 
 
 def random_classical_text(rng: np.random.Generator, n: int, d: int) -> texts.QuantumText:
@@ -49,13 +54,14 @@ def random_classical_text(rng: np.random.Generator, n: int, d: int) -> texts.Qua
 def random_nonclassical_text(
     rng: np.random.Generator, n: int, d: int, lo: float = 0.2, hi: float = 0.9
 ) -> texts.QuantumText:
-    """Random text whose largest overlap modulus lies inside [lo, hi]."""
-    while True:
+    """Random text whose largest overlap modulus lies inside [lo, hi]; ZOutOfRange if none is drawn."""
+    for _ in range(MAX_DRAWS):
         cand = _random_text(rng, n, d)
         g = texts.gram(cand)
         off = np.abs(g[np.triu_indices(n, 1)])
         if lo <= np.max(off) and np.max(off) <= hi:
             return cand
+    raise ZOutOfRange(f"no draw of {MAX_DRAWS} had its largest overlap in [{lo}, {hi}]")
 
 
 def random_equivalence_image(rng: np.random.Generator, text: texts.QuantumText):

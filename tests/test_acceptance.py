@@ -4,7 +4,11 @@ Each test runs the corresponding self-contained verification check at its
 fixed tolerances and prints one PASS/FAIL line with the measured values.
 """
 
+import numpy as np
+import pytest
+
 from enscribe import verification
+from enscribe.errors import ZOutOfRange
 
 
 def _report(result):
@@ -64,3 +68,8 @@ def test_structural_transformation_properties():
     # equivalence covariance < 1e-8/1e-10, residual routes < 1e-10,
     # thin extensions and orthogonal-sum lifts < 1e-9
     _report(verification.check_structural_properties(seed=0))
+
+
+def test_random_text_generator_gives_up_on_an_empty_window():
+    with pytest.raises(ZOutOfRange):
+        verification.random_nonclassical_text(np.random.default_rng(0), 3, 3, lo=0.9, hi=0.2)

@@ -1,9 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
-from enscribe import files, make_real_uniform, make_text
+from enscribe import enscription_residual, files, make_real_uniform, make_text
 from enscribe.cli import main
+
+from helpers import random_unitary
 
 
 def _write_text(tmp_path, name, text):
@@ -169,7 +172,6 @@ def test_bad_flag_values_are_errors(tmp_path, capsys):
     path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
     assert main(["solve", "--input", path, "--tolerance", "-1"]) == 1
     assert main(["solve", "--input", path, "--starts", "0"]) == 1
-    assert main(["solve", "--input", path, "--q-grid", "0.9"]) == 1
 
 
 def test_verify_theorems_single_check(capsys):
@@ -179,3 +181,36 @@ def test_verify_theorems_single_check(capsys):
     report = json.loads(captured.out)
     assert report["all_passed"] is True
     assert report["checks"][0]["name"] == "z0-threshold"
+
+
+def test_solve_rotated_uniform_certifies_the_input_text(tmp_path, capsys):
+    base = make_real_uniform(3, 0.3)
+    v = random_unitary(np.random.default_rng(4), 3)
+    text = make_text(3, [v @ base.state(i) for i in range(3)])
+    path = _write_text(tmp_path, "rotated.json", text)
+    code, report = _run(capsys, ["solve", "--input", path])
+    assert code == 0
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(report))
+    cert = files.load_certificate(str(cpath), text)
+    assert enscription_residual(text, cert.params) < 1e-8
+    code, _ = _run(capsys, ["clone", "--input", path])
+    assert code == 0
+
+
+@pytest.mark.parametrize("shift, uniform", [(1e-8, False), (1e-11, True)])
+def test_uniform_detection_agrees_across_commands(tmp_path, capsys, shift, uniform):
+    g = np.full((3, 3), -0.3)
+    np.fill_diagonal(g, 1.0)
+    g[0, 1] = g[1, 0] = -0.3 + shift
+    w, e = np.linalg.eigh(g)
+    root = e @ np.diag(np.sqrt(w)) @ e.T
+    path = _write_text(tmp_path, "near.json", make_text(3, [root[:, i] for i in range(3)]))
+    _, report = _run(capsys, ["classify", "--input", path])
+    assert (report["illegibility"]["uniform_threshold_ok"] is not None) == uniform
+    # qrange errors out (exit 1) exactly when no closed form applies
+    code, _ = _run(capsys, ["qrange", "--input", path])
+    assert (code != 1) == uniform
+    # the closed-form solver reports a reason, the search a verdict
+    _, report = _run(capsys, ["solve", "--input", path, "--starts", "4"])
+    assert ("reason" in report) == uniform

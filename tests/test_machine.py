@@ -18,7 +18,8 @@ from enscribe import (
     success_probability,
     swap_operator,
 )
-from enscribe.errors import ComplexQ, QZero, ZOutOfRange
+from enscribe import machine
+from enscribe.errors import ComplexQ, InvalidCertificate, QZero, ZOutOfRange
 
 from helpers import random_classical_text, random_state, random_text
 
@@ -96,6 +97,15 @@ def test_success_probability_formulas_agree_randomized():
         p = success_probability(text, params, i)
         ov = abs(np.vdot(text.state(i), params.tablet)) ** 2
         assert abs(p - (1.0 + params.Q * ov) / (1.0 + abs(params.Q))) < 1e-12
+
+
+def test_success_probability_disagreeing_forms_raise(monkeypatch):
+    # a typed error, not an assert, so the check survives python -O
+    text = make_real_uniform(2, 0.5)
+    params = EnscriptionParams.from_q(0.5, text.state(0), n_states=2)
+    monkeypatch.setattr(machine, "input_normalizer", lambda *args: 0.1)
+    with pytest.raises(InvalidCertificate):
+        success_probability(text, params, 1)
 
 
 def test_run_clone_qubit_example_probability_and_fidelity():
