@@ -28,6 +28,7 @@ from .engine import (
     uniform_sextic,
     z0_threshold,
 )
+from .linalg import swap_operator, unitary_from_correspondence
 from .machine import (
     AncillaStates,
     CloneOutcome,
@@ -42,9 +43,7 @@ from .machine import (
 from .procedures import (
     build_procedure,
     qubit_example,
-    swap_operator,
     symmetrize_procedure,
-    unitary_from_correspondence,
     verify_procedure,
 )
 from .search import SearchOptions, SearchResult, feasibility_search

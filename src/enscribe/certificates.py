@@ -137,6 +137,8 @@ def enscription_residual(text: texts.QuantumText, params: EnscriptionParams) -> 
     """Largest pairwise violation of the matching condition; 0 means enscribable."""
     if params.n_states != text.n_states:
         raise DimensionMismatch("phases length does not match the state count")
+    if params.tablet.shape[0] != text.dimension:
+        raise DimensionMismatch("tablet length does not match the language dimension")
     n = text.n_states
     if n < 2:
         return 0.0

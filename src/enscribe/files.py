@@ -79,10 +79,9 @@ def procedure_to_dict(matrix: np.ndarray) -> dict:
 def procedure_from_dict(data: dict) -> np.ndarray:
     try:
         dim = int(data["dim"])
-        rows = [_unvector(r) for r in data["matrix"]]
+        m = np.vstack([_unvector(r) for r in data["matrix"]])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed procedure object: {exc}") from exc
-    m = np.vstack(rows)
     if m.shape != (dim, dim):
         raise ParseError(f"procedure matrix has shape {m.shape}, expected ({dim}, {dim})")
     return m

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, GramMismatch
 
@@ -26,13 +27,21 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def swap_factors(v: np.ndarray, dim: int) -> np.ndarray:
+    """Exchange the two tensor factors of C^dim (x) C^dim along the first axis of v.
+
+    Kronecker order: component a * dim + b moves to b * dim + a. On a vector
+    this equals swap_operator(dim) @ v exactly, without building the operator.
+    """
+    return v.reshape(dim, dim, *v.shape[1:]).swapaxes(0, 1).reshape(v.shape)
+
+
 def swap_operator(dim: int) -> np.ndarray:
-    """Exchange of the two tensor factors on C^dim (x) C^dim."""
-    p = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            p[i * dim + j, j * dim + i] = 1.0
-    return p
+    """Exchange of the two tensor factors on C^dim (x) C^dim as a dense matrix.
+
+    It is the identity with its rows permuted by swap_factors.
+    """
+    return swap_factors(np.eye(dim * dim, dtype=complex), dim)
 
 
 def symmetric_basis(dim: int) -> np.ndarray:
@@ -57,25 +66,17 @@ def _polar_orthonormal(m: np.ndarray) -> np.ndarray:
 
 
 def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full basis, pivoting on the canonical basis.
+    """Orthonormal columns completing ``cols`` (dim x r, orthonormal) to a basis of C^dim.
 
-    Deterministic: at each step the canonical vector with the largest residual
-    (lowest index on ties) is orthogonalized and appended.
+    Only the span of ``cols`` is fixed by the callers, so the completion is a
+    convention: the first dim - r columns of LAPACK's column-pivoted QR of
+    I - cols cols^dag (largest residual column first, LAPACK's order on ties),
+    with phases chosen so that R has a positive diagonal.
     """
     dim, r = cols.shape
-    if r == 0:
-        return np.eye(dim, dtype=complex)
-    resid = np.eye(dim, dtype=complex) - cols @ dagger(cols)
-    added = []
-    for _ in range(dim - r):
-        norms = np.linalg.norm(resid, axis=0)
-        j = int(np.argmax(norms))
-        v = resid[:, j] / norms[j]
-        added.append(v)
-        resid -= np.outer(v, v.conj() @ resid)
-    if not added:
-        return np.empty((dim, 0), dtype=complex)
-    return np.column_stack(added)
+    q, rr, _ = scipy.linalg.qr(np.eye(dim, dtype=complex) - cols @ dagger(cols), pivoting=True)
+    d = np.diagonal(rr)[: dim - r]
+    return q[:, : dim - r] * (d / np.abs(d))
 
 
 def numerical_rank(values: np.ndarray) -> int:

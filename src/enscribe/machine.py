@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg, procedures, texts
 from .certificates import (
@@ -78,11 +79,7 @@ def ancilla_states(q: complex) -> AncillaStates:
 
 def controlled_swap(dim: int) -> np.ndarray:
     """Unitary involution exchanging the two registers when the ancilla is |1>."""
-    d2 = dim * dim
-    s = np.zeros((2 * d2, 2 * d2), dtype=complex)
-    s[:d2, :d2] = np.eye(d2)
-    s[d2:, d2:] = linalg.swap_operator(dim)
-    return s
+    return scipy.linalg.block_diag(np.eye(dim * dim, dtype=complex), linalg.swap_operator(dim))
 
 
 def real_q_success_probability(text: texts.QuantumText, params: EnscriptionParams, i: int) -> float | None:
@@ -129,9 +126,9 @@ def run_clone(
         raise QZero("the cloning machine is undefined at q = 0")
     d = text.dimension
     anc = ancilla_states(q)
-    s = controlled_swap(d)
-    inp = np.kron(anc.xi, np.kron(text.state(i), p.tablet))
-    out = s @ inp
+    # controlled_swap(d) @ kron(xi, product): the ancilla-|1> half has its registers swapped
+    product = np.kron(text.state(i), p.tablet)
+    out = np.concatenate([anc.xi[0] * product, anc.xi[1] * linalg.swap_factors(product, d)])
 
     prob = success_probability(text, p, i)
     omega_q = entangled_input(text, i, q, p.tablet)
@@ -208,8 +205,8 @@ def failure_state_symmetry_check(
         return FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)
     omega_fail = entangled_input(text, i, -q / abs(q), cert.params.tablet)
     parity = 1 if cert.params.Q < 0 else -1
-    swap = linalg.swap_operator(text.dimension)
-    deviation = float(np.linalg.norm(swap @ omega_fail - parity * omega_fail))
+    swapped = linalg.swap_factors(omega_fail, text.dimension)
+    deviation = float(np.linalg.norm(swapped - parity * omega_fail))
     return FailureSymmetryReport(expected_parity=parity, parity_ok=deviation < 1e-10, deviation=deviation)
 
 

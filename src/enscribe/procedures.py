@@ -8,9 +8,6 @@ from . import linalg, texts
 from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, certificate, entangled_input
 from .errors import InvalidCertificate, NotQOne
 
-unitary_from_correspondence = linalg.unitary_from_correspondence
-swap_operator = linalg.swap_operator
-
 
 def _inputs_and_clones(text: texts.QuantumText, p: EnscriptionParams) -> tuple:
     """Entangled inputs omega_i and their phased clones alpha_i psi_i (x) psi_i."""
@@ -38,7 +35,7 @@ def build_procedure(
     inputs, clones = _inputs_and_clones(text, cert.params)
     gram_tol = max(linalg.GRAM_TOL, 10.0 * cert.residual)
     dim = text.dimension ** 2
-    return unitary_from_correspondence(inputs, clones, dim, gram_tol=gram_tol)
+    return linalg.unitary_from_correspondence(inputs, clones, dim, gram_tol=gram_tol)
 
 
 def verify_procedure(
@@ -80,7 +77,7 @@ def symmetrize_procedure(
     proj = linalg.dagger(iso)
     inputs, clones = _inputs_and_clones(text, p)
     gram_tol = max(linalg.GRAM_TOL, 10.0 * cert.residual)
-    w_sym = unitary_from_correspondence(
+    w_sym = linalg.unitary_from_correspondence(
         [proj @ v for v in inputs], [proj @ v for v in clones], iso.shape[1], gram_tol=gram_tol
     )
     full = iso @ w_sym @ linalg.dagger(iso)

@@ -188,7 +188,7 @@ def _starts_for(text: texts.QuantumText, options: SearchOptions, joint_q: bool) 
     return xs[: options.starts]
 
 
-def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None, options: SearchOptions):
+def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
     n = len(x0)
     descent = minimize(
         lambda x: obj.rms(x, fixed_q),
@@ -240,7 +240,7 @@ def feasibility_search(
     fixed_q = None if joint else float(big_q)
     best_x, best_res, best_idx, evals = None, np.inf, -1, 0
     for idx, x0 in enumerate(_starts_for(text, options, joint)):
-        x, used = _minimize_start(obj, x0, fixed_q, options)
+        x, used = _minimize_start(obj, x0, fixed_q)
         evals += used
         tablet = obj.tablet_of(x)
         if tablet is None:

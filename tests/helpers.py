@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from enscribe import make_text
+from enscribe.errors import EnscribeError
+
+MAX_DRAWS = 1000
 
 
 def random_unitary(rng, dim):
@@ -20,11 +23,13 @@ def random_state(rng, dim):
 
 
 def random_text(rng, n, d):
-    while True:
+    """Random text of n states in C^d; re-draws rejected texts, re-raising after MAX_DRAWS."""
+    for draw in range(MAX_DRAWS):
         try:
             return make_text(d, [random_state(rng, d) for _ in range(n)])
-        except Exception:
-            continue
+        except EnscribeError:
+            if draw == MAX_DRAWS - 1:
+                raise
 
 
 def random_classical_text(rng, n, d):

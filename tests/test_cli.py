@@ -131,6 +131,22 @@ def test_clone_with_saturating_certificate(tmp_path, capsys):
         assert abs(row["p_success"] - 2.0 / 3.0) < 1e-10
 
 
+@pytest.mark.parametrize("command", ["clone", "build-procedure"])
+def test_certificate_with_wrong_tablet_length_is_an_error(tmp_path, capsys, command):
+    text = make_real_uniform(2, -0.5)
+    tpath = _write_text(tmp_path, "t.json", text)
+    code, cert_report = _run(capsys, ["solve", "--input", tpath])
+    assert code == 0
+    cert_report["tablet"].append([0.0, 0.0])
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(cert_report))
+    code = main([command, "--input", tpath, "--input", str(cpath)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_clone_solves_when_no_certificate_given(tmp_path, capsys):
     path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.3))
     code, report = _run(capsys, ["clone", "--input", path])

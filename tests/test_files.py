@@ -55,6 +55,12 @@ def test_malformed_inputs_raise_parse_error(tmp_path):
         files.load_text(str(bad))
 
 
+@pytest.mark.parametrize("matrix", [[], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]])
+def test_malformed_procedure_raises_parse_error(matrix):
+    with pytest.raises(ParseError):
+        files.procedure_from_dict({"dim": 2, "matrix": matrix})
+
+
 def test_dump_json_is_deterministic():
     cert = solve_two_text(make_real_uniform(2, 0.5))
     a = files.dump_json(files.certificate_to_dict(cert))

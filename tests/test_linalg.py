@@ -1,0 +1,91 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from enscribe.linalg import complete_orthonormal, swap_factors, swap_operator
+from enscribe.machine import controlled_swap
+
+from helpers import random_unitary
+
+seeded = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@st.composite
+def frames(draw):
+    """Orthonormal (dim, r) frames: random ones, or canonical basis vectors (all residuals tie)."""
+    dim = draw(st.integers(1, 8))
+    r = draw(st.integers(0, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return np.eye(dim, dtype=complex)[:, rng.permutation(dim)[:r]]
+    return random_unitary(rng, dim)[:, :r]
+
+
+def greedy_completion(cols):
+    """Reference: append the normalized residual of the canonical vector with the largest residual.
+
+    Also returns the smallest gap between the best and second-best residual norms over the steps.
+    """
+    dim, r = cols.shape
+    resid = np.eye(dim, dtype=complex) - cols @ cols.conj().T
+    added, gap = [], np.inf
+    for _ in range(dim - r):
+        norms = np.linalg.norm(resid, axis=0)
+        second, best = np.argsort(norms)[-2:]
+        gap = min(gap, norms[best] - norms[second])
+        added.append(resid[:, best] / norms[best])
+        resid -= np.outer(added[-1], added[-1].conj() @ resid)
+    return np.column_stack(added), gap
+
+
+@seeded
+@given(frames())
+def test_completion_makes_a_unitary(cols):
+    dim, r = cols.shape
+    comp = complete_orthonormal(cols)
+    assert comp.shape == (dim, dim - r)
+    full = np.column_stack([cols, comp])
+    assert np.linalg.norm(full.conj().T @ full - np.eye(dim)) < 1e-12
+
+
+def test_completion_matches_greedy_reference_on_tie_free_frames():
+    rng = np.random.default_rng(7)
+    compared = 0
+    for _ in range(200):
+        dim = int(rng.integers(2, 9))
+        r = int(rng.integers(1, dim))
+        cols = random_unitary(rng, dim)[:, :r]
+        ref, gap = greedy_completion(cols)
+        if gap <= 1e-6:
+            continue
+        assert np.max(np.abs(complete_orthonormal(cols) - ref)) < 1e-12
+        compared += 1
+    assert compared >= 150
+
+
+@seeded
+@given(st.integers(1, 6).flatmap(
+    lambda d: st.lists(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        min_size=d * d,
+        max_size=d * d,
+    ).map(lambda v: (d, np.array(v, dtype=complex)))
+))
+def test_vector_swap_equals_the_operator(case):
+    d, v = case
+    assert np.array_equal(swap_factors(v, d), swap_operator(d) @ v)
+
+
+def test_swap_operators_equal_their_literal_definitions():
+    for d in range(1, 7):
+        d2 = d * d
+        swap = np.zeros((d2, d2), dtype=complex)
+        cswap = np.zeros((2 * d2, 2 * d2), dtype=complex)
+        for a in range(d):
+            for b in range(d):
+                swap[a * d + b, b * d + a] = 1.0
+                cswap[a * d + b, a * d + b] = 1.0
+                cswap[d2 + a * d + b, d2 + b * d + a] = 1.0
+        assert swap_operator(d).dtype == controlled_swap(d).dtype == complex
+        assert np.array_equal(swap_operator(d), swap)
+        assert np.array_equal(controlled_swap(d), cswap)
