@@ -38,7 +38,7 @@ def q_to_Q(q: complex) -> float:
 def canonical_q(Q: float) -> float:
     """The real deformation in [-1, 1] realizing a given entanglement parameter."""
     Q = float(Q)
-    if abs(Q) > 1.0 + 1e-12:
+    if not abs(Q) <= 1.0 + 1e-12:
         raise QOutOfRange(f"entanglement parameter must lie in [-1, 1], got {Q}")
     Q = min(1.0, max(-1.0, Q))
     return Q / (1.0 + np.sqrt(max(0.0, 1.0 - Q * Q)))

@@ -6,24 +6,28 @@ a consistent assignment is propagated over a spanning forest of the
 nonzero-overlap graph. The remaining objective depends only on the tablet
 (and Q when it is not fixed) and vanishes exactly at enscribable parameters.
 
-Each start runs a simplex descent followed by a finite-difference
-least-squares polish; the winner over all starts is the lexicographic minimum
-of (residual, start index), so results are reproducible for a given seed.
+Each start is one trust-region least-squares solve (finite-difference
+Jacobian) of the pairwise mismatches. Starts run in a fixed, seeded order and
+the first whose largest residual beats the accept tolerance wins, so the
+search stops there. When no start certifies, every start runs and the result
+records the lexicographic minimum of (residual, start index): a floor over
+the starts, not a proof of infeasibility. The starts are the text's states,
+their normalized sum, then seeded random tablets; a joint Q is the sine of
+the last coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import sin, sqrt
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 
 from . import texts
-from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, certificate
+from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, canonical_q, certificate
 
 FLOOR_TOL = 1e-4
-MAX_ITERATIONS = 4000
 
 
 @dataclass(frozen=True)
@@ -69,15 +73,12 @@ class _Objective:
             for i in range(self.n)
             for j in range(i + 1, self.n)
         ]
-        self.z_of = {
-            (i, j): complex(g[i, j]) for i in range(self.n) for j in range(self.n)
-        }
-        self.z2_of = {key: z * z for key, z in self.z_of.items()}
+        self.forest = self._spanning_forest(g, tol)
+
+    def _spanning_forest(self, g: np.ndarray, tol: float) -> list:
+        """Edges (i, j, z_ij, z_ij^2) of a breadth-first forest of the nonzero-overlap graph."""
         nz = np.abs(g) > tol
         np.fill_diagonal(nz, False)
-        self.forest = self._spanning_forest(nz)
-
-    def _spanning_forest(self, nz: np.ndarray) -> list:
         seen = [False] * self.n
         order = []
         for root in range(self.n):
@@ -90,7 +91,8 @@ class _Objective:
                 for j in range(self.n):
                     if nz[i, j] and not seen[j]:
                         seen[j] = True
-                        order.append((i, j))
+                        z = complex(g[i, j])
+                        order.append((i, j, z, z * z))
                         queue.append(j)
         return order
 
@@ -104,15 +106,15 @@ class _Objective:
         return [complex(xs[k], xs[k + d]) * inv for k in range(d)]
 
     def q_of(self, x, fixed_q: float | None) -> float:
+        """Fixed Q, or sin of the joint coordinate: smooth, so no stretch of x is flat in Q."""
         if fixed_q is not None:
             return fixed_q
-        return min(1.0, max(-1.0 + 1e-9, float(x[-1])))
+        return max(-1.0 + 1e-9, sin(float(x[-1])))
 
     def _alphas(self, ov: list, sq: list, big_q: float) -> list:
         alphas = [complex(1.0)] * self.n
-        for i, j in self.forest:
-            z2 = self.z2_of[(i, j)]
-            lhs = self.z_of[(i, j)] + big_q * ov[i] * ov[j].conjugate()
+        for i, j, z, z2 in self.forest:
+            lhs = z + big_q * ov[i] * ov[j].conjugate()
             forced = lhs / (sq[i] * sq[j] * z2)
             mod = abs(forced)
             alphas[j] = alphas[i] * (forced / mod if mod > 0.0 else 1.0)
@@ -141,15 +143,6 @@ class _Objective:
             return 0.0
         return max(abs(m) for m in self._mismatches([complex(v) for v in tablet], big_q))
 
-    def rms(self, x, fixed_q: float | None) -> float:
-        tablet = self.tablet_of(x)
-        if tablet is None:
-            return 1e6
-        if self.n < 2:
-            return 0.0
-        ms = self._mismatches(tablet, self.q_of(x, fixed_q))
-        return sqrt(sum(m.real * m.real + m.imag * m.imag for m in ms) / len(ms))
-
     def residual_vector(self, x, fixed_q: float | None) -> np.ndarray:
         tablet = self.tablet_of(x)
         if tablet is None:
@@ -163,13 +156,14 @@ class _Objective:
 
 
 def _structured_tablets(text: texts.QuantumText) -> list:
-    cands = []
+    # States first: from their normalized sum the solve often stalls in a
+    # nonzero local minimum (two-texts at fixed Q, rotated uniform texts with
+    # joint Q), so a search's cost depended on which start won.
+    cands = [text.state(i).copy() for i in range(min(text.n_states, 4))]
     total = text.states.sum(axis=1)
     norm = np.linalg.norm(total)
     if norm > 1e-6:
         cands.append(total / norm)
-    for i in range(min(text.n_states, 4)):
-        cands.append(text.state(i).copy())
     return cands
 
 
@@ -183,39 +177,24 @@ def _starts_for(text: texts.QuantumText, options: SearchOptions, joint_q: bool) 
     while len(xs) < options.starts:
         vec = rng.standard_normal(2 * d)
         if joint_q:
-            vec = np.concatenate([vec, rng.uniform(-0.95, 0.95, 1)])
+            vec = np.concatenate([vec, np.arcsin(rng.uniform(-0.95, 0.95, 1))])
         xs.append(vec)
     return xs[: options.starts]
 
 
 def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
-    n = len(x0)
-    descent = minimize(
-        lambda x: obj.rms(x, fixed_q),
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": min(MAX_ITERATIONS, 300 * n),
-            "xatol": 1e-10,
-            "fatol": 1e-13,
-        },
-    )
-    evals = descent.nfev
-    x_best, f_best = descent.x, descent.fun
-    polish = least_squares(
+    """One least-squares solve from x0; returns its end point and objective evaluations."""
+    fit = least_squares(
         lambda x: obj.residual_vector(x, fixed_q),
-        x_best,
+        x0,
         method="trf",
         xtol=3e-16,
         ftol=3e-16,
         gtol=1e-15,
         max_nfev=150,
     )
-    evals += polish.nfev * (n + 1)
-    f_polish = obj.rms(polish.x, fixed_q)
-    if f_polish < f_best:
-        x_best, f_best = polish.x, f_polish
-    return x_best, evals
+    # nfev leaves out the len(x0) calls of each two-point Jacobian
+    return fit.x, fit.nfev + fit.njev * len(x0)
 
 
 def feasibility_search(
@@ -225,19 +204,21 @@ def feasibility_search(
 ) -> SearchResult:
     """Search tablets (and optionally Q) for a valid enscription certificate.
 
-    ``big_q`` may be a fixed entanglement parameter, an explicit iterable of
-    values to sweep, or None to optimize over Q jointly with the tablet.
+    ``big_q`` is a fixed value or None, which optimizes Q jointly with the
+    tablet. A fixed value outside [-1, 1] raises ``QOutOfRange`` before any
+    start runs.
 
-    A certificate is returned only when the best residual beats the accept
-    tolerance; otherwise the result records the attained floor with verdict
-    "infeasible" (above the floor tolerance) or "inconclusive" (in between).
+    The first start, in start order, whose residual beats the accept tolerance
+    ends the search and yields the certificate. Otherwise every start runs
+    and the result records the attained floor with verdict "infeasible"
+    (above the floor tolerance) or "inconclusive" (in between).
     """
     options = options or SearchOptions()
-    if big_q is not None and np.iterable(big_q):
-        return _grid_search(text, [float(v) for v in big_q], options)
-    obj = _Objective(text)
     joint = big_q is None
     fixed_q = None if joint else float(big_q)
+    if not joint:
+        canonical_q(fixed_q)  # raises QOutOfRange outside [-1, 1], NaN included
+    obj = _Objective(text)
     best_x, best_res, best_idx, evals = None, np.inf, -1, 0
     for idx, x0 in enumerate(_starts_for(text, options, joint)):
         x, used = _minimize_start(obj, x0, fixed_q)
@@ -248,6 +229,8 @@ def feasibility_search(
         res = obj.max_residual(tablet, obj.q_of(x, fixed_q))
         if res < best_res:
             best_x, best_res, best_idx = x, res, idx
+        if res < options.accept_tol:
+            break
     if best_x is None:
         return SearchResult(None, np.inf, "infeasible", fixed_q, -1, evals)
     tablet = np.array(obj.tablet_of(best_x), dtype=complex)
@@ -257,12 +240,3 @@ def feasibility_search(
         return SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
     verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
     return SearchResult(None, best_res, verdict, qv, best_idx, evals)
-
-
-def _grid_search(text: texts.QuantumText, grid: list, options: SearchOptions) -> SearchResult:
-    best: SearchResult | None = None
-    for qv in grid:
-        result = feasibility_search(text, qv, options)
-        if best is None or result.best_residual < best.best_residual:
-            best = result
-    return best if best is not None else SearchResult(None, np.inf, "infeasible", None, -1, 0)

@@ -230,3 +230,12 @@ def test_uniform_detection_agrees_across_commands(tmp_path, capsys, shift, unifo
     # the closed-form solver reports a reason, the search a verdict
     _, report = _run(capsys, ["solve", "--input", path, "--starts", "4"])
     assert ("reason" in report) == uniform
+
+
+@pytest.mark.parametrize("big_q", ["-1.5", "nan", "2"])
+def test_solve_out_of_range_q_reports_a_reason(tmp_path, capsys, big_q):
+    path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
+    code, report = _run(capsys, ["solve", "--input", path, "--q", big_q, "--starts", "4"])
+    assert code == 2
+    assert report["feasible"] is False
+    assert report["reason"].startswith("entanglement parameter must lie in [-1, 1]")

@@ -1,9 +1,15 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enscribe import feasibility_search, make_real_uniform, make_text
+from enscribe import feasibility_search, make_real_uniform, make_text, search, verification
+from enscribe.certificates import EnscriptionParams, enscription_residual
+from enscribe.errors import QOutOfRange
+from enscribe.linalg import unit
 from enscribe.search import SearchOptions
 
-from helpers import random_classical_text
+from helpers import random_classical_text, random_state, random_text, random_unitary
 
 
 def test_classical_text_found_with_tablet_orthogonal_to_rest():
@@ -49,14 +55,6 @@ def test_search_is_deterministic():
     assert a.best_residual == b.best_residual
 
 
-def test_grid_sweep_finds_feasible_value():
-    text = make_real_uniform(2, 0.5)
-    grid = [0.0, 0.3, 0.85, 0.95]
-    result = feasibility_search(text, grid, SearchOptions(seed=0, starts=8))
-    assert result.feasible
-    assert result.Q in (0.85, 0.95)
-
-
 def test_joint_search_over_q():
     text = make_real_uniform(2, 0.6)
     result = feasibility_search(text, None, SearchOptions(seed=1, starts=16))
@@ -78,3 +76,115 @@ def test_classical_text_feasible_at_zero_deformation():
     result = feasibility_search(text, 0.0, SearchOptions(seed=0, starts=4))
     assert result.feasible
     assert result.best_residual < 1e-12
+
+
+def _count_starts(monkeypatch) -> list:
+    """Record every call of search._minimize_start; returns the record."""
+    calls = []
+    original = search._minimize_start
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search, "_minimize_start", counted)
+    return calls
+
+
+@pytest.mark.parametrize("big_q", [-1.5, float("nan"), 2.0])
+def test_out_of_range_fixed_q_raises_before_any_start(monkeypatch, big_q):
+    calls = _count_starts(monkeypatch)
+    with pytest.raises(QOutOfRange):
+        feasibility_search(make_real_uniform(2, 0.5), big_q, SearchOptions(seed=0, starts=4))
+    assert calls == []
+
+
+def test_qubit_text_at_q_one_wins_at_first_start(monkeypatch):
+    calls = _count_starts(monkeypatch)
+    z = np.sqrt(3.0) - 2.0
+    ap, am = np.sqrt((1 + z) / 2), np.sqrt((1 - z) / 2)
+    text = make_text(2, [[ap, am], [ap, -am]])
+    result = feasibility_search(text, 1.0, SearchOptions(seed=0, starts=16))
+    assert result.feasible
+    assert result.start_index == 0
+    assert len(calls) == 1
+
+
+def test_infeasible_search_runs_every_start(monkeypatch):
+    calls = _count_starts(monkeypatch)
+    result = feasibility_search(make_real_uniform(2, 0.5), 0.3, SearchOptions(seed=0, starts=32))
+    assert result.verdict == "infeasible"
+    assert len(calls) == 32
+
+
+def test_feasible_search_stops_at_first_certifying_start(monkeypatch):
+    # From the normalized sum of the two states the solve stalls at this Q,
+    # so the seeded random starts after it have to find the certificate.
+    monkeypatch.setattr(search, "_structured_tablets", lambda text: [unit(text.states.sum(axis=1))])
+    calls = _count_starts(monkeypatch)
+    result = feasibility_search(make_real_uniform(2, 0.5), 0.9, SearchOptions(seed=0, starts=12))
+    assert result.feasible
+    assert result.start_index > 0
+    assert len(calls) == result.start_index + 1
+
+
+@pytest.mark.parametrize("n, z, k", [(3, 0.15, 1), (3, 0.3, 3), (4, 0.2, 0), (4, 0.2, 3)])
+def test_joint_search_on_rotated_uniform_text_certifies_at_first_start(n, z, k):
+    image = verification.random_equivalence_image(np.random.default_rng(k), make_real_uniform(n, z))[0]
+    result = feasibility_search(image, None, SearchOptions(seed=0, starts=16))
+    assert result.feasible
+    assert result.start_index == 0
+
+
+def test_joint_q_certificate_is_not_pinned_to_the_end_of_the_range():
+    result = feasibility_search(make_real_uniform(2, 0.5), None, SearchOptions(seed=1, starts=16))
+    assert result.feasible
+    assert -0.99 < result.Q < 1.0
+
+
+@pytest.mark.parametrize(
+    "text, big_q, starts",
+    [
+        (make_real_uniform(2, 0.5), 0.9, 12),
+        (make_real_uniform(2, 0.5), 0.3, 8),
+        (make_real_uniform(3, 0.3), None, 4),
+        (make_text(2, [[1, 0]]), 0.5, 4),
+    ],
+)
+def test_evaluations_count_objective_calls(monkeypatch, text, big_q, starts):
+    count = [0]
+    original = search._Objective.residual_vector
+
+    def counted(self, x, fixed_q):
+        count[0] += 1
+        return original(self, x, fixed_q)
+
+    monkeypatch.setattr(search._Objective, "residual_vector", counted)
+    result = feasibility_search(text, big_q, SearchOptions(seed=0, starts=starts))
+    assert result.evaluations == count[0] > 0
+
+
+@st.composite
+def texts_with_zero_overlaps(draw):
+    """Generic texts, orthonormal ones, and texts split over orthogonal blocks (a forest, not a tree)."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(2, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "classical", "blocks"]))
+    if kind == "generic":
+        return random_text(rng, n, d), rng
+    if kind == "classical":
+        return random_classical_text(rng, n, d), rng
+    u, k = random_unitary(rng, d), d // 2
+    blocks = [u[:, :k] if i % 2 else u[:, k:] for i in range(n)]
+    return make_text(d, [b @ random_state(rng, b.shape[1]) for b in blocks]), rng
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(texts_with_zero_overlaps(), st.floats(-1.0, 1.0))
+def test_search_residual_matches_certificate_residual(drawn, big_q):
+    text, rng = drawn
+    tablet = random_state(rng, text.dimension)
+    obj = search._Objective(text)
+    params = EnscriptionParams.from_Q(big_q, tablet, phases=obj.phases_for(tablet, big_q))
+    assert abs(obj.max_residual(tablet, big_q) - enscription_residual(text, params)) < 1e-12
