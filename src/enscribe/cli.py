@@ -75,7 +75,7 @@ def cmd_classify(args) -> int:
             "thick": cls.thick,
             "dialect_dimension": cls.dialect_dimension,
         },
-        "gram": [[_jsonable(complex(v)) for v in row] for row in texts.gram(text)],
+        "gram": texts.gram(text),
         "illegibility": {
             "efficient_ok": screen.efficient_ok,
             "lemma2_pattern_ok": screen.lemma2_pattern_ok,
@@ -92,12 +92,11 @@ def cmd_classify(args) -> int:
 def cmd_gram(args) -> int:
     text = _load_text(args)
     g = texts.gram(text)
-    eigs = np.linalg.eigvalsh(g)
     report = {
         "dimension": text.dimension,
         "n_states": text.n_states,
-        "gram": [[_jsonable(complex(v)) for v in row] for row in g],
-        "eigenvalues": [float(v) for v in eigs],
+        "gram": g,
+        "eigenvalues": np.linalg.eigvalsh(g),
     }
     _emit(report, args.output)
     return 0
@@ -228,7 +227,7 @@ def cmd_verify_theorems(args) -> int:
     results = verification.run_checks(only=args.only, seed=args.seed)
     report = {
         "checks": [
-            {"name": r.name, "passed": r.passed, "details": _jsonable(r.details)}
+            {"name": r.name, "passed": r.passed, "details": r.details}
             for r in results
         ],
         "all_passed": bool(results) and all(r.passed for r in results),

@@ -16,6 +16,7 @@ from .certificates import (
     entangled_input,
 )
 from .errors import (
+    DimensionMismatch,
     DirectionNotOrthogonal,
     IllegibleText,
     InvalidInputCertificate,
@@ -276,14 +277,17 @@ def direct_sum_enscribe(
     The remaining states must be pairwise orthogonal and orthogonal to the
     certified subtext. The lifted tablet is the normalized projection of the
     input tablet onto the subtext dialect, and the entanglement parameter is
-    scaled by the squared projection norm.
+    scaled by the squared projection norm. Indices outside range(N) raise
+    DimensionMismatch; the identity order returns ``cert`` itself once it is
+    validated, and any other order is re-certified on the whole text.
     """
+    n = combined_text.n_states
     idx2 = tuple(int(i) for i in quantum_indices)
-    idx1 = tuple(i for i in range(combined_text.n_states) if i not in idx2)
+    if not all(0 <= i < n for i in idx2):
+        raise DimensionMismatch(f"subtext indices {idx2} must lie in range({n})")
+    idx1 = tuple(i for i in range(n) if i not in idx2)
     if len(set(idx2)) != len(idx2):
         raise NotADirectSum("duplicate indices in the certified subtext")
-    if not idx1:
-        return cert
     g = np.abs(texts.gram(combined_text))
     for a, i in enumerate(idx1):
         for j in idx1[a + 1:]:
@@ -298,13 +302,15 @@ def direct_sum_enscribe(
         raise InvalidInputCertificate("certificate phase count does not match the subtext")
     if enscription_residual(subtext, cert.params) >= accept_tol:
         raise InvalidInputCertificate("input certificate is not valid on the subtext")
+    if idx2 == tuple(range(n)):
+        return cert
     basis = _dialect_basis(subtext)
     projected = basis @ (linalg.dagger(basis) @ cert.params.tablet)
     norm = float(np.linalg.norm(projected))
     if norm < 1e-9:
         raise InvalidInputCertificate("tablet is orthogonal to the subtext dialect")
     new_q = norm ** 2 * cert.params.Q
-    phases = np.ones(combined_text.n_states, dtype=complex)
+    phases = np.ones(n, dtype=complex)
     for pos, i in enumerate(idx2):
         phases[i] = cert.params.phases[pos]
     params = EnscriptionParams.from_Q(new_q, projected / norm, phases=phases)

@@ -46,17 +46,14 @@ def swap_operator(dim: int) -> np.ndarray:
 
 def symmetric_basis(dim: int) -> np.ndarray:
     """Isometry whose columns span the swap-symmetric subspace of C^(dim^2)."""
-    cols = []
-    for i in range(dim):
-        e = np.zeros(dim * dim, dtype=complex)
-        e[i * dim + i] = 1.0
-        cols.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros(dim * dim, dtype=complex)
-            e[i * dim + j] = e[j * dim + i] = 1.0 / np.sqrt(2.0)
-            cols.append(e)
-    return np.column_stack(cols)
+    # columns: the diagonal states |ii>, then (|ij> + |ji>)/sqrt(2) for i < j in row order
+    diag = np.arange(dim)
+    i, j = np.triu_indices(dim, 1)
+    pairs = dim + np.arange(i.size)
+    basis = np.zeros((dim * dim, dim + i.size), dtype=complex)
+    basis[diag * dim + diag, diag] = 1.0
+    basis[i * dim + j, pairs] = basis[j * dim + i, pairs] = 1.0 / np.sqrt(2.0)
+    return basis
 
 
 def _polar_orthonormal(m: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ a complex inner-product space (its "language"). The span of the states is the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -101,7 +100,7 @@ def make_text(dimension: int, raw_states, tol: float = DEFAULT_TOL) -> QuantumTe
         if v.shape[0] != dimension:
             raise DimensionMismatch(f"state {k} has length {v.shape[0]}, expected {dimension}")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) >= tol:
+        if not abs(norm - 1.0) < tol:
             raise NonUnitState(f"state {k} has norm {norm}")
         vecs[k] = v / norm
     mat = np.column_stack(vecs)
@@ -182,72 +181,68 @@ def direct_sum_decompose(text: QuantumText, tablet, tol: float = DEFAULT_TOL) ->
     return DirectSumSplit(t1, t2, classical_ok, quantum_ok, cross_ok)
 
 
-def _phase_witness(source_gram, target_gram, edges, tol):
-    """Propagate per-state phases over a spanning forest; check all cycles."""
-    n = target_gram.shape[0]
-    beta = np.zeros(n, dtype=complex)
-    ratio = np.ones((n, n), dtype=complex)
-    for i, j in edges:
-        ratio[i, j] = target_gram[i, j] / source_gram[i, j]
-        ratio[j, i] = np.conj(ratio[i, j])
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for root in range(n):
-        if beta[root] != 0:
-            continue
-        beta[root] = 1.0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if beta[j] == 0:
-                    beta[j] = beta[i] * ratio[i, j]
-                    stack.append(j)
-    for i, j in edges:
-        # Bargmann-invariant consistency: every cycle product must close up
-        if abs(np.conj(beta[i]) * beta[j] - ratio[i, j]) > tol:
-            return None
-    return beta
-
-
 def equivalent(text_a: QuantumText, text_b: QuantumText, tol: float = 1e-8):
     """Witness that text_a and text_b agree up to permutation, phases, and a unitary.
 
-    Returns an EquivalenceWitness or None. Permutations are enumerated (meant
-    for N <= 10), candidate phases are solved along a spanning forest of the
-    nonzero-overlap graph and verified on every cycle, and the rotation is
-    built from the Gram-matched state correspondence.
+    Returns an EquivalenceWitness or None. The states of text_a are assigned
+    one at a time, in a spanning-forest order of the |z_a| > ``tol`` graph
+    (the lowest state overlapping one already assigned comes next, else the
+    lowest state left), so every state but the first of its component has an
+    earlier neighbour; state i goes to an unused state k of text_b in
+    ascending order. The phase beta_i follows from the first earlier state j
+    whose overlaps with i and with k both exceed ``tol`` (beta_i = 1 when
+    there is none, a free phase of a new component), and the pair is kept only
+    if |z_a[j, i] - conj(beta_j) beta_i z_b[perm j, k]| <= tol for every
+    earlier j. Pairs whose sorted row moduli differ by more than ``tol`` are
+    never tried: sorting is 1-Lipschitz in the max norm, so no accepted pair
+    fails that test. A complete assignment yields the rotation from the state
+    correspondence and is returned if it rebuilds text_a within 10 tol;
+    otherwise the search backtracks. For generic texts (no overlap within
+    ``tol`` of zero) the order is 0..N-1 and the first witness in lexicographic
+    order is returned.
     """
     if text_a.dimension != text_b.dimension or text_a.n_states != text_b.n_states:
         raise SizeMismatch("texts must share the state count and language dimension")
     n = text_a.n_states
     za, zb = gram(text_a), gram(text_b)
-    abs_a, abs_b = np.abs(za), np.abs(zb)
-    row_sig_a = [tuple(np.sort(np.round(abs_a[i], 6))) for i in range(n)]
-    row_sig_b = [tuple(np.sort(np.round(abs_b[i], 6))) for i in range(n)]
-    for perm in permutations(range(n)):
+    rows_a, rows_b = np.sort(np.abs(za), axis=1), np.sort(np.abs(zb), axis=1)
+    allowed = np.max(np.abs(rows_a[:, None, :] - rows_b[None, :, :]), axis=2) <= tol
+    order: list = []
+    rest = list(range(n))
+    while rest:
+        order.append(next((i for i in rest if any(abs(za[j, i]) > tol for j in order)), rest[0]))
+        rest.remove(order[-1])
+    perm = [-1] * n  # perm[i]: the state of text_b paired with state i of text_a
+    beta = np.ones(n, dtype=complex)
+
+    def witness():
         # candidate relation: text_a.state(i) == beta_i * V @ text_b.state(perm[i])
-        if any(row_sig_b[perm[i]] != row_sig_a[i] for i in range(n)):
-            continue
-        zb_perm = zb[np.ix_(perm, perm)]
-        if np.max(np.abs(np.abs(zb_perm) - abs_a)) > tol:
-            continue
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if abs_a[i, j] > tol]
-        beta = _phase_witness(zb_perm, za, edges, tol)
-        if beta is None:
-            continue
-        sources = [text_b.state(perm[i]) for i in range(n)]
+        sources = [text_b.state(k) for k in perm]
         targets = [np.conj(beta[i]) * text_a.state(i) for i in range(n)]
         try:
             v = linalg.unitary_from_correspondence(sources, targets, text_a.dimension, gram_tol=tol)
         except GramMismatch:
-            continue
-        err = max(
-            float(np.linalg.norm(text_a.state(i) - beta[i] * v @ text_b.state(perm[i])))
-            for i in range(n)
-        )
-        if err < tol * 10:
-            return EquivalenceWitness(tuple(perm), beta, v)
-    return None
+            return None
+        err = max(float(np.linalg.norm(text_a.state(i) - beta[i] * v @ text_b.state(k)))
+                  for i, k in enumerate(perm))
+        return EquivalenceWitness(tuple(perm), beta, v) if err < tol * 10 else None
+
+    def extend(depth):
+        if depth == n:
+            return witness()
+        i, earlier = order[depth], order[:depth]
+        for k in range(n):
+            if k in perm or not allowed[i, k]:
+                continue
+            b = next((beta[j] * za[j, i] / zb[perm[j], k] for j in earlier
+                      if abs(za[j, i]) > tol and abs(zb[perm[j], k]) > tol), 1.0 + 0j)
+            beta[i] = b / abs(b)
+            if all(abs(za[j, i] - np.conj(beta[j]) * beta[i] * zb[perm[j], k]) <= tol for j in earlier):
+                perm[i] = k
+                found = extend(depth + 1)
+                if found is not None:
+                    return found
+                perm[i] = -1
+        return None
+
+    return extend(0)

@@ -239,3 +239,12 @@ def test_solve_out_of_range_q_reports_a_reason(tmp_path, capsys, big_q):
     assert code == 2
     assert report["feasible"] is False
     assert report["reason"].startswith("entanglement parameter must lie in [-1, 1]")
+
+
+@pytest.mark.parametrize("command", ["classify", "solve"])
+def test_text_with_nan_component_is_an_error(tmp_path, capsys, command):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dimension": 2, "states": [[[1, 0], [0, 0]], [[0.6, 0], [float("nan"), 0]]]}))
+    code = main([command, "--input", str(path)])
+    assert code == 1
+    assert "error" in capsys.readouterr().err

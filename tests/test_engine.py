@@ -3,6 +3,7 @@ import pytest
 
 from enscribe import (
     direct_sum_enscribe,
+    enscription_residual,
     entangled_input,
     gram,
     illegibility_screen,
@@ -18,8 +19,10 @@ from enscribe import (
     z0_threshold,
 )
 from enscribe.errors import (
+    DimensionMismatch,
     DirectionNotOrthogonal,
     IllegibleText,
+    InvalidInputCertificate,
     NotADirectSum,
     SizeMismatch,
     TOutOfRange,
@@ -232,15 +235,18 @@ def test_direct_sum_enscribe_tablet_in_dialect_keeps_q():
     assert lifted.residual < 1e-9
 
 
-def test_direct_sum_enscribe_classical_pair_plus_two_text():
+def _classical_pair_plus_two_text():
     block = make_real_uniform(2, 0.5)
-    states = [
+    return make_text(4, [
         np.array([1.0, 0.0, 0.0, 0.0]),
         np.array([0.0, 1.0, 0.0, 0.0]),
         np.concatenate([np.zeros(2), block.state(0)]),
         np.concatenate([np.zeros(2), block.state(1)]),
-    ]
-    combined = make_text(4, states)
+    ])
+
+
+def test_direct_sum_enscribe_classical_pair_plus_two_text():
+    combined = _classical_pair_plus_two_text()
     cert = solve_two_text(combined.subtext((2, 3)))
     lifted = direct_sum_enscribe(combined, cert, (2, 3))
     assert lifted.residual < 1e-9
@@ -253,6 +259,25 @@ def test_direct_sum_enscribe_rejects_overlapping_complement():
     text = make_real_uniform(3, 0.4)
     cert = solve_two_text(text.subtext((0, 1)))
     with pytest.raises(NotADirectSum):
+        direct_sum_enscribe(text, cert, (0, 1))
+
+
+@pytest.mark.parametrize("indices", [(2, 7), (-2, -1)], ids=["past-the-end", "negative"])
+def test_direct_sum_enscribe_indices_outside_the_text_are_typed(indices):
+    combined = _classical_pair_plus_two_text()
+    cert = solve_two_text(combined.subtext((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        direct_sum_enscribe(combined, cert, indices)
+
+
+def test_direct_sum_enscribe_full_reordering_recertifies():
+    text = make_text(2, [[1, 0], [0.3 + 0.4j, np.sqrt(0.75)]])
+    cert = solve_two_text(text.subtext((1, 0)))
+    lifted = direct_sum_enscribe(text, cert, (1, 0))
+    assert lifted.residual < 1e-9
+    assert enscription_residual(text, lifted.params) == lifted.residual
+    # the identity order returns the certificate itself, but only a valid one
+    with pytest.raises(InvalidInputCertificate):
         direct_sum_enscribe(text, cert, (0, 1))
 
 

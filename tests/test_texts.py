@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enscribe import (
     classify,
@@ -37,6 +39,8 @@ def test_make_text_rejects_colinear_phase_copy():
 def test_make_text_rejects_non_unit():
     with pytest.raises(NonUnitState):
         make_text(2, [[1, 0], [0, 2.0]])
+    with pytest.raises(NonUnitState):
+        make_text(2, [[1, 0], [0, np.nan]])
 
 
 def test_make_text_rejects_wrong_length():
@@ -207,6 +211,69 @@ def test_equivalent_distinguishes_two_text_overlaps():
     a = make_real_uniform(2, 0.3)
     b = make_real_uniform(2, 0.4)
     assert equivalent(a, b) is None
+
+
+def test_equivalent_matches_images_at_a_rounding_boundary():
+    # |z| = 0.1234565 sits on a 6-decimal rounding boundary
+    rng = np.random.default_rng(3)
+    text = make_real_uniform(2, 0.1234565)
+    for _ in range(50):
+        image, _, _, _ = _random_image(rng, text)
+        witness = equivalent(image, text)
+        assert witness is not None
+        _check_witness(image, text, witness)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_equivalent_rejects_uniform_sign_partner(n):
+    # same |Gram| entries, but the Bargmann invariant z^3 changes sign
+    assert equivalent(make_real_uniform(n, 0.1), make_real_uniform(n, -0.1)) is None
+
+
+def test_equivalent_phases_two_overlap_components_joined_later():
+    # |0> and |1> do not overlap; the third state fixes their relative phase (V = diag(1, i))
+    s = 1 / np.sqrt(2)
+    a = make_text(3, [[1, 0, 0], [0, 1, 0], [s, s, 0]])
+    b = make_text(3, [[1, 0, 0], [0, 1, 0], [s, 1j * s, 0]])
+    witness = equivalent(a, b)
+    assert witness is not None
+    _check_witness(a, b, witness)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_equivalent_matches_images_of_basis_vectors_plus_a_generic_state(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    text = make_text(n, list(np.eye(n)[: n - 1]) + [v / np.linalg.norm(v)])
+    for _ in range(5):
+        image, _, _, _ = _random_image(rng, text)
+        witness = equivalent(image, text)
+        assert witness is not None
+        _check_witness(image, text, witness)
+
+
+def _conjugate_is_distinguishable(text):
+    """Distinct pair moduli and a clearly complex Bargmann triple: no relabeling undoes conjugation."""
+    g = gram(text)
+    n = text.n_states
+    mods = np.sort(np.abs(g[np.triu_indices(n, 1)]))
+    triple = g[0, 1] * g[1, 2] * g[2, 0]
+    return np.min(np.diff(mods)) > 1e-3 and abs(triple.imag) > 1e-3
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 5), st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_equivalent_witnesses_images_and_rejects_conjugates(n, extra, seed):
+    rng = np.random.default_rng(seed)
+    text = random_text(rng, n, n + extra)
+    image, _, _, _ = _random_image(rng, text)
+    witness = equivalent(image, text)
+    assert witness is not None
+    _check_witness(image, text, witness)
+    if n >= 3:
+        assume(_conjugate_is_distinguishable(text))
+        conjugate, _, _, _ = _random_image(rng, make_text(text.dimension, text.states.conj().T))
+        assert equivalent(conjugate, text) is None
 
 
 def test_equivalent_size_mismatch():
