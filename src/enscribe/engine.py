@@ -304,7 +304,7 @@ def direct_sum_enscribe(
         raise InvalidInputCertificate("input certificate is not valid on the subtext")
     if idx2 == tuple(range(n)):
         return cert
-    basis = _dialect_basis(subtext)
+    basis = linalg.dialect_frame(subtext.states)[1]
     projected = basis @ (linalg.dagger(basis) @ cert.params.tablet)
     norm = float(np.linalg.norm(projected))
     if norm < 1e-9:
@@ -315,11 +315,6 @@ def direct_sum_enscribe(
         phases[i] = cert.params.phases[pos]
     params = EnscriptionParams.from_Q(new_q, projected / norm, phases=phases)
     return certificate(combined_text, params)
-
-
-def _dialect_basis(text: texts.QuantumText) -> np.ndarray:
-    u, s, _ = np.linalg.svd(text.states, full_matrices=False)
-    return u[:, :linalg.numerical_rank(s)]
 
 
 def thin_extension_family(
@@ -342,7 +337,7 @@ def thin_extension_family(
     if phi.shape[0] != text.dimension:
         raise DirectionNotOrthogonal("direction length does not match the language dimension")
     phi = linalg.unit(phi)
-    basis = _dialect_basis(text)
+    basis = linalg.dialect_frame(text.states)[1]
     if float(np.linalg.norm(linalg.dagger(basis) @ phi)) > 1e-9:
         raise DirectionNotOrthogonal("direction has a component inside the dialect")
     tablet0 = cert.params.tablet

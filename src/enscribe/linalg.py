@@ -56,12 +56,6 @@ def symmetric_basis(dim: int) -> np.ndarray:
     return basis
 
 
-def _polar_orthonormal(m: np.ndarray) -> np.ndarray:
-    # nearest matrix with orthonormal columns
-    u, _, vh = np.linalg.svd(m, full_matrices=False)
-    return u @ vh
-
-
 def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns completing ``cols`` (dim x r, orthonormal) to a basis of C^dim.
 
@@ -77,8 +71,29 @@ def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
 
 
 def numerical_rank(values: np.ndarray) -> int:
-    """Count of singular values (or PSD eigenvalues) above RANK_TOL times the largest."""
+    """Count of singular values (or PSD eigenvalues) above RANK_TOL times the largest.
+
+    A dialect dimension is counted on Gram eigenvalues, as in dialect_frame.
+    """
     return int(np.sum(values > RANK_TOL * max(float(np.max(values)), 1e-300)))
+
+
+def dialect_frame(vectors: np.ndarray, g: np.ndarray | None = None) -> tuple:
+    """Rank-truncated Gram factor L and orthonormal dialect frame U of the columns of ``vectors``.
+
+    ``g`` is their Gram matrix (computed when omitted). Of g = E diag(w) E^dag
+    the eigenvalues numerical_rank counts are kept: L = E_r sqrt(w_r), so
+    g ~ L L^dag, and U = polar(vectors E_r / sqrt(w_r)), so vectors ~ U L^dag.
+    """
+    if g is None:
+        g = dagger(vectors) @ vectors
+    w, e = np.linalg.eigh(g)
+    # eigh sorts ascending, so the kept eigenvalues are the last ones
+    keep = w.size - numerical_rank(w)
+    root = np.sqrt(w[keep:])
+    # the polar factor: nearest matrix with orthonormal columns
+    u, _, vh = np.linalg.svd(vectors @ (e[:, keep:] / root), full_matrices=False)
+    return e[:, keep:] * root, u @ vh
 
 
 def unitary_from_correspondence(
@@ -89,9 +104,9 @@ def unitary_from_correspondence(
 ) -> np.ndarray:
     """Unitary W with W @ inputs[k] = outputs[k] for Gram-matched vector families.
 
-    Both families are mixed with the same coefficients (from the eigenbasis of
-    their common Gram matrix) into orthonormal frames; the map between frames
-    is extended deterministically on the orthogonal complements.
+    Both families are mixed with the same coefficients into their dialect
+    frames over the common Gram matrix, whose rank sets the frame size; the
+    map between frames is extended deterministically on the complements.
 
     Raises GramMismatch when the two Gram matrices differ by more than
     ``gram_tol`` entrywise, DimensionMismatch on inconsistent shapes.
@@ -106,22 +121,15 @@ def unitary_from_correspondence(
         return np.eye(dim, dtype=complex)
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatch(f"vectors have length {a.shape[0]}, expected {dim}")
-    dim = a.shape[0]
-    if a.shape[1] > dim:
-        raise DimensionMismatch("more vectors than the space dimension")
-
     ga = dagger(a) @ a
     gb = dagger(b) @ b
     gap = float(np.max(np.abs(ga - gb)))
     if gap > gram_tol:
         raise GramMismatch(f"Gram matrices differ by {gap:.3e} (> {gram_tol:.1e})")
 
-    w, e = np.linalg.eigh(0.5 * (ga + gb))
-    # eigh sorts ascending, so the kept eigenvalues are the last ones
-    keep = w.size - numerical_rank(w)
-    mix = e[:, keep:] / np.sqrt(w[keep:])
-    a_frame = _polar_orthonormal(a @ mix)
-    b_frame = _polar_orthonormal(b @ mix)
+    g = 0.5 * (ga + gb)
+    a_frame = dialect_frame(a, g)[1]
+    b_frame = dialect_frame(b, g)[1]
     a_full = np.column_stack([a_frame, complete_orthonormal(a_frame)])
     b_full = np.column_stack([b_frame, complete_orthonormal(b_frame)])
     return b_full @ dagger(a_full)

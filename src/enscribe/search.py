@@ -1,19 +1,23 @@
 """Seeded multi-start numerical search for enscription parameters.
 
-For a fixed tablet and entanglement parameter the output phases can be
-eliminated: every pair with a nonzero overlap forces the relative phase, and
-a consistent assignment is propagated over a spanning forest of the
-nonzero-overlap graph. The remaining objective depends only on the tablet
-(and Q when it is not fixed) and vanishes exactly at enscribable parameters.
+The matching condition sees the tablet only through its overlaps a = L c
+with the states, where G = L L^dag is the rank-r Gram factor of
+``linalg.dialect_frame`` and c in C^r holds the tablet's coordinates on the
+dialect. A thin text (r < d) adds one real coordinate, the norm of the
+tablet's part outside the dialect; a joint Q is the sine of a last one. For
+fixed coordinates the output phases are eliminated: each nonzero overlap
+forces a relative phase, propagated over a spanning forest of the
+nonzero-overlap graph, and what remains vanishes exactly at enscribable
+parameters.
 
 Each start is one trust-region least-squares solve (finite-difference
 Jacobian) of the pairwise mismatches. Starts run in a fixed, seeded order and
 the first whose largest residual beats the accept tolerance wins, so the
 search stops there. When no start certifies, every start runs and the result
 records the lexicographic minimum of (residual, start index): a floor over
-the starts, not a proof of infeasibility. The starts are the text's states,
-their normalized sum, then seeded random tablets; a joint Q is the sine of
-the last coordinate.
+the starts, not a proof of infeasibility. The starts are coordinate vectors:
+the text's states, their normalized sum, then seeded random vectors. The
+tablet is built once, for the winning start.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import sin, sqrt
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import texts
+from . import linalg, texts
 from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, canonical_q, certificate
 
 FLOOR_TOL = 1e-4
@@ -54,20 +58,22 @@ class SearchResult:
 
 
 class _Objective:
-    """Residual of the phase-eliminated matching condition at (tablet, Q).
+    """Residual of the phase-eliminated matching condition at Gram coordinates x (and Q).
 
-    Works on plain Python complex scalars; the problem sizes here (a handful
-    of states in a handful of dimensions) make that faster than vectorizing.
+    x holds Re c, Im c, the remainder s of a thin text, then a joint Q
+    coordinate. Works on plain Python complex scalars; the problem sizes here
+    (a handful of states in a handful of dimensions) make that faster than
+    vectorizing.
     """
 
     def __init__(self, text: texts.QuantumText, tol: float = 1e-12):
         self.n = text.n_states
-        self.d = text.dimension
-        self.conj_states = [
-            [complex(text.states[k, i]).conjugate() for k in range(self.d)]
-            for i in range(self.n)
-        ]
         g = texts.gram(text)
+        # the frame only serves to build the winning tablet
+        self.factor, self.frame = linalg.dialect_frame(text.states, g)
+        self.rank = self.factor.shape[1]
+        self.size = 2 * self.rank + (self.rank < text.dimension)
+        self.rows = [[complex(v) for v in row] for row in self.factor]
         self.pairs = [
             (i, j, complex(g[i, j]), complex(g[i, j]) ** 2)
             for i in range(self.n)
@@ -96,14 +102,24 @@ class _Objective:
                         queue.append(j)
         return order
 
-    def tablet_of(self, x) -> list | None:
-        d = self.d
-        xs = [float(v) for v in x[: 2 * d]]
+    def overlaps(self, x) -> list | None:
+        """The tablet's overlaps a = L c / |(c, s)| with the states; None at the origin."""
+        r = self.rank
+        xs = [float(v) for v in x[: self.size]]
         norm_sq = sum(v * v for v in xs)
         if norm_sq < 1e-18:
             return None
         inv = 1.0 / sqrt(norm_sq)
-        return [complex(xs[k], xs[k + d]) * inv for k in range(d)]
+        c = [complex(xs[k], xs[k + r]) * inv for k in range(r)]
+        return [sum(lk * ck for lk, ck in zip(row, c)) for row in self.rows]
+
+    def tablet(self, x) -> np.ndarray:
+        """The unit tablet U c + s phi at x; phi is the first vector completing the frame U."""
+        r = self.rank
+        t = self.frame @ (x[:r] + 1j * x[r: 2 * r])
+        if self.size > 2 * r:
+            t = t + x[2 * r] * linalg.complete_orthonormal(self.frame)[:, 0]
+        return linalg.unit(t)
 
     def q_of(self, x, fixed_q: float | None) -> float:
         """Fixed Q, or sin of the joint coordinate: smooth, so no stretch of x is flat in Q."""
@@ -111,71 +127,55 @@ class _Objective:
             return fixed_q
         return max(-1.0 + 1e-9, sin(float(x[-1])))
 
-    def _alphas(self, ov: list, sq: list, big_q: float) -> list:
+    def _mismatches(self, ov: list, big_q: float) -> tuple:
+        """Pair mismatches at overlaps ov and Q, with the forest phases that eliminate them."""
+        sq = [
+            sqrt(max(0.0, 1.0 + big_q * (o.real * o.real + o.imag * o.imag)))
+            for o in ov
+        ]
         alphas = [complex(1.0)] * self.n
         for i, j, z, z2 in self.forest:
             lhs = z + big_q * ov[i] * ov[j].conjugate()
             forced = lhs / (sq[i] * sq[j] * z2)
             mod = abs(forced)
             alphas[j] = alphas[i] * (forced / mod if mod > 0.0 else 1.0)
-        return alphas
-
-    def _mismatches(self, tablet: list, big_q: float) -> list:
-        ov = [sum(c * t for c, t in zip(row, tablet)) for row in self.conj_states]
-        sq = [
-            sqrt(max(0.0, 1.0 + big_q * (o.real * o.real + o.imag * o.imag)))
-            for o in ov
-        ]
-        alphas = self._alphas(ov, sq, big_q)
-        return [
+        mismatches = [
             z + big_q * ov[i] * ov[j].conjugate() - sq[i] * sq[j] * alphas[i].conjugate() * alphas[j] * z2
             for i, j, z, z2 in self.pairs
         ]
+        return mismatches, alphas
 
-    def phases_for(self, tablet, big_q: float) -> np.ndarray:
-        tab = [complex(v) for v in tablet]
-        ov = [sum(c * t for c, t in zip(row, tab)) for row in self.conj_states]
-        sq = [sqrt(max(0.0, 1.0 + big_q * abs(o) ** 2)) for o in ov]
-        return np.array(self._alphas(ov, sq, big_q), dtype=complex)
-
-    def max_residual(self, tablet, big_q: float) -> float:
-        if self.n < 2:
-            return 0.0
-        return max(abs(m) for m in self._mismatches([complex(v) for v in tablet], big_q))
+    def max_residual(self, x, fixed_q: float | None) -> tuple:
+        """Largest pair mismatch at x with its phases; infinite at the origin."""
+        ov = self.overlaps(x)
+        if ov is None:
+            return np.inf, None
+        ms, alphas = self._mismatches(ov, self.q_of(x, fixed_q))
+        return max(map(abs, ms), default=0.0), np.array(alphas, dtype=complex)
 
     def residual_vector(self, x, fixed_q: float | None) -> np.ndarray:
-        tablet = self.tablet_of(x)
-        if tablet is None:
+        ov = self.overlaps(x)
+        if ov is None:
             return np.full(max(2 * len(self.pairs), 1), 1e3)
-        ms = self._mismatches(tablet, self.q_of(x, fixed_q))
-        out = np.empty(2 * len(ms))
-        for k, m in enumerate(ms):
-            out[2 * k] = m.real
-            out[2 * k + 1] = m.imag
-        return out
+        ms, _ = self._mismatches(ov, self.q_of(x, fixed_q))
+        # real and imaginary parts interleaved
+        return np.array(ms, dtype=complex).view(np.float64)
 
 
-def _structured_tablets(text: texts.QuantumText) -> list:
-    # States first: from their normalized sum the solve often stalls in a
-    # nonzero local minimum (two-texts at fixed Q, rotated uniform texts with
-    # joint Q), so a search's cost depended on which start won.
-    cands = [text.state(i).copy() for i in range(min(text.n_states, 4))]
-    total = text.states.sum(axis=1)
+def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool) -> list:
+    # States first: from their normalized sum the solve can stall in a
+    # nonzero local minimum, so a search's cost depended on which start won.
+    # State i sits at conj(L[i, :]), their normalized sum at L^dag 1 / |L^dag 1|.
+    coords = [obj.factor[i].conj() for i in range(min(obj.n, 4))]
+    total = obj.factor.conj().sum(axis=0)
     norm = np.linalg.norm(total)
     if norm > 1e-6:
-        cands.append(total / norm)
-    return cands
-
-
-def _starts_for(text: texts.QuantumText, options: SearchOptions, joint_q: bool) -> list:
-    d = text.dimension
+        coords.append(total / norm)
+    rest = np.zeros(obj.size - 2 * obj.rank + joint_q)
+    xs = [np.concatenate([c.real, c.imag, rest]) for c in coords]
     rng = np.random.default_rng(options.seed)
-    xs = []
-    for tab in _structured_tablets(text):
-        x = np.concatenate([tab.real, tab.imag, [0.0]] if joint_q else [tab.real, tab.imag])
-        xs.append(x)
     while len(xs) < options.starts:
-        vec = rng.standard_normal(2 * d)
+        vec = rng.standard_normal(obj.size)
         if joint_q:
             vec = np.concatenate([vec, np.arcsin(rng.uniform(-0.95, 0.95, 1))])
         xs.append(vec)
@@ -219,24 +219,20 @@ def feasibility_search(
     if not joint:
         canonical_q(fixed_q)  # raises QOutOfRange outside [-1, 1], NaN included
     obj = _Objective(text)
-    best_x, best_res, best_idx, evals = None, np.inf, -1, 0
-    for idx, x0 in enumerate(_starts_for(text, options, joint)):
+    best_x, best_phases, best_res, best_idx, evals = None, None, np.inf, -1, 0
+    for idx, x0 in enumerate(_starts_for(obj, options, joint)):
         x, used = _minimize_start(obj, x0, fixed_q)
         evals += used
-        tablet = obj.tablet_of(x)
-        if tablet is None:
-            continue
-        res = obj.max_residual(tablet, obj.q_of(x, fixed_q))
+        res, phases = obj.max_residual(x, fixed_q)
         if res < best_res:
-            best_x, best_res, best_idx = x, res, idx
+            best_x, best_res, best_idx, best_phases = x, res, idx, phases
         if res < options.accept_tol:
             break
     if best_x is None:
         return SearchResult(None, np.inf, "infeasible", fixed_q, -1, evals)
-    tablet = np.array(obj.tablet_of(best_x), dtype=complex)
     qv = obj.q_of(best_x, fixed_q)
     if best_res < options.accept_tol:
-        params = EnscriptionParams.from_Q(qv, tablet, phases=obj.phases_for(tablet, qv))
+        params = EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases)
         return SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
     verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
     return SearchResult(None, best_res, verdict, qv, best_idx, evals)

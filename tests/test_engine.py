@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from enscribe import (
+    EnscriptionParams,
+    certificate,
+    classify,
     direct_sum_enscribe,
     enscription_residual,
     entangled_input,
@@ -28,6 +31,7 @@ from enscribe.errors import (
     TOutOfRange,
     ZOutOfRange,
 )
+from enscribe.linalg import unit
 
 from helpers import random_state, random_text, random_unitary
 
@@ -311,6 +315,17 @@ def test_thin_extension_errors():
         thin_extension_family(embedded, cert, abs(cert.params.Q) / 2, [0, 0, 1.0])
     with pytest.raises(DirectionNotOrthogonal):
         thin_extension_family(embedded, cert, 0.9, embedded.state(0))
+
+
+def test_thin_extension_takes_the_dialect_that_classify_counts():
+    # singular values 1.41, 1, 5e-7: the Gram eigenvalue 2.5e-13 falls under the rank cutoff
+    text = make_text(3, [[1, 0, 0], [0, 1, 0], unit(np.array([1, 1, 1e-6]))])
+    assert classify(text).dialect_dimension == 2
+    u = np.linalg.svd(text.states)[0]
+    cert = certificate(text, EnscriptionParams.from_Q(0.5, u[:, 0], n_states=3))
+    lifted = thin_extension_family(text, cert, 0.5, u[:, 2])
+    assert abs(lifted.params.Q - 1.0) < 1e-12
+    assert np.allclose(lifted.params.tablet, np.sqrt(0.5) * (u[:, 0] + u[:, 2]), atol=1e-12)
 
 
 def test_q_minus_one_dependence_thick_two_text():

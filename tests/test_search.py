@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from enscribe import feasibility_search, make_real_uniform, make_text, search, verification
 from enscribe.certificates import EnscriptionParams, enscription_residual
 from enscribe.errors import QOutOfRange
-from enscribe.linalg import unit
 from enscribe.search import SearchOptions
 
 from helpers import random_classical_text, random_state, random_text, random_unitary
@@ -118,10 +117,16 @@ def test_infeasible_search_runs_every_start(monkeypatch):
 
 
 def test_feasible_search_stops_at_first_certifying_start(monkeypatch):
-    # From the normalized sum of the two states the solve stalls at this Q,
-    # so the seeded random starts after it have to find the certificate.
-    monkeypatch.setattr(search, "_structured_tablets", lambda text: [unit(text.states.sum(axis=1))])
-    calls = _count_starts(monkeypatch)
+    # The first solve stalls where it starts, which does not certify at this
+    # Q, so a later start has to find the certificate.
+    calls = []
+    original = search._minimize_start
+
+    def stall_first(obj, x0, fixed_q):
+        calls.append(x0)
+        return (x0, 0) if len(calls) == 1 else original(obj, x0, fixed_q)
+
+    monkeypatch.setattr(search, "_minimize_start", stall_first)
     result = feasibility_search(make_real_uniform(2, 0.5), 0.9, SearchOptions(seed=0, starts=12))
     assert result.feasible
     assert result.start_index > 0
@@ -166,11 +171,13 @@ def test_evaluations_count_objective_calls(monkeypatch, text, big_q, starts):
 
 @st.composite
 def texts_with_zero_overlaps(draw):
-    """Generic texts, orthonormal ones, and texts split over orthogonal blocks (a forest, not a tree)."""
+    """Generic texts from N = d + 1 to d = N + 2, orthonormal ones, and texts split over
+    orthogonal blocks (a forest, not a tree)."""
     d = draw(st.integers(2, 4))
-    n = draw(st.integers(2, d))
+    n = draw(st.integers(max(2, d - 2), d + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["generic", "classical", "blocks"]))
+    # more states than dimensions fit neither an orthonormal set nor the blocks
+    kind = draw(st.sampled_from(["generic", "classical", "blocks"])) if n <= d else "generic"
     if kind == "generic":
         return random_text(rng, n, d), rng
     if kind == "classical":
@@ -184,7 +191,8 @@ def texts_with_zero_overlaps(draw):
 @given(texts_with_zero_overlaps(), st.floats(-1.0, 1.0))
 def test_search_residual_matches_certificate_residual(drawn, big_q):
     text, rng = drawn
-    tablet = random_state(rng, text.dimension)
     obj = search._Objective(text)
-    params = EnscriptionParams.from_Q(big_q, tablet, phases=obj.phases_for(tablet, big_q))
-    assert abs(obj.max_residual(tablet, big_q) - enscription_residual(text, params)) < 1e-12
+    x = rng.standard_normal(obj.size)
+    res, phases = obj.max_residual(x, big_q)
+    params = EnscriptionParams.from_Q(big_q, obj.tablet(x), phases=phases)
+    assert abs(res - enscription_residual(text, params)) < 1e-12

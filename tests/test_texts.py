@@ -183,6 +183,14 @@ def test_equivalent_to_itself():
     _check_witness(text, text, witness)
 
 
+def test_equivalent_to_itself_with_more_states_than_dimensions():
+    # the rotation comes from the rank-2 dialect frame, not from three columns
+    text = make_text(2, [[1, 0], [0, 1], [0.6, 0.8]])
+    witness = equivalent(text, text)
+    assert witness is not None
+    _check_witness(text, text, witness)
+
+
 def _check_witness(ta, tb, witness):
     for i in range(ta.n_states):
         rebuilt = witness.phases[i] * witness.unitary @ tb.state(witness.permutation[i])
