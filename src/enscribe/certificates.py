@@ -168,21 +168,24 @@ def residual_via_states(text: texts.QuantumText, params: EnscriptionParams) -> f
     return float(worst)
 
 
-def tablet_flavor(text: texts.QuantumText, tablet, tol: float = FLAVOR_TOL) -> str:
-    """central / weakly_central / quasi_central / generic tablet-overlap pattern."""
+def tablet_flavor(text: texts.QuantumText, tablet) -> str:
+    """central / weakly_central / quasi_central / generic tablet-overlap pattern.
+
+    Overlaps (or their moduli) that agree within FLAVOR_TOL count as equal.
+    """
     tab = np.asarray(tablet, dtype=complex).reshape(-1)
     ov = linalg.dagger(text.states) @ tab
     n = ov.shape[0]
     if n <= 1:
         return "central"
-    if np.max(np.abs(ov - ov[0])) < tol:
+    if np.max(np.abs(ov - ov[0])) < FLAVOR_TOL:
         return "central"
-    if np.max(np.abs(np.abs(ov) - np.abs(ov[0]))) < tol:
+    if np.max(np.abs(np.abs(ov) - np.abs(ov[0]))) < FLAVOR_TOL:
         return "weakly_central"
     if n >= 3:
         for k in range(n):
             rest = np.delete(ov, k)
-            if np.max(np.abs(rest - rest[0])) < tol:
+            if np.max(np.abs(rest - rest[0])) < FLAVOR_TOL:
                 return "quasi_central"
     return "generic"
 

@@ -276,10 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    if "tolerance" in args and args.tolerance <= 0:
-        raise EnscribeError("tolerance must be positive")
-    if "starts" in args and args.starts < 1:
-        raise EnscribeError("starts must be at least 1")
+    """Check every seed, start count and tolerance up front, by the rule of SearchOptions."""
+    if "tolerance" in args:
+        _search_options(args)
+    elif "seed" in args:
+        SearchOptions(seed=args.seed)
 
 
 def main(argv=None) -> int:

@@ -27,6 +27,9 @@ from .errors import (
     ZOutOfRange,
 )
 
+# Bracket width at which z0_threshold stops bisecting.
+Z0_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class QInterval:
@@ -138,8 +141,8 @@ def uniform_sextic(n_states: int, z: float) -> float:
     )
 
 
-def z0_threshold(n_states: int, tol: float = 1e-10) -> float:
-    """Unique root of the feasibility sextic in (-1/(N-1), 0), by bisection.
+def z0_threshold(n_states: int) -> float:
+    """Unique root of the feasibility sextic in (-1/(N-1), 0), by bisection to Z0_TOL.
 
     Real uniform N-texts with overlap below this threshold admit no
     enscription for any deformation.
@@ -152,7 +155,7 @@ def z0_threshold(n_states: int, tol: float = 1e-10) -> float:
     fa, fb = uniform_sextic(n, a), uniform_sextic(n, b)
     if not (fa < 0.0 < fb):
         raise RootNotBracketed(f"no sign change on ({a}, {b}) for N={n}")
-    while b - a > tol:
+    while b - a > Z0_TOL:
         mid = 0.5 * (a + b)
         if uniform_sextic(n, mid) < 0.0:
             a = mid
@@ -269,17 +272,17 @@ def direct_sum_enscribe(
     combined_text: texts.QuantumText,
     cert: EnscriptionCertificate,
     quantum_indices,
-    tol: float = texts.DEFAULT_TOL,
-    accept_tol: float = ACCEPT_TOL,
 ) -> EnscriptionCertificate:
     """Lift an enscription of an orthogonal subtext to the whole text.
 
     The remaining states must be pairwise orthogonal and orthogonal to the
-    certified subtext. The lifted tablet is the normalized projection of the
-    input tablet onto the subtext dialect, and the entanglement parameter is
-    scaled by the squared projection norm. Indices outside range(N) raise
-    DimensionMismatch; the identity order returns ``cert`` itself once it is
-    validated, and any other order is re-certified on the whole text.
+    certified subtext (overlaps below texts.DEFAULT_TOL), and ``cert`` must
+    hold on the subtext with a residual below ACCEPT_TOL. The lifted tablet is
+    the normalized projection of the input tablet onto the subtext dialect,
+    and the entanglement parameter is scaled by the squared projection norm.
+    Indices outside range(N) raise DimensionMismatch; the identity order
+    returns ``cert`` itself once it is validated, and any other order is
+    re-certified on the whole text.
     """
     n = combined_text.n_states
     idx2 = tuple(int(i) for i in quantum_indices)
@@ -291,20 +294,20 @@ def direct_sum_enscribe(
     g = np.abs(texts.gram(combined_text))
     for a, i in enumerate(idx1):
         for j in idx1[a + 1:]:
-            if g[i, j] >= tol:
+            if g[i, j] >= texts.DEFAULT_TOL:
                 raise NotADirectSum(f"states {i} and {j} of the complement are not orthogonal")
     for i in idx1:
         for j in idx2:
-            if g[i, j] >= tol:
+            if g[i, j] >= texts.DEFAULT_TOL:
                 raise NotADirectSum(f"cross overlap between states {i} and {j} does not vanish")
     subtext = combined_text.subtext(idx2)
     if cert.params.n_states != len(idx2):
         raise InvalidInputCertificate("certificate phase count does not match the subtext")
-    if enscription_residual(subtext, cert.params) >= accept_tol:
+    if enscription_residual(subtext, cert.params) >= ACCEPT_TOL:
         raise InvalidInputCertificate("input certificate is not valid on the subtext")
     if idx2 == tuple(range(n)):
         return cert
-    basis = linalg.dialect_frame(subtext.states)[1]
+    basis = linalg.dialect_frame(subtext.states)
     projected = basis @ (linalg.dagger(basis) @ cert.params.tablet)
     norm = float(np.linalg.norm(projected))
     if norm < 1e-9:
@@ -337,7 +340,7 @@ def thin_extension_family(
     if phi.shape[0] != text.dimension:
         raise DirectionNotOrthogonal("direction length does not match the language dimension")
     phi = linalg.unit(phi)
-    basis = linalg.dialect_frame(text.states)[1]
+    basis = linalg.dialect_frame(text.states)
     if float(np.linalg.norm(linalg.dagger(basis) @ phi)) > 1e-9:
         raise DirectionNotOrthogonal("direction has a component inside the dialect")
     tablet0 = cert.params.tablet
@@ -361,25 +364,26 @@ def q_minus_one_dependence_check(text: texts.QuantumText, tablet) -> bool:
     return linalg.numerical_rank(np.linalg.svd(omegas, compute_uv=False)) < text.n_states
 
 
-def real_uniform_overlap(text: texts.QuantumText, tol: float = texts.DEFAULT_TOL) -> float | None:
+def real_uniform_overlap(text: texts.QuantumText) -> float | None:
     """Common overlap z of a real uniform text with N >= 3 states, else None.
 
     Uniform means every off-diagonal overlap has an imaginary part of at most
-    ``tol`` and the real parts spread by at most ``tol``; z is their mean.
+    texts.DEFAULT_TOL and the real parts spread by at most that much; z is
+    their mean.
     """
     n = text.n_states
     if n < 3:
         return None
     off = texts.gram(text)[np.triu_indices(n, 1)]
-    if np.max(np.abs(off.imag)) > tol:
+    if np.max(np.abs(off.imag)) > texts.DEFAULT_TOL:
         return None
     vals = off.real
-    if np.max(vals) - np.min(vals) > tol:
+    if np.max(vals) - np.min(vals) > texts.DEFAULT_TOL:
         return None
     return float(np.mean(vals))
 
 
-def illegibility_screen(text: texts.QuantumText, tol: float = texts.DEFAULT_TOL) -> IllegibilityReport:
+def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
     """Run the necessary conditions for enscribability and report the verdict.
 
     Checks, in order: linear independence of the states; the zero/nonzero
@@ -388,12 +392,13 @@ def illegibility_screen(text: texts.QuantumText, tol: float = texts.DEFAULT_TOL)
     or more states the entrywise-reciprocal Gram matrix must be nonsingular
     with all but one eigenvalue of a single sign (which pins the sign of any
     feasible entanglement parameter); and a real uniform text must sit at or
-    above its feasibility threshold.
+    above its feasibility threshold. An overlap counts as zero at or below
+    texts.DEFAULT_TOL.
     """
     cls = texts.classify(text)
     g = texts.gram(text)
     n = text.n_states
-    nz = np.abs(g) > tol
+    nz = np.abs(g) > texts.DEFAULT_TOL
     np.fill_diagonal(nz, False)
     busy = [i for i in range(n) if nz[i].any()]
     lemma2_ok = all(nz[i, j] for a, i in enumerate(busy) for j in busy[a + 1:])
@@ -417,8 +422,8 @@ def illegibility_screen(text: texts.QuantumText, tol: float = texts.DEFAULT_TOL)
                 eigen_ok = False
 
     uniform_ok: bool | None = None
-    z = real_uniform_overlap(text, tol)
-    if z is not None and abs(z) > tol:
+    z = real_uniform_overlap(text)
+    if z is not None and abs(z) > texts.DEFAULT_TOL:
         uniform_ok = z >= z0_threshold(n) - 1e-9
 
     reason = None

@@ -78,22 +78,23 @@ def numerical_rank(values: np.ndarray) -> int:
     return int(np.sum(values > RANK_TOL * max(float(np.max(values)), 1e-300)))
 
 
-def dialect_frame(vectors: np.ndarray, g: np.ndarray | None = None) -> tuple:
-    """Rank-truncated Gram factor L and orthonormal dialect frame U of the columns of ``vectors``.
+def dialect_frame(vectors: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal dialect frame U of the columns of ``vectors``.
 
     ``g`` is their Gram matrix (computed when omitted). Of g = E diag(w) E^dag
-    the eigenvalues numerical_rank counts are kept: L = E_r sqrt(w_r), so
-    g ~ L L^dag, and U = polar(vectors E_r / sqrt(w_r)), so vectors ~ U L^dag.
+    the eigenvalues numerical_rank counts are kept, and
+    U = polar(vectors E_r / sqrt(w_r)), so vectors ~ U (E_r sqrt(w_r))^dag:
+    two families with the same Gram matrix get frames with the same
+    coefficients.
     """
     if g is None:
         g = dagger(vectors) @ vectors
     w, e = np.linalg.eigh(g)
     # eigh sorts ascending, so the kept eigenvalues are the last ones
     keep = w.size - numerical_rank(w)
-    root = np.sqrt(w[keep:])
     # the polar factor: nearest matrix with orthonormal columns
-    u, _, vh = np.linalg.svd(vectors @ (e[:, keep:] / root), full_matrices=False)
-    return e[:, keep:] * root, u @ vh
+    u, _, vh = np.linalg.svd(vectors @ (e[:, keep:] / np.sqrt(w[keep:])), full_matrices=False)
+    return u @ vh
 
 
 def unitary_from_correspondence(
@@ -128,8 +129,8 @@ def unitary_from_correspondence(
         raise GramMismatch(f"Gram matrices differ by {gap:.3e} (> {gram_tol:.1e})")
 
     g = 0.5 * (ga + gb)
-    a_frame = dialect_frame(a, g)[1]
-    b_frame = dialect_frame(b, g)[1]
+    a_frame = dialect_frame(a, g)
+    b_frame = dialect_frame(b, g)
     a_full = np.column_stack([a_frame, complete_orthonormal(a_frame)])
     b_full = np.column_stack([b_frame, complete_orthonormal(b_frame)])
     return b_full @ dagger(a_full)

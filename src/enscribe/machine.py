@@ -210,7 +210,7 @@ def failure_state_symmetry_check(
     return FailureSymmetryReport(expected_parity=parity, parity_ok=deviation < 1e-10, deviation=deviation)
 
 
-def duan_guo_saturation(z: float, accept_tol: float = ACCEPT_TOL) -> SaturationReport:
+def duan_guo_saturation(z: float) -> SaturationReport:
     """Run the machine on the central 2-text enscription that saturates 1/(1+|z|).
 
     For a real overlap z in (-1, 0) the central tablet with entanglement
@@ -225,9 +225,9 @@ def duan_guo_saturation(z: float, accept_tol: float = ACCEPT_TOL) -> SaturationR
     big_q = -2.0 * z / (1.0 + z * z)
     params = EnscriptionParams.from_Q(big_q, tablet, phases=np.array([1.0, -1.0]))
     cert = certificate(text, params)
-    if not cert.is_valid(accept_tol):
+    if not cert.is_valid():
         raise InvalidCertificate(f"saturating certificate residual {cert.residual:.3e}")
-    u = procedures.build_procedure(text, cert, accept_tol)
+    u = procedures.build_procedure(text, cert)
     probs = tuple(run_clone(text, cert, i, procedure=u).p_success for i in range(2))
     bound = 1.0 / (1.0 + abs(z))
     saturated = all(abs(p - bound) < 1e-10 for p in probs)

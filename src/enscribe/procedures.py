@@ -55,11 +55,7 @@ def verify_procedure(
     return action + defect
 
 
-def symmetrize_procedure(
-    text: texts.QuantumText,
-    cert: EnscriptionCertificate,
-    accept_tol: float = ACCEPT_TOL,
-) -> np.ndarray:
+def symmetrize_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> np.ndarray:
     """Swap-commuting procedure for a certificate at entanglement parameter 1.
 
     At q = 1 both the entangled inputs and the clone outputs lie in the
@@ -70,8 +66,8 @@ def symmetrize_procedure(
     p = cert.params
     if abs(p.Q - 1.0) > 1e-9 or abs(complex(p.q) - 1.0) > 1e-9:
         raise NotQOne("symmetrized procedures require q = 1")
-    if not cert.is_valid(accept_tol):
-        raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {accept_tol:.1e}")
+    if not cert.is_valid():
+        raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
     d = text.dimension
     iso = linalg.symmetric_basis(d)
     proj = linalg.dagger(iso)

@@ -1,10 +1,14 @@
 """Seeded multi-start numerical search for enscription parameters.
 
 The matching condition sees the tablet only through its overlaps a = L c
-with the states, where G = L L^dag is the rank-r Gram factor of
-``linalg.dialect_frame`` and c in C^r holds the tablet's coordinates on the
-dialect. A thin text (r < d) adds one real coordinate, the norm of the
-tablet's part outside the dialect; a joint Q is the sine of a last one. For
+with the states. One complete QR of the states, states = Q_k R_k with
+k = min(N, d) and R's diagonal made nonnegative, gives L = R_k^dag, the
+Cholesky factor of the Gram matrix G = L L^dag; c in C^k holds the tablet's
+coordinates on the columns of Q_k. A thin text (N < d) adds one real
+coordinate s, the tablet's part along the next column of Q. No rank is cut,
+so the overlaps are exact for nearly dependent states too, and L depends on
+G alone wherever G is nonsingular, so a rotated text gets the same
+coordinates. A joint Q is the sine of a last coordinate. For
 fixed coordinates the output phases are eliminated: each nonzero overlap
 forces a relative phase, propagated over a spanning forest of the
 nonzero-overlap graph, and what remains vanishes exactly at enscribable
@@ -23,22 +27,33 @@ tablet is built once, for the winning start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sin, sqrt
+from math import isfinite, sin, sqrt
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import linalg, texts
 from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, canonical_q, certificate
+from .errors import EnscribeError
 
 FLOOR_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """Seed, start count and accept tolerance of a search; invalid values raise EnscribeError."""
+
     seed: int = 0
     starts: int = 64
     accept_tol: float = ACCEPT_TOL
+
+    def __post_init__(self):
+        if not self.seed >= 0:
+            raise EnscribeError(f"seed must be nonnegative, got {self.seed}")
+        if not self.starts >= 1:
+            raise EnscribeError(f"starts must be at least 1, got {self.starts}")
+        if not (isfinite(self.accept_tol) and self.accept_tol > 0.0):
+            raise EnscribeError(f"tolerance must be finite and positive, got {self.accept_tol}")
 
 
 @dataclass(frozen=True)
@@ -66,24 +81,35 @@ class _Objective:
     vectorizing.
     """
 
-    def __init__(self, text: texts.QuantumText, tol: float = 1e-12):
+    def __init__(self, text: texts.QuantumText):
         self.n = text.n_states
         g = texts.gram(text)
-        # the frame only serves to build the winning tablet
-        self.factor, self.frame = linalg.dialect_frame(text.states, g)
-        self.rank = self.factor.shape[1]
-        self.size = 2 * self.rank + (self.rank < text.dimension)
+        # states = Q_k R_k with k = min(N, d); flipping rows of R_k to a
+        # nonnegative diagonal makes L = R_k^dag the Cholesky factor of G,
+        # which every rotation of the text shares
+        q, r = np.linalg.qr(text.states, mode="complete")
+        self.k = min(self.n, text.dimension)
+        flip = np.where(np.diagonal(r).real < 0.0, -1.0, 1.0)
+        self.factor = linalg.dagger(r[: self.k] * flip[:, None])
+        q[:, : self.k] *= flip
+        # the basis only serves to build the winning tablet: Q_k, then a thin
+        # text's remainder direction
+        self.basis = q
+        self.size = 2 * self.k + (self.k < text.dimension)
         self.rows = [[complex(v) for v in row] for row in self.factor]
         self.pairs = [
             (i, j, complex(g[i, j]), complex(g[i, j]) ** 2)
             for i in range(self.n)
             for j in range(i + 1, self.n)
         ]
-        self.forest = self._spanning_forest(g, tol)
+        self.forest = self._spanning_forest(g)
 
-    def _spanning_forest(self, g: np.ndarray, tol: float) -> list:
-        """Edges (i, j, z_ij, z_ij^2) of a breadth-first forest of the nonzero-overlap graph."""
-        nz = np.abs(g) > tol
+    def _spanning_forest(self, g: np.ndarray) -> list:
+        """Edges (i, j, z_ij, z_ij^2) of a breadth-first forest of the nonzero-overlap graph.
+
+        An overlap is nonzero above texts.DEFAULT_TOL, the line classify draws.
+        """
+        nz = np.abs(g) > texts.DEFAULT_TOL
         np.fill_diagonal(nz, False)
         seen = [False] * self.n
         order = []
@@ -104,21 +130,21 @@ class _Objective:
 
     def overlaps(self, x) -> list | None:
         """The tablet's overlaps a = L c / |(c, s)| with the states; None at the origin."""
-        r = self.rank
+        k = self.k
         xs = [float(v) for v in x[: self.size]]
         norm_sq = sum(v * v for v in xs)
         if norm_sq < 1e-18:
             return None
         inv = 1.0 / sqrt(norm_sq)
-        c = [complex(xs[k], xs[k + r]) * inv for k in range(r)]
+        c = [complex(xs[m], xs[m + k]) * inv for m in range(k)]
         return [sum(lk * ck for lk, ck in zip(row, c)) for row in self.rows]
 
     def tablet(self, x) -> np.ndarray:
-        """The unit tablet U c + s phi at x; phi is the first vector completing the frame U."""
-        r = self.rank
-        t = self.frame @ (x[:r] + 1j * x[r: 2 * r])
-        if self.size > 2 * r:
-            t = t + x[2 * r] * linalg.complete_orthonormal(self.frame)[:, 0]
+        """The unit tablet Q_k c + s q_k at x; q_k is the QR column after the dialect's."""
+        k = self.k
+        t = self.basis[:, :k] @ (x[:k] + 1j * x[k: 2 * k])
+        if self.size > 2 * k:
+            t = t + x[2 * k] * self.basis[:, k]
         return linalg.unit(t)
 
     def q_of(self, x, fixed_q: float | None) -> float:
@@ -171,7 +197,7 @@ def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool) -> list:
     norm = np.linalg.norm(total)
     if norm > 1e-6:
         coords.append(total / norm)
-    rest = np.zeros(obj.size - 2 * obj.rank + joint_q)
+    rest = np.zeros(obj.size - 2 * obj.k + joint_q)
     xs = [np.concatenate([c.real, c.imag, rest]) for c in coords]
     rng = np.random.default_rng(options.seed)
     while len(xs) < options.starts:

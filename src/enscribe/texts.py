@@ -21,7 +21,11 @@ from .errors import (
     ZOutOfRange,
 )
 
+# Overlap modulus below which two states count as orthogonal; also the norm
+# and colinearity margin of make_text.
 DEFAULT_TOL = 1e-9
+# Gram-entry and rebuild tolerance of equivalent.
+EQUIVALENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,12 @@ class DirectSumSplit:
         return self.classical_block_ok and self.quantum_block_ok and self.cross_ok
 
 
-def make_text(dimension: int, raw_states, tol: float = DEFAULT_TOL) -> QuantumText:
+def make_text(dimension: int, raw_states) -> QuantumText:
     """Validate raw vectors into a QuantumText.
 
-    States whose norm deviates from 1 by less than ``tol`` are re-normalized;
-    larger deviations raise NonUnitState. A pair with overlap modulus at or
-    above ``1 - tol`` raises ColinearPair.
+    States whose norm deviates from 1 by less than DEFAULT_TOL are
+    re-normalized; larger deviations raise NonUnitState. A pair with overlap
+    modulus at or above ``1 - DEFAULT_TOL`` raises ColinearPair.
     """
     if dimension < 1:
         raise DimensionMismatch("dimension must be >= 1")
@@ -100,7 +104,7 @@ def make_text(dimension: int, raw_states, tol: float = DEFAULT_TOL) -> QuantumTe
         if v.shape[0] != dimension:
             raise DimensionMismatch(f"state {k} has length {v.shape[0]}, expected {dimension}")
         norm = float(np.linalg.norm(v))
-        if not abs(norm - 1.0) < tol:
+        if not abs(norm - 1.0) < DEFAULT_TOL:
             raise NonUnitState(f"state {k} has norm {norm}")
         vecs[k] = v / norm
     mat = np.column_stack(vecs)
@@ -108,7 +112,7 @@ def make_text(dimension: int, raw_states, tol: float = DEFAULT_TOL) -> QuantumTe
     n = mat.shape[1]
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(g[i, j]) >= 1.0 - tol:
+            if abs(g[i, j]) >= 1.0 - DEFAULT_TOL:
                 raise ColinearPair(f"states {i} and {j} are colinear (|overlap|={abs(g[i, j]):.12f})")
     return QuantumText(dimension, mat)
 
@@ -118,13 +122,16 @@ def gram(text: QuantumText) -> np.ndarray:
     return linalg.dagger(text.states) @ text.states
 
 
-def classify(text: QuantumText, tol: float = DEFAULT_TOL) -> TextClassification:
-    """Flags: pairwise-orthogonal, pairwise-overlapping, linearly independent, spanning."""
+def classify(text: QuantumText) -> TextClassification:
+    """Flags: pairwise-orthogonal, pairwise-overlapping, linearly independent, spanning.
+
+    An overlap counts as zero below DEFAULT_TOL.
+    """
     g = gram(text)
     n = text.n_states
     off = np.abs(g[np.triu_indices(n, 1)])
-    classical = bool(np.all(off < tol)) if off.size else True
-    fully_quantum = bool(np.all(off > tol)) if off.size else True
+    classical = bool(np.all(off < DEFAULT_TOL)) if off.size else True
+    fully_quantum = bool(np.all(off > DEFAULT_TOL)) if off.size else True
     dialect_dim = linalg.numerical_rank(np.linalg.eigvalsh(g))
     # one or two valid states are always independent, whatever the eigen cutoff says
     efficient = dialect_dim == n or n <= 2
@@ -161,17 +168,19 @@ def make_real_uniform(n_states: int, z: float) -> QuantumText:
     return make_text(n, [root[:, i] for i in range(n)])
 
 
-def direct_sum_decompose(text: QuantumText, tablet, tol: float = DEFAULT_TOL) -> DirectSumSplit:
+def direct_sum_decompose(text: QuantumText, tablet) -> DirectSumSplit:
     """Split indices by orthogonality to the tablet and test the direct-sum pattern.
 
     The orthogonal part must be pairwise orthogonal, the overlapping part
     pairwise non-orthogonal, and all cross overlaps must vanish; any failure
-    means the tablet cannot serve an enscription of this text.
+    means the tablet cannot serve an enscription of this text. An overlap
+    counts as zero below DEFAULT_TOL.
     """
     tab = linalg.unit(np.asarray(tablet, dtype=complex).reshape(-1))
     if tab.shape[0] != text.dimension:
         raise DimensionMismatch("tablet length does not match the language dimension")
     ov = np.abs(linalg.dagger(text.states) @ tab)
+    tol = DEFAULT_TOL
     t1 = tuple(int(i) for i in np.nonzero(ov < tol)[0])
     t2 = tuple(int(i) for i in np.nonzero(ov >= tol)[0])
     g = np.abs(gram(text))
@@ -181,29 +190,29 @@ def direct_sum_decompose(text: QuantumText, tablet, tol: float = DEFAULT_TOL) ->
     return DirectSumSplit(t1, t2, classical_ok, quantum_ok, cross_ok)
 
 
-def equivalent(text_a: QuantumText, text_b: QuantumText, tol: float = 1e-8):
+def equivalent(text_a: QuantumText, text_b: QuantumText):
     """Witness that text_a and text_b agree up to permutation, phases, and a unitary.
 
-    Returns an EquivalenceWitness or None. The states of text_a are assigned
-    one at a time, in a spanning-forest order of the |z_a| > ``tol`` graph
-    (the lowest state overlapping one already assigned comes next, else the
-    lowest state left), so every state but the first of its component has an
-    earlier neighbour; state i goes to an unused state k of text_b in
-    ascending order. The phase beta_i follows from the first earlier state j
-    whose overlaps with i and with k both exceed ``tol`` (beta_i = 1 when
-    there is none, a free phase of a new component), and the pair is kept only
-    if |z_a[j, i] - conj(beta_j) beta_i z_b[perm j, k]| <= tol for every
-    earlier j. Pairs whose sorted row moduli differ by more than ``tol`` are
-    never tried: sorting is 1-Lipschitz in the max norm, so no accepted pair
-    fails that test. A complete assignment yields the rotation from the state
-    correspondence and is returned if it rebuilds text_a within 10 tol;
-    otherwise the search backtracks. For generic texts (no overlap within
-    ``tol`` of zero) the order is 0..N-1 and the first witness in lexicographic
-    order is returned.
+    Returns an EquivalenceWitness or None. Below, tol is EQUIVALENCE_TOL. The
+    states of text_a are assigned one at a time, in a spanning-forest order of
+    the |z_a| > tol graph (the lowest state overlapping one already assigned
+    comes next, else the lowest state left), so every state but the first of
+    its component has an earlier neighbour; state i goes to an unused state k
+    of text_b in ascending order. The phase beta_i follows from the first
+    earlier state j whose overlaps with i and with k both exceed tol
+    (beta_i = 1 when there is none, a free phase of a new component), and the
+    pair is kept only if |z_a[j, i] - conj(beta_j) beta_i z_b[perm j, k]| <= tol
+    for every earlier j. Pairs whose sorted row moduli differ by more than tol
+    are never tried: sorting is 1-Lipschitz in the max norm, so no accepted
+    pair fails that test. A complete assignment yields the rotation from the
+    state correspondence and is returned if it rebuilds text_a within 10 tol;
+    otherwise the search backtracks. For generic texts (no overlap within tol
+    of zero) the order is 0..N-1 and the first witness in lexicographic order
+    is returned.
     """
     if text_a.dimension != text_b.dimension or text_a.n_states != text_b.n_states:
         raise SizeMismatch("texts must share the state count and language dimension")
-    n = text_a.n_states
+    n, tol = text_a.n_states, EQUIVALENCE_TOL
     za, zb = gram(text_a), gram(text_b)
     rows_a, rows_b = np.sort(np.abs(za), axis=1), np.sort(np.abs(zb), axis=1)
     allowed = np.max(np.abs(rows_a[:, None, :] - rows_b[None, :, :]), axis=2) <= tol

@@ -128,7 +128,7 @@ def check_qubit_example(seed: int = 0) -> CheckResult:
     )
 
 
-def check_no_cloning_boundary(seed: int = 0, starts: int = 64) -> CheckResult:
+def check_no_cloning_boundary(seed: int = 0) -> CheckResult:
     """Zero-deformation cloning succeeds exactly on orthogonal texts.
 
     Classical texts: residual < 1e-12 at sampled entanglement parameters with
@@ -157,7 +157,7 @@ def check_no_cloning_boundary(seed: int = 0, starts: int = 64) -> CheckResult:
                 params = EnscriptionParams.from_Q(float(big_q), tab, n_states=n)
                 worst_classical = max(worst_classical, enscription_residual(text, params))
     floor = np.inf
-    opts = SearchOptions(seed=seed, starts=starts)
+    opts = SearchOptions(seed=seed, starts=64)
     for _ in range(20):
         n = int(rng.integers(2, 4))
         d = int(rng.integers(n, n + 2))
@@ -172,13 +172,13 @@ def check_no_cloning_boundary(seed: int = 0, starts: int = 64) -> CheckResult:
     )
 
 
-def check_two_text_q_range(seed: int = 0, starts: int = 64) -> CheckResult:
+def check_two_text_q_range(seed: int = 0) -> CheckResult:
     """Search feasibility matches the closed-form 2-text parameter intervals."""
     guard = 1e-2
     worst_inside = 0.0
     floor = np.inf
     opts_in = SearchOptions(seed=seed, starts=16)
-    opts_out = SearchOptions(seed=seed, starts=starts)
+    opts_out = SearchOptions(seed=seed, starts=64)
     details = {}
     for z in (0.1, 0.3, 0.5, 0.7):
         text = texts.make_real_uniform(2, z)
@@ -235,7 +235,7 @@ def check_uniform_q_range(seed: int = 0) -> CheckResult:
     return CheckResult("uniform-q-range", ok, details)
 
 
-def check_eigen_sign_screen(seed: int = 0, starts: int = 16) -> CheckResult:
+def check_eigen_sign_screen(seed: int = 0) -> CheckResult:
     """Certified overlapping texts obey the reciprocal-Gram eigenvalue sign rule."""
     rng = np.random.default_rng(seed)
     ok = True
@@ -248,7 +248,7 @@ def check_eigen_sign_screen(seed: int = 0, starts: int = 16) -> CheckResult:
         base = texts.make_real_uniform(3, z)
         image, _, _, _ = random_equivalence_image(rng, base)
         big_q = engine._uniform_q2(3, z)
-        result = feasibility_search(image, big_q, SearchOptions(seed=seed + count, starts=starts))
+        result = feasibility_search(image, big_q, SearchOptions(seed=seed + count, starts=16))
         if not result.feasible:
             ok = False
             details[f"search_failed_{count}"] = {"z": z, "floor": result.best_residual}

@@ -32,13 +32,13 @@ def test_explicit_qubit_procedure():
 
 def test_zero_deformation_cloning_boundary():
     # classical residuals < 1e-12; non-classical search floor > 1e-4 (64 starts)
-    _report(verification.check_no_cloning_boundary(seed=0, starts=64))
+    _report(verification.check_no_cloning_boundary(seed=0))
 
 
 def test_two_text_parameter_interval():
     # residual < 1e-8 at 5 interior points per branch for |z| in {.1,.3,.5,.7};
     # floor > 1e-4 at 5 gap points, 1e-2 guard band at the boundaries
-    _report(verification.check_two_text_q_range(seed=0, starts=64))
+    _report(verification.check_two_text_q_range(seed=0))
 
 
 def test_real_uniform_parameter_interval():

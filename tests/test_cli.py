@@ -186,8 +186,20 @@ def test_malformed_file_is_an_error(tmp_path, capsys):
 
 def test_bad_flag_values_are_errors(tmp_path, capsys):
     path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
-    assert main(["solve", "--input", path, "--tolerance", "-1"]) == 1
-    assert main(["solve", "--input", path, "--starts", "0"]) == 1
+    for argv in (
+        ["solve", "--input", path, "--tolerance", "-1"],
+        ["solve", "--input", path, "--starts", "0"],
+        ["solve", "--input", path, "--tolerance", "nan"],
+        ["solve", "--input", path, "--tolerance", "inf"],
+        ["clone", "--input", path, "--tolerance", "nan"],
+        ["build-procedure", "--input", path, "--tolerance", "inf"],
+        ["solve", "--input", path, "--search", "--seed", "-1"],
+        ["clone", "--input", path, "--seed", "-1"],
+        ["verify-theorems", "--only", "z0", "--seed", "-1"],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_verify_theorems_single_check(capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from enscribe import feasibility_search, make_real_uniform, make_text, search, verification
 from enscribe.certificates import EnscriptionParams, enscription_residual
-from enscribe.errors import QOutOfRange
+from enscribe.errors import EnscribeError, QOutOfRange
 from enscribe.search import SearchOptions
 
 from helpers import random_classical_text, random_state, random_text, random_unitary
@@ -171,17 +171,27 @@ def test_evaluations_count_objective_calls(monkeypatch, text, big_q, starts):
 
 @st.composite
 def texts_with_zero_overlaps(draw):
-    """Generic texts from N = d + 1 to d = N + 2, orthonormal ones, and texts split over
-    orthogonal blocks (a forest, not a tree)."""
+    """Generic texts from N = d + 1 to d = N + 2, orthonormal ones, texts split over
+    orthogonal blocks (a forest, not a tree), and nearly dependent ones."""
     d = draw(st.integers(2, 4))
     n = draw(st.integers(max(2, d - 2), d + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # more states than dimensions fit neither an orthonormal set nor the blocks
-    kind = draw(st.sampled_from(["generic", "classical", "blocks"])) if n <= d else "generic"
+    # more states than dimensions fit neither an orthonormal set nor the blocks,
+    # and are dependent outright
+    kinds = ["generic", "classical", "blocks"] + ["near_dependent"] * (n >= 3)
+    kind = draw(st.sampled_from(kinds)) if n <= d else "generic"
     if kind == "generic":
         return random_text(rng, n, d), rng
     if kind == "classical":
         return random_classical_text(rng, n, d), rng
+    if kind == "near_dependent":
+        # the last state leaves the span of the others by eps, so G has an
+        # eigenvalue near eps^2, under the rank cutoff of numerical_rank
+        eps = draw(st.sampled_from([1e-4, 1e-5, 1e-6]))
+        base = random_text(rng, n - 1, d)
+        mix = base.states @ (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+        last = mix / np.linalg.norm(mix) + eps * random_state(rng, d)
+        return make_text(d, [*base.states.T, last / np.linalg.norm(last)]), rng
     u, k = random_unitary(rng, d), d // 2
     blocks = [u[:, :k] if i % 2 else u[:, k:] for i in range(n)]
     return make_text(d, [b @ random_state(rng, b.shape[1]) for b in blocks]), rng
@@ -196,3 +206,31 @@ def test_search_residual_matches_certificate_residual(drawn, big_q):
     res, phases = obj.max_residual(x, big_q)
     params = EnscriptionParams.from_Q(big_q, obj.tablet(x), phases=phases)
     assert abs(res - enscription_residual(text, params)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_search_coordinates_do_not_depend_on_the_rotation_of_a_text(n):
+    # a uniform text's Gram matrix has a repeated eigenvalue, so an eigenbasis
+    # of G would be picked by rounding; the Cholesky factor is unique
+    base = make_real_uniform(n, 0.3)
+    for seed in range(5):
+        v = random_unitary(np.random.default_rng(seed), n)
+        rotated = make_text(n, [v @ base.state(i) for i in range(n)])
+        assert np.max(np.abs(search._Objective(rotated).factor - search._Objective(base).factor)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"starts": 0},
+        {"starts": -3},
+        {"seed": -1},
+        {"accept_tol": 0.0},
+        {"accept_tol": -1e-8},
+        {"accept_tol": float("nan")},
+        {"accept_tol": float("inf")},
+    ],
+)
+def test_invalid_search_options_raise(options):
+    with pytest.raises(EnscribeError):
+        SearchOptions(**options)

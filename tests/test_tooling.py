@@ -45,3 +45,56 @@ def test_benchmark_hooks_keep_their_signatures():
 
     assert list(inspect.signature(search._minimize_start).parameters) == ["obj", "x0", "fixed_q"]
     assert list(inspect.signature(search._Objective.residual_vector).parameters) == ["self", "x", "fixed_q"]
+
+
+# the tolerance and start-count parameters some caller sets; every other
+# threshold is a named module constant
+SETTABLE = {
+    ("certificates", "is_valid", "accept_tol"),
+    ("procedures", "build_procedure", "accept_tol"),
+    ("machine", "run_clone", "accept_tol"),
+    ("linalg", "unitary_from_correspondence", "gram_tol"),
+}
+
+
+def test_no_unset_tolerance_parameters():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                    if arg is not None and ("tol" in arg.arg or arg.arg == "starts"):
+                        found.add((path.stem, getattr(node, "name", "<lambda>"), arg.arg))
+    assert found == SETTABLE
+
+
+def test_readme_tables_name_what_their_modules_define():
+    # rows of the form | `enscribe.module` | ... |: every `name` in a row
+    # resolves in that module, a dotted `module.name` in the package
+    import enscribe
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = set()
+    missing = []
+    for module, cell in re.findall(r"^\| `enscribe\.(\w+)` \|(.*)\|$", readme, re.M):
+        for name in re.findall(r"`([A-Za-z_][\w.]*)`", cell):
+            listed.add((module, name))
+            obj = getattr(enscribe, module)
+            if "." in name and not hasattr(obj, name.split(".")[0]):
+                obj = enscribe
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{module}: {name}")
+    assert missing == []
+    # and every named tolerance constant has a row
+    constants = {
+        (path.stem, target.id)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_TOL")
+    }
+    assert constants <= listed
