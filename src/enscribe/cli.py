@@ -11,6 +11,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,30 +23,9 @@ from .search import SearchOptions, feasibility_search
 log = logging.getLogger("enscribe")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _emit(report: dict, output: str | None) -> None:
-    text = files.dump_json(_jsonable(report))
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    text = files.dump_json(report, output)
+    if not output:
         sys.stdout.write(text)
 
 
@@ -65,16 +45,9 @@ def _search_options(args) -> SearchOptions:
 
 def cmd_classify(args) -> int:
     text = _load_text(args)
-    cls = texts.classify(text)
     screen = engine.illegibility_screen(text)
     report = {
-        "classification": {
-            "classical": cls.classical,
-            "fully_quantum": cls.fully_quantum,
-            "efficient": cls.efficient,
-            "thick": cls.thick,
-            "dialect_dimension": cls.dialect_dimension,
-        },
+        "classification": texts.classify(text),
         "gram": texts.gram(text),
         "illegibility": {
             "efficient_ok": screen.efficient_ok,
@@ -152,6 +125,18 @@ def cmd_solve(args) -> int:
     return 0 if cert.residual < args.tolerance else 2
 
 
+def _thin_interval(iv: engine.QInterval) -> engine.QInterval:
+    """A thick interval widened for a thin text: the search sees the tablet's
+    dialect part only through Q |a|^2, so Q is feasible when Q s^2 is for some
+    s in (0, 1] (the rescaling of engine.thin_extension_family), which
+    stretches each interval out to -1 or 1, closed."""
+    if iv.lower < 0.0 and not (iv.lower == -1.0 and iv.lower_closed):
+        iv = replace(iv, lower=-1.0, lower_closed=True, lower_flavor="closed")
+    if iv.upper > 0.0 and not (iv.upper == 1.0 and iv.upper_closed):
+        iv = replace(iv, upper=1.0, upper_closed=True, upper_flavor="closed")
+    return iv
+
+
 def cmd_qrange(args) -> int:
     text = _load_text(args)
     if text.n_states == 2:
@@ -162,20 +147,9 @@ def cmd_qrange(args) -> int:
         if uniform_z is None:
             raise EnscribeError("no closed-form Q range for this text (need a 2-text or a real uniform text)")
         rng_result = engine.q_range_real_uniform(text.n_states, uniform_z)
-    report = {
-        "empty": rng_result.empty,
-        "intervals": [
-            {
-                "lower": iv.lower,
-                "upper": iv.upper,
-                "lower_closed": iv.lower_closed,
-                "upper_closed": iv.upper_closed,
-                "lower_flavor": iv.lower_flavor,
-                "upper_flavor": iv.upper_flavor,
-            }
-            for iv in rng_result.intervals
-        ],
-    }
+    if text.n_states < text.dimension:
+        rng_result = engine.QRangeResult(tuple(_thin_interval(iv) for iv in rng_result.intervals))
+    report = {"empty": rng_result.empty, "intervals": rng_result.intervals}
     _emit(report, args.output)
     return 2 if rng_result.empty else 0
 
@@ -225,13 +199,7 @@ def cmd_clone(args) -> int:
 
 def cmd_verify_theorems(args) -> int:
     results = verification.run_checks(only=args.only, seed=args.seed)
-    report = {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "details": r.details}
-            for r in results
-        ],
-        "all_passed": bool(results) and all(r.passed for r in results),
-    }
+    report = {"checks": results, "all_passed": bool(results) and all(r.passed for r in results)}
     _emit(report, args.output)
     for r in results:
         print(("PASS " if r.passed else "FAIL ") + r.name, file=sys.stderr)

@@ -276,7 +276,7 @@ def direct_sum_enscribe(
     """Lift an enscription of an orthogonal subtext to the whole text.
 
     The remaining states must be pairwise orthogonal and orthogonal to the
-    certified subtext (overlaps below texts.DEFAULT_TOL), and ``cert`` must
+    certified subtext (no edge of texts.overlap_graph), and ``cert`` must
     hold on the subtext with a residual below ACCEPT_TOL. The lifted tablet is
     the normalized projection of the input tablet onto the subtext dialect,
     and the entanglement parameter is scaled by the squared projection norm.
@@ -291,15 +291,11 @@ def direct_sum_enscribe(
     idx1 = tuple(i for i in range(n) if i not in idx2)
     if len(set(idx2)) != len(idx2):
         raise NotADirectSum("duplicate indices in the certified subtext")
-    g = np.abs(texts.gram(combined_text))
-    for a, i in enumerate(idx1):
-        for j in idx1[a + 1:]:
-            if g[i, j] >= texts.DEFAULT_TOL:
-                raise NotADirectSum(f"states {i} and {j} of the complement are not orthogonal")
-    for i in idx1:
-        for j in idx2:
-            if g[i, j] >= texts.DEFAULT_TOL:
-                raise NotADirectSum(f"cross overlap between states {i} and {j} does not vanish")
+    split = texts.DirectSumSplit.of(texts.overlap_graph(combined_text), idx1)
+    if not split.classical_block_ok:
+        raise NotADirectSum(f"states {idx1} of the complement are not pairwise orthogonal")
+    if not split.cross_ok:
+        raise NotADirectSum(f"states {idx1} overlap the certified subtext {idx2}")
     subtext = combined_text.subtext(idx2)
     if cert.params.n_states != len(idx2):
         raise InvalidInputCertificate("certificate phase count does not match the subtext")
@@ -392,16 +388,16 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
     or more states the entrywise-reciprocal Gram matrix must be nonsingular
     with all but one eigenvalue of a single sign (which pins the sign of any
     feasible entanglement parameter); and a real uniform text must sit at or
-    above its feasibility threshold. An overlap counts as zero at or below
-    texts.DEFAULT_TOL.
+    above its feasibility threshold. Which states overlap comes from
+    texts.overlap_graph.
     """
     cls = texts.classify(text)
     g = texts.gram(text)
     n = text.n_states
-    nz = np.abs(g) > texts.DEFAULT_TOL
-    np.fill_diagonal(nz, False)
-    busy = [i for i in range(n) if nz[i].any()]
-    lemma2_ok = all(nz[i, j] for a, i in enumerate(busy) for j in busy[a + 1:])
+    graph = texts.overlap_graph(text)
+    split = texts.DirectSumSplit.of(graph, np.flatnonzero(~graph.any(axis=1)))
+    busy = split.quantum_indices
+    lemma2_ok = split.consistent
 
     eigen_ok = True
     eps: int | None = None
@@ -423,7 +419,7 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
 
     uniform_ok: bool | None = None
     z = real_uniform_overlap(text)
-    if z is not None and abs(z) > texts.DEFAULT_TOL:
+    if z is not None and not cls.classical:
         uniform_ok = z >= z0_threshold(n) - 1e-9
 
     reason = None

@@ -6,6 +6,7 @@ round-trips bit-exactly through Python's JSON encoder.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -87,9 +88,22 @@ def procedure_from_dict(data: dict) -> np.ndarray:
     return m
 
 
+def _encode(obj):
+    """JSON form of numpy arrays and scalars, complex values ([re, im]) and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _pair(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def dump_json(obj: dict, path: str | None = None) -> str:
     """Deterministic JSON text; writes to ``path`` when given."""
-    out = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    out = json.dumps(obj, sort_keys=True, indent=1, default=_encode) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(out)

@@ -33,7 +33,14 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import linalg, texts
-from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, canonical_q, certificate
+from .certificates import (
+    ACCEPT_TOL,
+    DEGENERATE_TOL,
+    EnscriptionCertificate,
+    EnscriptionParams,
+    canonical_q,
+    certificate,
+)
 from .errors import EnscribeError
 
 FLOOR_TOL = 1e-4
@@ -102,31 +109,12 @@ class _Objective:
             for i in range(self.n)
             for j in range(i + 1, self.n)
         ]
-        self.forest = self._spanning_forest(g)
-
-    def _spanning_forest(self, g: np.ndarray) -> list:
-        """Edges (i, j, z_ij, z_ij^2) of a breadth-first forest of the nonzero-overlap graph.
-
-        An overlap is nonzero above texts.DEFAULT_TOL, the line classify draws.
-        """
-        nz = np.abs(g) > texts.DEFAULT_TOL
-        np.fill_diagonal(nz, False)
-        seen = [False] * self.n
-        order = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = [root]
-            while queue:
-                i = queue.pop(0)
-                for j in range(self.n):
-                    if nz[i, j] and not seen[j]:
-                        seen[j] = True
-                        z = complex(g[i, j])
-                        order.append((i, j, z, z * z))
-                        queue.append(j)
-        return order
+        # (parent, child) edges of the overlap graph's spanning forest
+        self.forest = [
+            (p, i, complex(g[p, i]), complex(g[p, i]) ** 2)
+            for i, p in texts.spanning_forest(texts.overlap_graph(text))
+            if p is not None
+        ]
 
     def overlaps(self, x) -> list | None:
         """The tablet's overlaps a = L c / |(c, s)| with the states; None at the origin."""
@@ -161,8 +149,8 @@ class _Objective:
         ]
         alphas = [complex(1.0)] * self.n
         for i, j, z, z2 in self.forest:
-            lhs = z + big_q * ov[i] * ov[j].conjugate()
-            forced = lhs / (sq[i] * sq[j] * z2)
+            den = sq[i] * sq[j] * z2
+            forced = (z + big_q * ov[i] * ov[j].conjugate()) / den if den else 0j
             mod = abs(forced)
             alphas[j] = alphas[i] * (forced / mod if mod > 0.0 else 1.0)
         mismatches = [
@@ -172,11 +160,16 @@ class _Objective:
         return mismatches, alphas
 
     def max_residual(self, x, fixed_q: float | None) -> tuple:
-        """Largest pair mismatch at x with its phases; infinite at the origin."""
+        """Largest pair mismatch at x with its phases; infinite at the origin and
+        where an entangled input degenerates (A_i <= DEGENERATE_TOL, as in entangled_input)."""
         ov = self.overlaps(x)
         if ov is None:
             return np.inf, None
-        ms, alphas = self._mismatches(ov, self.q_of(x, fixed_q))
+        big_q = self.q_of(x, fixed_q)
+        q = canonical_q(big_q)
+        if min(1.0 + q * q + 2.0 * q * abs(o) ** 2 for o in ov) <= DEGENERATE_TOL:
+            return np.inf, None
+        ms, alphas = self._mismatches(ov, big_q)
         return max(map(abs, ms), default=0.0), np.array(alphas, dtype=complex)
 
     def residual_vector(self, x, fixed_q: float | None) -> np.ndarray:

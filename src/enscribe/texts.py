@@ -75,13 +75,27 @@ class EquivalenceWitness:
 
 @dataclass(frozen=True)
 class DirectSumSplit:
-    """Tablet-induced split of a text into an orthogonal and an overlapping part."""
+    """Split of a text into an orthogonal and an overlapping part, with the block test."""
 
     classical_indices: tuple
     quantum_indices: tuple
     classical_block_ok: bool
     quantum_block_ok: bool
     cross_ok: bool
+
+    @classmethod
+    def of(cls, graph: np.ndarray, classical_indices) -> "DirectSumSplit":
+        """The block test on an overlap graph: the given states pairwise
+        orthogonal, the rest pairwise overlapping, and no edge between the two."""
+        t1 = tuple(int(i) for i in classical_indices)
+        t2 = tuple(i for i in range(len(graph)) if i not in t1)
+        return cls(
+            t1,
+            t2,
+            classical_block_ok=not graph[np.ix_(t1, t1)].any(),
+            quantum_block_ok=int(graph[np.ix_(t2, t2)].sum()) == len(t2) * (len(t2) - 1),
+            cross_ok=not graph[np.ix_(t1, t2)].any(),
+        )
 
     @property
     def consistent(self) -> bool:
@@ -122,24 +136,46 @@ def gram(text: QuantumText) -> np.ndarray:
     return linalg.dagger(text.states) @ text.states
 
 
+def overlap_graph(text: QuantumText) -> np.ndarray:
+    """Which states overlap: True off the diagonal where |<psi_i|psi_j>| > DEFAULT_TOL.
+
+    The one line between zero and nonzero overlaps. The pair i < j is judged
+    by G[i, j], whose modulus can differ from G[j, i]'s in the last bit.
+    """
+    upper = np.triu(np.abs(gram(text)) > DEFAULT_TOL, 1)
+    return upper | upper.T
+
+
+def spanning_forest(graph) -> list:
+    """(state, parent) pairs in spanning-forest order of a boolean graph.
+
+    The lowest state next to one already taken comes next, with its first
+    neighbour in that order as its parent; else the lowest state left starts
+    a new tree, with parent None. Every parent precedes its children.
+    """
+    forest, rest = [], list(range(len(graph)))
+    while rest:
+        step = next(((i, p) for i in rest for p, _ in forest if graph[p][i]), (rest[0], None))
+        forest.append(step)
+        rest.remove(step[0])
+    return forest
+
+
 def classify(text: QuantumText) -> TextClassification:
     """Flags: pairwise-orthogonal, pairwise-overlapping, linearly independent, spanning.
 
-    An overlap counts as zero below DEFAULT_TOL.
+    Which pairs overlap comes from overlap_graph.
     """
-    g = gram(text)
     n = text.n_states
-    off = np.abs(g[np.triu_indices(n, 1)])
-    classical = bool(np.all(off < DEFAULT_TOL)) if off.size else True
-    fully_quantum = bool(np.all(off > DEFAULT_TOL)) if off.size else True
-    dialect_dim = linalg.numerical_rank(np.linalg.eigvalsh(g))
+    edges = int(overlap_graph(text).sum())
+    dialect_dim = linalg.numerical_rank(np.linalg.eigvalsh(gram(text)))
     # one or two valid states are always independent, whatever the eigen cutoff says
     efficient = dialect_dim == n or n <= 2
     if n <= 2:
         dialect_dim = n
     return TextClassification(
-        classical=classical,
-        fully_quantum=fully_quantum,
+        classical=edges == 0,
+        fully_quantum=edges == n * (n - 1),
         efficient=efficient,
         thick=dialect_dim == text.dimension,
         dialect_dimension=dialect_dim,
@@ -173,31 +209,23 @@ def direct_sum_decompose(text: QuantumText, tablet) -> DirectSumSplit:
 
     The orthogonal part must be pairwise orthogonal, the overlapping part
     pairwise non-orthogonal, and all cross overlaps must vanish; any failure
-    means the tablet cannot serve an enscription of this text. An overlap
-    counts as zero below DEFAULT_TOL.
+    means the tablet cannot serve an enscription of this text. The tablet
+    overlaps a state above DEFAULT_TOL, the line of overlap_graph.
     """
     tab = linalg.unit(np.asarray(tablet, dtype=complex).reshape(-1))
     if tab.shape[0] != text.dimension:
         raise DimensionMismatch("tablet length does not match the language dimension")
     ov = np.abs(linalg.dagger(text.states) @ tab)
-    tol = DEFAULT_TOL
-    t1 = tuple(int(i) for i in np.nonzero(ov < tol)[0])
-    t2 = tuple(int(i) for i in np.nonzero(ov >= tol)[0])
-    g = np.abs(gram(text))
-    classical_ok = all(g[i, j] < tol for a, i in enumerate(t1) for j in t1[a + 1:])
-    quantum_ok = all(g[i, j] > tol for a, i in enumerate(t2) for j in t2[a + 1:])
-    cross_ok = all(g[i, j] < tol for i in t1 for j in t2)
-    return DirectSumSplit(t1, t2, classical_ok, quantum_ok, cross_ok)
+    return DirectSumSplit.of(overlap_graph(text), np.flatnonzero(ov <= DEFAULT_TOL))
 
 
 def equivalent(text_a: QuantumText, text_b: QuantumText):
     """Witness that text_a and text_b agree up to permutation, phases, and a unitary.
 
     Returns an EquivalenceWitness or None. Below, tol is EQUIVALENCE_TOL. The
-    states of text_a are assigned one at a time, in a spanning-forest order of
-    the |z_a| > tol graph (the lowest state overlapping one already assigned
-    comes next, else the lowest state left), so every state but the first of
-    its component has an earlier neighbour; state i goes to an unused state k
+    states of text_a are assigned one at a time, in spanning_forest order of
+    the |z_a| > tol graph, so every state but the first of its component has
+    an earlier neighbour; state i goes to an unused state k
     of text_b in ascending order. The phase beta_i follows from the first
     earlier state j whose overlaps with i and with k both exceed tol
     (beta_i = 1 when there is none, a free phase of a new component), and the
@@ -216,11 +244,7 @@ def equivalent(text_a: QuantumText, text_b: QuantumText):
     za, zb = gram(text_a), gram(text_b)
     rows_a, rows_b = np.sort(np.abs(za), axis=1), np.sort(np.abs(zb), axis=1)
     allowed = np.max(np.abs(rows_a[:, None, :] - rows_b[None, :, :]), axis=2) <= tol
-    order: list = []
-    rest = list(range(n))
-    while rest:
-        order.append(next((i for i in rest if any(abs(za[j, i]) > tol for j in order)), rest[0]))
-        rest.remove(order[-1])
+    order = [i for i, _ in spanning_forest(np.abs(za) > tol)]
     perm = [-1] * n  # perm[i]: the state of text_b paired with state i of text_a
     beta = np.ones(n, dtype=complex)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enscribe import (
     EnscriptionParams,
@@ -184,3 +186,31 @@ def test_certificate_bundles_residual_and_flavor():
     assert cert.flavor == "central"
     assert cert.residual < 1e-10
     assert cert.is_valid()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.integers(2, 4),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+    st.floats(-0.999, 0.999),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+def test_residual_depends_on_q_only_through_big_q(n, extra, seed, big_q, u, flip):
+    rng = np.random.default_rng(seed)
+    d = n + extra
+    text = random_text(rng, n, d)
+    tablet = random_state(rng, d)
+    phases = np.exp(2j * np.pi * rng.random(n))
+    real = EnscriptionParams.from_Q(big_q, tablet, phases=phases)
+    # a complex q = rho e^{i phi} with 2 rho cos(phi) / (1 + rho^2) = Q, for
+    # rho between |canonical_q(Q)| and 1
+    rho = abs(real.q) + u * (1.0 - abs(real.q))
+    phi = np.arccos(np.clip(big_q * (1.0 + rho**2) / (2.0 * rho), -1.0, 1.0)) if rho > 0 else 0.0
+    other = EnscriptionParams.from_q(rho * np.exp(1j * (-phi if flip else phi)), tablet, phases=phases)
+    assert abs(other.Q - big_q) < 1e-12
+    via_real, via_other = residual_via_states(text, real), residual_via_states(text, other)
+    assert abs(via_real - via_other) < 1e-12
+    assert abs(via_real - enscription_residual(text, real)) < 1e-12
+    assert abs(via_other - enscription_residual(text, other)) < 1e-12

@@ -260,3 +260,42 @@ def test_text_with_nan_component_is_an_error(tmp_path, capsys, command):
     code = main([command, "--input", str(path)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, z", [(2, 0.5), (3, 0.3)])
+def test_thick_text_at_q_minus_one_is_a_negative_result(tmp_path, capsys, n, z):
+    path = _write_text(tmp_path, "t.json", make_real_uniform(n, z))
+    code, report = _run(capsys, ["solve", "--input", path, "--q", "-1", "--starts", "16"])
+    assert code == 2
+    assert report["feasible"] is False
+
+
+def _thin(n, z):
+    base = make_real_uniform(n, z)
+    return make_text(n + 1, [np.concatenate([base.state(i), [0.0]]) for i in range(n)])
+
+
+def test_qrange_of_a_thin_uniform_text_reaches_minus_one(tmp_path, capsys):
+    path = _write_text(tmp_path, "thin.json", _thin(3, 0.3))
+    code, report = _run(capsys, ["qrange", "--input", path])
+    assert code == 0
+    (iv,) = report["intervals"]
+    assert (iv["lower"], iv["lower_closed"], iv["lower_flavor"]) == (-1.0, True, "closed")
+    assert iv["upper_closed"] and iv["upper_flavor"] == "central"
+    # both ends certify; just past the upper one the search finds nothing
+    for big_q, expected in ((iv["lower"], 0), (-0.95, 0), (iv["upper"], 0), (iv["upper"] + 0.013, 2)):
+        code, _ = _run(capsys, ["solve", "--input", path, "--q", repr(big_q), "--starts", "16"])
+        assert code == expected, big_q
+
+
+def test_qrange_of_a_thin_two_text_closes_minus_one(tmp_path, capsys):
+    path = _write_text(tmp_path, "thin.json", _thin(2, 0.3))
+    code, report = _run(capsys, ["qrange", "--input", path])
+    assert code == 0
+    neg, pos = sorted(report["intervals"], key=lambda iv: iv["lower"])
+    assert (neg["lower"], neg["lower_closed"]) == (-1.0, True)
+    assert abs(neg["upper"] - (-2 * 0.3 / 1.3**2)) < 1e-12
+    assert (pos["upper"], pos["upper_closed"]) == (1.0, True)
+    for big_q in (neg["lower"], neg["upper"], pos["lower"], pos["upper"]):
+        code, report = _run(capsys, ["solve", "--input", path, "--q", repr(big_q)])
+        assert code == 0, big_q

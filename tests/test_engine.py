@@ -5,6 +5,7 @@ from enscribe import (
     EnscriptionParams,
     certificate,
     classify,
+    direct_sum_decompose,
     direct_sum_enscribe,
     enscription_residual,
     entangled_input,
@@ -15,8 +16,10 @@ from enscribe import (
     q_minus_one_dependence_check,
     q_range_real_uniform,
     q_range_two_text,
+    search,
     solve_real_uniform_central,
     solve_two_text,
+    texts,
     thin_extension_family,
     uniform_sextic,
     z0_threshold,
@@ -391,3 +394,24 @@ def test_illegibility_screen_classical_ok():
     report = illegibility_screen(text)
     assert report.reason is None
     assert report.eigen_sign is None
+
+
+@pytest.mark.parametrize("scale, overlapping", [(1.0, False), (2.0, True)], ids=["at-tol", "above-tol"])
+def test_overlap_at_the_line_gets_one_verdict_everywhere(scale, overlapping):
+    # |z01| is DEFAULT_TOL exactly (orthogonal) or twice it (overlapping)
+    z = scale * texts.DEFAULT_TOL
+    text = make_text(3, [[1, 0, 0], [z, np.sqrt(1 - z * z), 0], [0, 0, 1]])
+    assert abs(gram(text)[0, 1]) == z
+    cls = classify(text)
+    assert cls.classical is not overlapping
+    assert not cls.fully_quantum
+    # an orthogonal text or one overlapping pair: the Lemma 2 pattern holds either way
+    assert illegibility_screen(text).verdict == "possibly_enscribable"
+    assert direct_sum_decompose(text, [0, 0, 1]).consistent is not overlapping
+    cert = solve_two_text(text.subtext((1, 2)))
+    if overlapping:
+        with pytest.raises(NotADirectSum):
+            direct_sum_enscribe(text, cert, (1, 2))
+    else:
+        assert direct_sum_enscribe(text, cert, (1, 2)).is_valid()
+    assert [edge[:2] for edge in search._Objective(text).forest] == ([(0, 1)] if overlapping else [])

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from enscribe import files, make_real_uniform, solve_two_text, qubit_example
+from enscribe import QInterval, files, make_real_uniform, solve_two_text, qubit_example
 from enscribe.errors import ParseError
 
 from helpers import random_text
@@ -66,3 +68,18 @@ def test_dump_json_is_deterministic():
     a = files.dump_json(files.certificate_to_dict(cert))
     b = files.dump_json(files.certificate_to_dict(cert))
     assert a == b
+
+
+def test_dump_json_writes_numpy_values_complex_numbers_and_dataclasses():
+    interval = QInterval(np.float64(-1.0), -0.5, np.bool_(False), True, "open", "central")
+    report = {"a": np.array([[1 + 2j, 3]]), "b": np.int64(4), "c": 0.5j, "d": np.complex128(-1j), "e": interval}
+    assert json.loads(files.dump_json(report)) == {
+        "a": [[[1.0, 2.0], [3.0, 0.0]]],
+        "b": 4,
+        "c": [0.0, 0.5],
+        "d": [-0.0, -1.0],
+        "e": {"lower": -1.0, "upper": -0.5, "lower_closed": False, "upper_closed": True,
+              "lower_flavor": "open", "upper_flavor": "central"},
+    }
+    with pytest.raises(TypeError):
+        files.dump_json({"f": object()})

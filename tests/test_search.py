@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enscribe import feasibility_search, make_real_uniform, make_text, search, verification
-from enscribe.certificates import EnscriptionParams, enscription_residual
+from enscribe import (
+    build_procedure,
+    feasibility_search,
+    make_real_uniform,
+    make_text,
+    search,
+    verification,
+    verify_procedure,
+)
+from enscribe.certificates import DEGENERATE_TOL, EnscriptionParams, enscription_residual, input_normalizer
 from enscribe.errors import EnscribeError, QOutOfRange
 from enscribe.search import SearchOptions
 
@@ -234,3 +242,22 @@ def test_search_coordinates_do_not_depend_on_the_rotation_of_a_text(n):
 def test_invalid_search_options_raise(options):
     with pytest.raises(EnscribeError):
         SearchOptions(**options)
+
+
+@pytest.mark.parametrize("n, z", [(2, 0.5), (2, 0.3), (3, 0.3)])
+def test_thick_text_at_q_minus_one_is_infeasible_not_degenerate(n, z):
+    # a start on state i makes B_i = 1 + Q |a_i|^2 vanish; the tablet on a
+    # state has matching residual 0 for a 2-text, but no entangled input
+    result = feasibility_search(make_real_uniform(n, z), -1.0, SearchOptions(seed=0, starts=16))
+    assert not result.feasible
+    assert result.verdict == "infeasible"
+
+
+def test_thin_two_text_certifies_at_q_minus_one_with_a_proper_tablet():
+    base = make_real_uniform(2, 0.3)
+    thin = make_text(3, [np.concatenate([base.state(i), [0.0]]) for i in range(2)])
+    result = feasibility_search(thin, -1.0, SearchOptions(seed=0, starts=64))
+    assert result.feasible
+    cert = result.certificate
+    assert min(input_normalizer(thin, i, cert.params.q, cert.params.tablet) for i in range(2)) > DEGENERATE_TOL
+    assert verify_procedure(build_procedure(thin, cert), thin, cert) < 1e-8

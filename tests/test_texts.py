@@ -10,6 +10,7 @@ from enscribe import (
     gram,
     make_real_uniform,
     make_text,
+    texts,
 )
 from enscribe.errors import ColinearPair, DimensionMismatch, NonUnitState, SizeMismatch, ZOutOfRange
 
@@ -319,3 +320,39 @@ def test_direct_sum_decompose_fully_quantum_all_overlapping():
     split = direct_sum_decompose(text, tablet)
     assert split.classical_indices == ()
     assert split.consistent
+
+
+@pytest.mark.parametrize(
+    "n, edges, forest",
+    [
+        # a breadth-first forest from 0 would hang 6 on 5; here 1 is taken first
+        (7, [(0, 2), (0, 5), (1, 2), (5, 6), (1, 6)],
+         [(0, None), (2, 0), (1, 2), (5, 0), (6, 1), (3, None), (4, None)]),
+        (4, [(i, j) for i in range(4) for j in range(i)], [(0, None), (1, 0), (2, 0), (3, 0)]),
+    ],
+    ids=["sparse", "complete"],
+)
+def test_spanning_forest_takes_the_lowest_neighbour_of_the_taken_states_next(n, edges, forest):
+    graph = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        graph[i, j] = graph[j, i] = True
+    assert texts.spanning_forest(graph) == forest
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_overlap_graph_is_a_symmetric_threshold_of_the_gram_matrix(n, extra, seed):
+    rng = np.random.default_rng(seed)
+    # classical texts give exact zeros, random ones none
+    text = (random_classical_text if seed % 2 else random_text)(rng, n, n + extra)
+    graph = texts.overlap_graph(text)
+    upper = np.triu_indices(n, 1)
+    assert np.array_equal(graph, graph.T)
+    assert not np.diagonal(graph).any()
+    assert np.array_equal(graph[upper], np.abs(gram(text)[upper]) > texts.DEFAULT_TOL)
+    # every parent in the forest is an earlier neighbour
+    forest = texts.spanning_forest(graph)
+    taken = [i for i, _ in forest]
+    assert sorted(taken) == list(range(n))
+    for pos, (i, parent) in enumerate(forest):
+        assert parent is None or (graph[parent, i] and parent in taken[:pos])

@@ -98,3 +98,32 @@ def test_readme_tables_name_what_their_modules_define():
         if isinstance(target, ast.Name) and target.id.endswith("_TOL")
     }
     assert constants <= listed
+
+
+# the functions that read texts.DEFAULT_TOL; which states overlap is decided
+# once, by texts.overlap_graph, and every other reader goes through it
+DEFAULT_TOL_READERS = {
+    ("texts", "make_text"),
+    ("texts", "overlap_graph"),
+    ("texts", "make_real_uniform"),
+    ("texts", "direct_sum_decompose"),
+    ("engine", "real_uniform_overlap"),
+}
+
+
+def test_default_tol_readers_are_listed():
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Name) and node.id == "DEFAULT_TOL" and isinstance(node.ctx, ast.Load)) or (
+            isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOL"
+        ):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem, None)
+    assert found == DEFAULT_TOL_READERS
