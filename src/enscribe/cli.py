@@ -114,7 +114,8 @@ def cmd_solve(args) -> int:
     if cert is None:
         report = {
             "feasible": False,
-            "best_residual": result.best_residual,
+            # no floor at all (no start ran, or none reached a proper tablet) is null
+            "best_residual": result.best_residual if np.isfinite(result.best_residual) else None,
             "verdict": result.verdict,
         }
         _emit(report, args.output)

@@ -102,8 +102,11 @@ def _encode(obj):
 
 
 def dump_json(obj: dict, path: str | None = None) -> str:
-    """Deterministic JSON text; writes to ``path`` when given."""
-    out = json.dumps(obj, sort_keys=True, indent=1, default=_encode) + "\n"
+    """Deterministic, strict JSON text; writes to ``path`` when given.
+
+    A non-finite float raises ValueError instead of becoming a bare Infinity or NaN.
+    """
+    out = json.dumps(obj, sort_keys=True, indent=1, default=_encode, allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(out)

@@ -14,10 +14,10 @@ forces a relative phase, propagated over a spanning forest of the
 nonzero-overlap graph, and what remains vanishes exactly at enscribable
 parameters.
 
-Each start is one trust-region least-squares solve (finite-difference
-Jacobian) of the pairwise mismatches. Starts run in a fixed, seeded order and
-the first whose largest residual beats the accept tolerance wins, so the
-search stops there. When no start certifies, every start runs and the result
+Each start is one Levenberg-Marquardt solve of the pairwise mismatches with
+their analytic Jacobian. Starts run in a fixed, seeded order and the first
+whose largest residual beats the accept tolerance wins, so the search stops
+there. When no start certifies, every start runs and the result
 records the lexicographic minimum of (residual, start index): a floor over
 the starts, not a proof of infeasibility. The starts are coordinate vectors:
 the text's states, their normalized sum, then seeded random vectors. The
@@ -27,10 +27,9 @@ tablet is built once, for the winning start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sin, sqrt
+from math import cos, isfinite, sin, sqrt
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import linalg, texts
 from .certificates import (
@@ -83,9 +82,10 @@ class _Objective:
     """Residual of the phase-eliminated matching condition at Gram coordinates x (and Q).
 
     x holds Re c, Im c, the remainder s of a thin text, then a joint Q
-    coordinate. Works on plain Python complex scalars; the problem sizes here
-    (a handful of states in a handful of dimensions) make that faster than
-    vectorizing.
+    coordinate. residual_vector gives the mismatches and jacobian their exact
+    derivative in x. Works on plain Python complex scalars; the problem sizes
+    here (a handful of states in a handful of dimensions) make that faster
+    than vectorizing.
     """
 
     def __init__(self, text: texts.QuantumText):
@@ -104,6 +104,11 @@ class _Objective:
         self.basis = q
         self.size = 2 * self.k + (self.k < text.dimension)
         self.rows = [[complex(v) for v in row] for row in self.factor]
+        # e_l, the move of L c per unit of coordinate l: the columns of L for
+        # Re c, i times them for Im c, 0 for s
+        self.directions = [[row[m] for row in self.rows] for m in range(self.k)]
+        self.directions += [[1j * v for v in col] for col in self.directions]
+        self.directions += [[0j] * self.n] * (self.size - 2 * self.k)
         self.pairs = [
             (i, j, complex(g[i, j]), complex(g[i, j]) ** 2)
             for i in range(self.n)
@@ -142,7 +147,8 @@ class _Objective:
         return max(-1.0 + 1e-9, sin(float(x[-1])))
 
     def _mismatches(self, ov: list, big_q: float) -> tuple:
-        """Pair mismatches at overlaps ov and Q, with the forest phases that eliminate them."""
+        """Pair mismatches at overlaps ov and Q, with the forest phases that eliminate them
+        and the scales s_i = sqrt(1 + Q |a_i|^2)."""
         sq = [
             sqrt(max(0.0, 1.0 + big_q * (o.real * o.real + o.imag * o.imag)))
             for o in ov
@@ -157,7 +163,7 @@ class _Objective:
             z + big_q * ov[i] * ov[j].conjugate() - sq[i] * sq[j] * alphas[i].conjugate() * alphas[j] * z2
             for i, j, z, z2 in self.pairs
         ]
-        return mismatches, alphas
+        return mismatches, alphas, sq
 
     def max_residual(self, x, fixed_q: float | None) -> tuple:
         """Largest pair mismatch at x with its phases; infinite at the origin and
@@ -169,16 +175,74 @@ class _Objective:
         q = canonical_q(big_q)
         if min(1.0 + q * q + 2.0 * q * abs(o) ** 2 for o in ov) <= DEGENERATE_TOL:
             return np.inf, None
-        ms, alphas = self._mismatches(ov, big_q)
+        ms, alphas, _ = self._mismatches(ov, big_q)
         return max(map(abs, ms), default=0.0), np.array(alphas, dtype=complex)
 
     def residual_vector(self, x, fixed_q: float | None) -> np.ndarray:
         ov = self.overlaps(x)
         if ov is None:
             return np.full(max(2 * len(self.pairs), 1), 1e3)
-        ms, _ = self._mismatches(ov, self.q_of(x, fixed_q))
+        ms, _, _ = self._mismatches(ov, self.q_of(x, fixed_q))
         # real and imaginary parts interleaved
         return np.array(ms, dtype=complex).view(np.float64)
+
+    def jacobian(self, x, fixed_q: float | None) -> np.ndarray:
+        """Derivative of residual_vector at x, rows in its order; zero at the origin.
+
+        Column l is the move of the mismatches per unit of x[l]. For a tablet
+        coordinate the overlaps a = L c / |(c, s)| move by (e_l - a x[l] / |x|) / |x|,
+        with e_l the l-th of the directions; a joint Q = sin(x[-1]) moves by
+        cos(x[-1]), and by 0 on its clamp.
+        """
+        ov = self.overlaps(x)
+        if ov is None:
+            return np.zeros((max(2 * len(self.pairs), 1), len(x)))
+        big_q = self.q_of(x, fixed_q)
+        _, alphas, sq = self._mismatches(ov, big_q)
+        xs = [float(v) for v in x[: self.size]]
+        norm = sqrt(sum(v * v for v in xs))
+        columns = [
+            self._mismatch_derivative(ov, alphas, sq, big_q, [(e - o * v / norm) / norm for e, o in zip(col, ov)], 0.0)
+            for col, v in zip(self.directions, xs)
+        ]
+        if fixed_q is None:
+            # on its clamp q_of returns the bound, not the sine
+            d_q = cos(float(x[-1])) if big_q == sin(float(x[-1])) else 0.0
+            columns.append(self._mismatch_derivative(ov, alphas, sq, big_q, [0j] * self.n, d_q))
+        # real and imaginary rows interleaved, as in residual_vector
+        return np.array(columns, dtype=complex).reshape(len(x), -1).view(np.float64).T
+
+    def _mismatch_derivative(self, ov, alphas, sq, big_q, d_ov, d_q) -> list:
+        """Derivative of the pair mismatches when the overlaps move by d_ov and Q by d_q.
+
+        With w = z + Q a_i conj(a_j) and s_i = sqrt(1 + Q |a_i|^2), each forest
+        phase follows its parent's, d theta_j = d theta_p + Im(dw / w), and each
+        mismatch m = w - s_i s_j e^{i(theta_j - theta_i)} z^2 moves by
+        dw - z^2 e^{i(theta_j - theta_i)} (d(s_i s_j) + i s_i s_j (d theta_j - d theta_i)).
+        Terms through a vanishing w or s_i are 0.
+        """
+
+        def d_w(i, j):
+            return d_q * ov[i] * ov[j].conjugate() + big_q * (
+                d_ov[i] * ov[j].conjugate() + ov[i] * d_ov[j].conjugate()
+            )
+
+        d_sq = [
+            (d_q * (o.real * o.real + o.imag * o.imag) + 2.0 * big_q * (o.conjugate() * do).real) / (2.0 * s)
+            if s > 0.0
+            else 0.0
+            for o, do, s in zip(ov, d_ov, sq)
+        ]
+        d_theta = [0.0] * self.n
+        for i, j, z, _ in self.forest:
+            w = z + big_q * ov[i] * ov[j].conjugate()
+            d_theta[j] = d_theta[i] + ((d_w(i, j) / w).imag if w and sq[i] * sq[j] > 0.0 else 0.0)
+        return [
+            d_w(i, j)
+            - z2 * alphas[i].conjugate() * alphas[j]
+            * (d_sq[i] * sq[j] + sq[i] * d_sq[j] + 1j * sq[i] * sq[j] * (d_theta[j] - d_theta[i]))
+            for i, j, _, z2 in self.pairs
+        ]
 
 
 def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool) -> list:
@@ -202,18 +266,41 @@ def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool) -> list:
 
 
 def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
-    """One least-squares solve from x0; returns its end point and objective evaluations."""
-    fit = least_squares(
-        lambda x: obj.residual_vector(x, fixed_q),
-        x0,
-        method="trf",
-        xtol=3e-16,
-        ftol=3e-16,
-        gtol=1e-15,
-        max_nfev=150,
-    )
-    # nfev leaves out the len(x0) calls of each two-point Jacobian
-    return fit.x, fit.nfev + fit.njev * len(x0)
+    """One Levenberg-Marquardt solve from x0; returns its end point and objective evaluations.
+
+    Each step solves (J^T J + mu I) h = -J^T r with the analytic Jacobian; mu
+    follows Nielsen's gain-ratio rule. A trial with a larger or non-finite
+    residual is rejected. The solve stops when the gradient vanishes, an
+    accepted step gains less than 1e-12 of the squared residual, a rejected
+    step has shrunk to nothing, or 100 residuals have been evaluated.
+    """
+    x = np.array(x0, dtype=float)
+    r = obj.residual_vector(x, fixed_q)
+    cost, evals = r @ r, 1
+    jac = obj.jacobian(x, fixed_q)
+    grad, normal = jac.T @ r, jac.T @ jac
+    mu, nu = 1e-3 * np.max(np.diagonal(normal), initial=0.0), 2.0
+    while evals < 100 and np.max(np.abs(grad), initial=0.0) > 1e-15:
+        step = np.linalg.solve(normal + mu * np.eye(len(x)), -grad)
+        trial = x + step
+        r_trial = obj.residual_vector(trial, fixed_q)
+        evals += 1
+        cost_trial = r_trial @ r_trial
+        if cost_trial < cost:
+            gain = (cost - cost_trial) / (step @ (mu * step - grad))
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+            small = cost - cost_trial <= 1e-12 * cost
+            x, r, cost = trial, r_trial, cost_trial
+            if small:
+                break
+            jac = obj.jacobian(x, fixed_q)
+            grad, normal = jac.T @ r, jac.T @ jac
+        else:
+            mu, nu = mu * nu, nu * 2.0
+            if not np.linalg.norm(step) > 1e-15 * np.linalg.norm(x):
+                break
+    return x, evals
 
 
 def feasibility_search(
@@ -225,7 +312,9 @@ def feasibility_search(
 
     ``big_q`` is a fixed value or None, which optimizes Q jointly with the
     tablet. A fixed value outside [-1, 1] raises ``QOutOfRange`` before any
-    start runs.
+    start runs. At Q = -1 a thick text is infeasible in closed form (its
+    entangled inputs are dependent, see engine.q_minus_one_dependence_check),
+    so no start runs and the floor is infinite.
 
     The first start, in start order, whose residual beats the accept tolerance
     ends the search and yields the certificate. Otherwise every start runs
@@ -237,6 +326,8 @@ def feasibility_search(
     fixed_q = None if joint else float(big_q)
     if not joint:
         canonical_q(fixed_q)  # raises QOutOfRange outside [-1, 1], NaN included
+        if fixed_q == -1.0 and texts.classify(text).thick:
+            return SearchResult(None, np.inf, "infeasible", fixed_q, -1, 0)
     obj = _Objective(text)
     best_x, best_phases, best_res, best_idx, evals = None, None, np.inf, -1, 0
     for idx, x0 in enumerate(_starts_for(obj, options, joint)):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from enscribe import enscription_residual, files, make_real_uniform, make_text
+from enscribe.certificates import EnscriptionParams, certificate
 from enscribe.cli import main
 
 from helpers import random_unitary
@@ -32,13 +33,30 @@ def test_solve_two_text(tmp_path, capsys):
 def test_solve_qubit_text_at_fixed_q(tmp_path, capsys):
     z = np.sqrt(3.0) - 2.0
     ap, am = np.sqrt((1 + z) / 2), np.sqrt((1 - z) / 2)
-    path = _write_text(tmp_path, "qubit.json", make_text(2, [[ap, am], [ap, -am]]))
+    text = make_text(2, [[ap, am], [ap, -am]])
+    path = _write_text(tmp_path, "qubit.json", text)
     code, report = _run(capsys, ["solve", "--input", path, "--q", "1", "--starts", "16"])
     assert code == 0
     assert report["Q"] == 1.0
     assert report["residual"] < 1e-8
-    tablet = np.array([complex(a, b) for a, b in report["tablet"]])
-    assert abs(tablet[0]) > 0.999
+    # at Q = 1 the certified tablets form a one-parameter family; the paper's
+    # member is |0> with trivial phases
+    paper = EnscriptionParams.from_Q(1.0, [1.0, 0.0], phases=[1.0, 1.0])
+    assert certificate(text, paper).residual < 1e-8
+
+
+def test_solve_report_without_a_floor_is_strict_json(tmp_path, capsys):
+    # a thick text at Q = -1 is infeasible before any start runs, so there is
+    # no finite floor to report
+    path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
+    assert main(["solve", "--input", path, "--q", "-1", "--starts", "4"]) == 2
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["feasible"] is False
+    assert report["best_residual"] is None
 
 
 def test_solve_illegible_text_exits_two(tmp_path, capsys):

@@ -83,3 +83,9 @@ def test_dump_json_writes_numpy_values_complex_numbers_and_dataclasses():
     }
     with pytest.raises(TypeError):
         files.dump_json({"f": object()})
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_dump_json_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        files.dump_json({"x": value})

@@ -216,6 +216,26 @@ def test_search_residual_matches_certificate_residual(drawn, big_q):
     assert abs(res - enscription_residual(text, params)) < 1e-12
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(texts_with_zero_overlaps(), st.one_of(st.none(), st.floats(-1.0, 1.0)))
+def test_jacobian_matches_central_differences(drawn, big_q):
+    text, rng = drawn
+    obj = search._Objective(text)
+    x = rng.standard_normal(obj.size + (big_q is None))
+    # on the unit sphere, far from the origin; a joint Q well inside (-1, 1)
+    x[: obj.size] /= np.linalg.norm(x[: obj.size])
+    if big_q is None:
+        x[-1] = rng.uniform(-1.3, 1.3)
+    h = 1e-6
+    steps = [h * e for e in np.eye(len(x))]
+    diffs = np.column_stack(
+        [(obj.residual_vector(x + e, big_q) - obj.residual_vector(x - e, big_q)) / (2 * h) for e in steps]
+    )
+    jac = obj.jacobian(x, big_q)
+    assert jac.shape == diffs.shape
+    assert np.max(np.abs(jac - diffs), initial=0.0) <= 1e-6 * max(1.0, np.max(np.abs(diffs), initial=0.0))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_search_coordinates_do_not_depend_on_the_rotation_of_a_text(n):
     # a uniform text's Gram matrix has a repeated eigenvalue, so an eigenbasis
@@ -251,6 +271,14 @@ def test_thick_text_at_q_minus_one_is_infeasible_not_degenerate(n, z):
     result = feasibility_search(make_real_uniform(n, z), -1.0, SearchOptions(seed=0, starts=16))
     assert not result.feasible
     assert result.verdict == "infeasible"
+
+
+@pytest.mark.parametrize("n, z", [(2, 0.5), (3, 0.3)])
+def test_thick_text_at_q_minus_one_runs_no_start(monkeypatch, n, z):
+    calls = _count_starts(monkeypatch)
+    result = feasibility_search(make_real_uniform(n, z), -1.0, SearchOptions(seed=0, starts=16))
+    assert result == search.SearchResult(None, np.inf, "infeasible", -1.0, -1, 0)
+    assert calls == []
 
 
 def test_thin_two_text_certifies_at_q_minus_one_with_a_proper_tablet():

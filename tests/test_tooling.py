@@ -1,6 +1,8 @@
 import ast
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +47,15 @@ def test_benchmark_hooks_keep_their_signatures():
 
     assert list(inspect.signature(search._minimize_start).parameters) == ["obj", "x0", "fixed_q"]
     assert list(inspect.signature(search._Objective.residual_vector).parameters) == ["self", "x", "fixed_q"]
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the search solves with its own Jacobian; scipy.optimize would add about
+    # 0.3 s and 20 MB to every import
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, enscribe; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # the tolerance and start-count parameters some caller sets; every other
