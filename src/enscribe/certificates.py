@@ -54,16 +54,17 @@ class EnscriptionParams:
     phases: np.ndarray
 
     def __post_init__(self):
-        if abs(q_to_Q(self.q) - self.Q) > 1e-12:
+        # written as not (... <= tol) so that a NaN fails each check
+        if not abs(q_to_Q(self.q) - self.Q) <= 1e-12:
             raise QOutOfRange("Q does not match 2 Re(q)/(1+|q|^2)")
         tab = np.asarray(self.tablet, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(tab))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise DimensionMismatch(f"tablet must be unit norm, got {norm}")
         object.__setattr__(self, "tablet", tab / norm)
         ph = np.asarray(self.phases, dtype=complex).reshape(-1)
         mods = np.abs(ph)
-        if ph.size and np.max(np.abs(mods - 1.0)) > 1e-9:
+        if ph.size and not np.max(np.abs(mods - 1.0)) <= 1e-9:
             raise DimensionMismatch("output phases must have modulus 1")
         object.__setattr__(self, "phases", ph / mods)
 

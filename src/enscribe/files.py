@@ -85,6 +85,8 @@ def procedure_from_dict(data: dict) -> np.ndarray:
         raise ParseError(f"malformed procedure object: {exc}") from exc
     if m.shape != (dim, dim):
         raise ParseError(f"procedure matrix has shape {m.shape}, expected ({dim}, {dim})")
+    if not np.all(np.isfinite(m)):
+        raise ParseError("procedure matrix has a non-finite entry")
     return m
 
 

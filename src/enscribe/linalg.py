@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, GramMismatch
 
@@ -60,14 +59,29 @@ def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns completing ``cols`` (dim x r, orthonormal) to a basis of C^dim.
 
     Only the span of ``cols`` is fixed by the callers, so the completion is a
-    convention: the first dim - r columns of LAPACK's column-pivoted QR of
-    I - cols cols^dag (largest residual column first, LAPACK's order on ties),
-    with phases chosen so that R has a positive diagonal.
+    convention: the greedy column-pivoted QR of I - cols cols^dag. Each new
+    column is the normalized residual of the canonical vector whose residual
+    is largest (the largest diagonal entry of the residual projector, lowest
+    index on ties), orthogonalized twice against every column so far; its
+    component on that canonical vector is positive up to rounding, so R has
+    a positive diagonal.
     """
     dim, r = cols.shape
-    q, rr, _ = scipy.linalg.qr(np.eye(dim, dtype=complex) - cols @ dagger(cols), pivoting=True)
-    d = np.diagonal(rr)[: dim - r]
-    return q[:, : dim - r] * (d / np.abs(d))
+    # the basis vectors as rows, so that each one is contiguous
+    rows = np.zeros((dim, dim), dtype=complex)
+    rows[:r] = cols.T
+    # diagonal of the residual projector: the squared residual of each canonical vector
+    resid = 1.0 - np.sum(np.abs(cols) ** 2, axis=1)
+    for k in range(r, dim):
+        j = int(np.argmax(resid))
+        done = rows[:k]
+        v = -(done[:, j].conj() @ done)
+        v[j] += 1.0
+        v -= (done.conj() @ v) @ done
+        v /= np.linalg.norm(v)
+        rows[k] = v
+        resid -= np.abs(v) ** 2
+    return rows[r:].T
 
 
 def numerical_rank(values: np.ndarray) -> int:
@@ -106,8 +120,15 @@ def unitary_from_correspondence(
     """Unitary W with W @ inputs[k] = outputs[k] for Gram-matched vector families.
 
     Both families are mixed with the same coefficients into their dialect
-    frames over the common Gram matrix, whose rank sets the frame size; the
-    map between frames is extended deterministically on the complements.
+    frames A and B over the common Gram matrix, whose rank r sets the frame
+    size. W is a unitary with W A = B nearest the identity: the identity
+    outside span(inputs, outputs) and a rotation inside. With V the
+    orthonormal Q of the QR of [A, B] (k = min(dim, 2r) columns) and
+    a = V^dag A, b = V^dag B, W = I + V (m - I) V^dag, where m is the polar
+    factor of b a^dag + (I - b b^dag)(I - a a^dag) in C^k: it maps a to b,
+    and the complement of span(a) to that of span(b) as close to the
+    identity as a unitary can, so it fixes every direction orthogonal to
+    both, including columns of V outside their span.
 
     Raises GramMismatch when the two Gram matrices differ by more than
     ``gram_tol`` entrywise, DimensionMismatch on inconsistent shapes.
@@ -125,12 +146,20 @@ def unitary_from_correspondence(
     ga = dagger(a) @ a
     gb = dagger(b) @ b
     gap = float(np.max(np.abs(ga - gb)))
-    if gap > gram_tol:
+    if not gap <= gram_tol:
         raise GramMismatch(f"Gram matrices differ by {gap:.3e} (> {gram_tol:.1e})")
 
     g = 0.5 * (ga + gb)
     a_frame = dialect_frame(a, g)
     b_frame = dialect_frame(b, g)
-    a_full = np.column_stack([a_frame, complete_orthonormal(a_frame)])
-    b_full = np.column_stack([b_frame, complete_orthonormal(b_frame)])
-    return b_full @ dagger(a_full)
+    # Householder QR keeps v orthonormal also when the two frames overlap
+    v, _ = np.linalg.qr(np.column_stack([a_frame, b_frame]))
+    a_in, b_in = dagger(v) @ a_frame, dagger(v) @ b_frame
+    eye = np.eye(v.shape[1])
+    # the polar factor of b a^dag + (I - b b^dag)(I - a a^dag) maps a to b and,
+    # needing no completion convention, fixes every direction orthogonal to both
+    off_a, off_b = eye - a_in @ dagger(a_in), eye - b_in @ dagger(b_in)
+    left, _, right = np.linalg.svd(b_in @ dagger(a_in) + off_b @ off_a)
+    w = v @ (left @ right - eye) @ dagger(v)
+    w += np.eye(a.shape[0])
+    return w

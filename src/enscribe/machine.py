@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, procedures, texts
 from .certificates import (
@@ -79,7 +78,9 @@ def ancilla_states(q: complex) -> AncillaStates:
 
 def controlled_swap(dim: int) -> np.ndarray:
     """Unitary involution exchanging the two registers when the ancilla is |1>."""
-    return scipy.linalg.block_diag(np.eye(dim * dim, dtype=complex), linalg.swap_operator(dim))
+    cswap = np.eye(2 * dim * dim, dtype=complex)
+    cswap[dim * dim :] = linalg.swap_factors(cswap[dim * dim :], dim)
+    return cswap
 
 
 def real_q_success_probability(text: texts.QuantumText, params: EnscriptionParams, i: int) -> float | None:

@@ -24,7 +24,8 @@ def build_procedure(
     """Unitary on the doubled space mapping each entangled input to its clone.
 
     The correspondence fixes the action on the span of the inputs; the
-    orthogonal complement is completed deterministically. The Gram-match gate
+    procedure is the identity outside span(inputs, clones) and a rotation
+    inside (linalg.unitary_from_correspondence). The Gram-match gate
     is widened with the certificate residual, since a residual r allows the
     two families' Gram matrices to differ at that scale.
     """

@@ -64,7 +64,14 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best certificate found (if any) together with the attained residual."""
+    """Best certificate found (if any) together with the attained residual.
+
+    Without a certificate, ``best_residual`` is the search's floor: the
+    largest pair mismatch at each start's end point, minimized over the
+    starts. Each start minimizes the sum of squared mismatches, not the
+    largest one, so the floor moves with the stop rules of _minimize_start;
+    it is evidence of infeasibility, not a lower bound on the residual.
+    """
 
     certificate: EnscriptionCertificate | None
     best_residual: float

@@ -16,7 +16,7 @@ from enscribe import (
     residual_via_states,
     tablet_flavor,
 )
-from enscribe.errors import DegenerateNormalizer, QOutOfRange
+from enscribe.errors import DegenerateNormalizer, DimensionMismatch, QOutOfRange
 
 from helpers import random_classical_text, random_state, random_text
 
@@ -157,6 +157,23 @@ def test_params_validation():
         EnscriptionParams.from_q(0.5, [1.0, 1.0], phases=np.ones(2))  # non-unit tablet
     with pytest.raises(Exception):
         EnscriptionParams.from_q(0.5, [1.0, 0.0], phases=np.array([1.0, 0.5]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "q, tablet, phases, error",
+    [
+        (float("nan"), [1.0, 0.0], [1.0, 1.0], QOutOfRange),
+        (complex(float("inf"), 0.0), [1.0, 0.0], [1.0, 1.0], QOutOfRange),
+        (0.5, [float("nan"), 0.0], [1.0, 1.0], DimensionMismatch),
+        (0.5, [1.0, 0.0], [1.0, float("nan")], DimensionMismatch),
+    ],
+    ids=["nan-q", "infinite-q", "nan-tablet", "nan-phase"],
+)
+def test_params_reject_non_finite_values(q, tablet, phases, error):
+    # every comparison with NaN is False, so a check of the form abs(...) > tol let these through
+    with pytest.raises(error):
+        EnscriptionParams.from_q(q, tablet, phases=phases)
 
 
 def test_tablet_flavors():

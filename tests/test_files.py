@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from enscribe import QInterval, files, make_real_uniform, solve_two_text, qubit_example
-from enscribe.errors import ParseError
+from enscribe.errors import ParseError, QOutOfRange
 
 from helpers import random_text
 
@@ -61,6 +61,20 @@ def test_malformed_inputs_raise_parse_error(tmp_path):
 def test_malformed_procedure_raises_parse_error(matrix):
     with pytest.raises(ParseError):
         files.procedure_from_dict({"dim": 2, "matrix": matrix})
+
+
+def test_certificate_with_nan_q_is_rejected():
+    data = files.certificate_to_dict(solve_two_text(make_real_uniform(2, 0.5)))
+    data["q"] = [float("nan"), 0.0]
+    with pytest.raises(QOutOfRange):
+        files.certificate_from_dict(json.loads(json.dumps(data)))
+
+
+def test_procedure_with_nan_entry_raises_parse_error():
+    data = files.procedure_to_dict(np.eye(2, dtype=complex))
+    data["matrix"][1][0] = [float("nan"), 0.0]
+    with pytest.raises(ParseError):
+        files.procedure_from_dict(data)
 
 
 def test_dump_json_is_deterministic():

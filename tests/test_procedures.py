@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enscribe import (
     EnscriptionParams,
@@ -76,6 +78,49 @@ def test_correspondence_gate_is_sharp():
         unitary_from_correspondence(ins, outs, 3, gram_tol=1e-10)
     w = unitary_from_correspondence(ins, outs, 3, gram_tol=1e-8)
     assert _unitarity_defect(w) < 1e-12
+
+
+@st.composite
+def gram_matched_families(draw):
+    """Inputs and outputs with equal Gram matrices: N <= 6 unit vectors of rank r in C^dim.
+
+    dim is N..max(N, 2r), where the rotation may fill the space, or 4r..30; the
+    outputs are the inputs under a unitary that moves only the first few
+    coordinates, so the two spans may share directions.
+    """
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, n))
+    dim = draw(st.integers(n, max(n, 2 * rank)) | st.integers(max(n, 4 * rank), 30))
+    moved = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    a = span @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
+    a /= np.linalg.norm(a, axis=0)
+    rot = np.eye(dim, dtype=complex)
+    rot[:moved, :moved] = random_unitary(rng, moved)
+    return list(a.T), list((rot @ a).T)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(gram_matched_families())
+def test_correspondence_is_the_identity_plus_a_rotation_on_both_spans(families):
+    ins, outs = families
+    dim = ins[0].shape[0]
+    w = unitary_from_correspondence(ins, outs, dim)
+    assert max(np.linalg.norm(w @ a - b) for a, b in zip(ins, outs)) < 1e-10
+    assert _unitarity_defect(w) < 1e-12
+    # W x = x for every x orthogonal to both families
+    u, sv, _ = np.linalg.svd(np.column_stack(ins + outs))
+    outside = u[:, int(np.sum(sv > 1e-10 * sv[0])) :]
+    assert np.max(np.abs(w @ outside - outside), initial=0.0) < 1e-12
+    assert np.array_equal(w, unitary_from_correspondence(ins, outs, dim))
+
+
+def test_correspondence_rejects_nan_vectors():
+    ins = [np.array([1.0, 0.0], dtype=complex)]
+    outs = [np.array([np.nan, 0.0], dtype=complex)]
+    with pytest.raises(GramMismatch):
+        unitary_from_correspondence(ins, outs, 2)
 
 
 def test_build_procedure_classical_two_text():

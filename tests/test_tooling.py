@@ -58,6 +58,14 @@ def test_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_scipy_module():
+    # the package needs only numpy; scipy.linalg alone took about 0.2 s of every import
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, enscribe; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # the tolerance and start-count parameters some caller sets; every other
 # threshold is a named module constant
 SETTABLE = {
