@@ -37,13 +37,11 @@ from .machine import (
     duan_guo_saturation,
     failure_state_symmetry_check,
     run_clone,
-    sample_clone,
     success_probability,
 )
 from .procedures import (
     build_procedure,
     qubit_example,
-    symmetrize_procedure,
     verify_procedure,
 )
 from .search import SearchOptions, SearchResult, feasibility_search

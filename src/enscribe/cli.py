@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.func(args)
-    except (EnscribeError, FileNotFoundError) as exc:
+    except (EnscribeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,10 +65,6 @@ class DirectionNotOrthogonal(EnscribeError):
     """A thin-extension direction is not orthogonal to the dialect."""
 
 
-class NotQOne(EnscribeError):
-    """Operation requires a certificate with entanglement parameter 1."""
-
-
 class QZero(EnscribeError):
     """The cloning machine is undefined at q = 0."""
 

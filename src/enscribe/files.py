@@ -26,7 +26,12 @@ def _vector(v: np.ndarray) -> list:
 
 
 def _unvector(pairs) -> np.ndarray:
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
+    """The complex vector of a list of [re, im] entries; ValueError unless each is exactly two numbers."""
+    a = np.array(pairs)
+    if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iuf":
+        raise ValueError("complex entries must be [re, im] pairs of numbers")
+    # a view, not re + 1j * im, keeps every bit: that sum turns an re of -0.0 into 0.0
+    return np.ascontiguousarray(a, dtype=float).view(complex)[:, 0]
 
 
 def text_to_dict(text: texts.QuantumText) -> dict:
@@ -59,7 +64,7 @@ def certificate_to_dict(cert: EnscriptionCertificate) -> dict:
 
 def certificate_from_dict(data: dict, text: texts.QuantumText | None = None) -> EnscriptionCertificate:
     try:
-        q = complex(data["q"][0], data["q"][1])
+        q = complex(_unvector([data["q"]])[0])
         tablet = _unvector(data["tablet"])
         phases = _unvector(data["phases"])
         residual = float(data["residual"])
@@ -119,7 +124,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

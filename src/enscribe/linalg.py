@@ -43,18 +43,6 @@ def swap_operator(dim: int) -> np.ndarray:
     return swap_factors(np.eye(dim * dim, dtype=complex), dim)
 
 
-def symmetric_basis(dim: int) -> np.ndarray:
-    """Isometry whose columns span the swap-symmetric subspace of C^(dim^2)."""
-    # columns: the diagonal states |ii>, then (|ij> + |ji>)/sqrt(2) for i < j in row order
-    diag = np.arange(dim)
-    i, j = np.triu_indices(dim, 1)
-    pairs = dim + np.arange(i.size)
-    basis = np.zeros((dim * dim, dim + i.size), dtype=complex)
-    basis[diag * dim + diag, diag] = 1.0
-    basis[i * dim + j, pairs] = basis[j * dim + i, pairs] = 1.0 / np.sqrt(2.0)
-    return basis
-
-
 def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns completing ``cols`` (dim x r, orthonormal) to a basis of C^dim.
 

@@ -45,9 +45,8 @@ class CloneOutcome:
     p_success: float
     success_state: np.ndarray
     failure_state: np.ndarray | None
-    final_clone: np.ndarray | None
-    fidelity: float | None
-    measurement: int
+    final_clone: np.ndarray
+    fidelity: float
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,7 @@ def run_clone(
     Prepares the ancilla, applies the controlled swap to
     xi (x) psi_i (x) tablet, verifies the orthogonal success/failure
     decomposition, and applies the enscription procedure on the success
-    branch. The reported measurement eigenvalue is the success outcome 1;
-    the failure branch state is also recorded (None when p_i = 1).
+    branch; the failure branch state is also recorded (None when p_i = 1).
     """
     if not cert.is_valid(accept_tol):
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {accept_tol:.1e}")
@@ -160,29 +158,6 @@ def run_clone(
         failure_state=failure_state,
         final_clone=final_clone,
         fidelity=fidelity,
-        measurement=1,
-    )
-
-
-def sample_clone(
-    text: texts.QuantumText,
-    cert: EnscriptionCertificate,
-    i: int,
-    rng: np.random.Generator,
-    procedure: np.ndarray | None = None,
-) -> CloneOutcome:
-    """Demonstration-only sampled run: draws the measurement from Bernoulli(p_i)."""
-    outcome = run_clone(text, cert, i, procedure=procedure)
-    if rng.random() < outcome.p_success:
-        return outcome
-    return CloneOutcome(
-        index=i,
-        p_success=outcome.p_success,
-        success_state=outcome.success_state,
-        failure_state=outcome.failure_state,
-        final_clone=None,
-        fidelity=None,
-        measurement=0,
     )
 
 

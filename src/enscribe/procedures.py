@@ -6,7 +6,7 @@ import numpy as np
 
 from . import linalg, texts
 from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, certificate, entangled_input
-from .errors import InvalidCertificate, NotQOne
+from .errors import InvalidCertificate
 
 
 def _inputs_and_clones(text: texts.QuantumText, p: EnscriptionParams) -> tuple:
@@ -25,9 +25,11 @@ def build_procedure(
 
     The correspondence fixes the action on the span of the inputs; the
     procedure is the identity outside span(inputs, clones) and a rotation
-    inside (linalg.unitary_from_correspondence). The Gram-match gate
-    is widened with the certificate residual, since a residual r allows the
-    two families' Gram matrices to differ at that scale.
+    inside (linalg.unitary_from_correspondence). At q = 1 the inputs and the
+    clones are all swap-symmetric, so the procedure commutes with the swap
+    of the two copies. The Gram-match gate is widened with the certificate
+    residual, since a residual r allows the two families' Gram matrices to
+    differ at that scale.
     """
     if cert.params.n_states != text.n_states:
         raise InvalidCertificate("certificate does not match the text size")
@@ -54,32 +56,6 @@ def verify_procedure(
         action = max(action, float(np.linalg.norm(u @ omega - clone)))
     defect = float(np.linalg.norm(linalg.dagger(u) @ u - np.eye(u.shape[0])))
     return action + defect
-
-
-def symmetrize_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> np.ndarray:
-    """Swap-commuting procedure for a certificate at entanglement parameter 1.
-
-    At q = 1 both the entangled inputs and the clone outputs lie in the
-    symmetric subspace, so the correspondence can be built there and extended
-    by the identity on the antisymmetric subspace; the result commutes with
-    the factor-exchange operator.
-    """
-    p = cert.params
-    if abs(p.Q - 1.0) > 1e-9 or abs(complex(p.q) - 1.0) > 1e-9:
-        raise NotQOne("symmetrized procedures require q = 1")
-    if not cert.is_valid():
-        raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
-    d = text.dimension
-    iso = linalg.symmetric_basis(d)
-    proj = linalg.dagger(iso)
-    inputs, clones = _inputs_and_clones(text, p)
-    gram_tol = max(linalg.GRAM_TOL, 10.0 * cert.residual)
-    w_sym = linalg.unitary_from_correspondence(
-        [proj @ v for v in inputs], [proj @ v for v in clones], iso.shape[1], gram_tol=gram_tol
-    )
-    full = iso @ w_sym @ linalg.dagger(iso)
-    full += np.eye(d * d) - iso @ linalg.dagger(iso)
-    return full
 
 
 def qubit_example():

@@ -195,6 +195,13 @@ def test_missing_file_is_an_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_directory_path_is_an_error(tmp_path, capsys):
+    path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
+    for argv in (["classify", "--input", str(tmp_path)], ["classify", "--input", path, "--output", str(tmp_path)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_malformed_file_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")

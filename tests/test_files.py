@@ -57,7 +57,26 @@ def test_malformed_inputs_raise_parse_error(tmp_path):
         files.load_text(str(bad))
 
 
-@pytest.mark.parametrize("matrix", [[], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]])
+def test_non_utf8_file_raises_parse_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError):
+        files.load_text(str(bad))
+
+
+def test_three_element_entries_raise_parse_error():
+    with pytest.raises(ParseError):
+        files.text_from_dict({"dimension": 2, "states": [[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]]})
+    data = files.certificate_to_dict(solve_two_text(make_real_uniform(2, 0.5)))
+    data["q"] = [data["q"][0], data["q"][1], 5.0]
+    with pytest.raises(ParseError):
+        files.certificate_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], [[[1.0, 0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+)
 def test_malformed_procedure_raises_parse_error(matrix):
     with pytest.raises(ParseError):
         files.procedure_from_dict({"dim": 2, "matrix": matrix})

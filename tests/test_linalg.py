@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enscribe.linalg import complete_orthonormal, swap_factors, swap_operator, symmetric_basis
+from enscribe.linalg import complete_orthonormal, swap_factors, swap_operator
 from enscribe.machine import controlled_swap
 
 from helpers import random_unitary
@@ -89,12 +89,3 @@ def test_swap_operators_equal_their_literal_definitions():
         assert swap_operator(d).dtype == controlled_swap(d).dtype == complex
         assert np.array_equal(swap_operator(d), swap)
         assert np.array_equal(controlled_swap(d), cswap)
-        # swap-symmetric isometry: the d diagonal states, then the pairs i < j in row order
-        sym = np.zeros((d2, d * (d + 1) // 2), dtype=complex)
-        col = d
-        for a in range(d):
-            sym[a * d + a, a] = 1.0
-            for b in range(a + 1, d):
-                sym[a * d + b, col] = sym[b * d + a, col] = 1.0 / np.sqrt(2.0)
-                col += 1
-        assert np.array_equal(symmetric_basis(d), sym)

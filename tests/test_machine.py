@@ -13,7 +13,6 @@ from enscribe import (
     make_text,
     qubit_example,
     run_clone,
-    sample_clone,
     solve_two_text,
     success_probability,
     swap_operator,
@@ -118,7 +117,6 @@ def test_run_clone_qubit_example_probability_and_fidelity():
         p_real = (1.0 + cert.params.Q * ov) / (1.0 + abs(cert.params.Q))
         assert abs(outcome.p_success - p_real) < 1e-12
         assert abs(outcome.fidelity - 1.0) < 1e-8
-        assert outcome.measurement == 1
 
 
 def test_run_clone_norm_and_decomposition():
@@ -216,17 +214,3 @@ def test_measurement_observable_spectrum():
     obs = np.kron(proj, np.eye(4))
     eigs = np.linalg.eigvalsh(obs)
     assert np.all((np.abs(eigs) < 1e-12) | (np.abs(eigs - 1.0) < 1e-12))
-
-
-def test_sample_clone_is_seeded():
-    text = make_real_uniform(2, -0.5)
-    cert = solve_two_text(text)
-    u = build_procedure(text, cert)
-    draws_a = [sample_clone(text, cert, 0, np.random.default_rng(5), procedure=u).measurement for _ in range(1)]
-    draws_b = [sample_clone(text, cert, 0, np.random.default_rng(5), procedure=u).measurement for _ in range(1)]
-    assert draws_a == draws_b
-    outcomes = {
-        sample_clone(text, cert, 0, np.random.default_rng(k), procedure=u).measurement
-        for k in range(20)
-    }
-    assert outcomes <= {0, 1}

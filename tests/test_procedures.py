@@ -8,6 +8,7 @@ from enscribe import (
     build_procedure,
     certificate,
     entangled_input,
+    feasibility_search,
     gram,
     make_real_uniform,
     make_text,
@@ -15,13 +16,13 @@ from enscribe import (
     solve_real_uniform_central,
     solve_two_text,
     swap_operator,
-    symmetrize_procedure,
     unitary_from_correspondence,
     verify_procedure,
 )
-from enscribe.errors import GramMismatch, InvalidCertificate, NotQOne
+from enscribe.errors import GramMismatch, InvalidCertificate
+from enscribe.search import SearchOptions
 
-from helpers import random_classical_text, random_state, random_unitary
+from helpers import random_classical_text, random_state, random_text, random_unitary
 
 
 def _unitarity_defect(u):
@@ -172,29 +173,40 @@ def test_qubit_example_explicit_matrix():
     assert abs(gram(text)[0, 1] - (np.sqrt(3) - 2)) < 1e-12
 
 
-def test_symmetrize_procedure_qubit_example():
-    text, cert, _ = qubit_example()
-    u = symmetrize_procedure(text, cert)
-    p = swap_operator(2)
-    assert np.linalg.norm(u @ p - p @ u) < 1e-10
+def _q_one_case(kind, seed):
+    """A text and a certificate at Q = 1: a fixed example or a seeded search result."""
+    if kind == "qubit-example":
+        text, cert, _ = qubit_example()
+        return text, cert
+    if kind == "classical-pair":
+        text = make_text(2, [[1, 0], [0, 1]])
+        return text, certificate(text, EnscriptionParams.from_q(1.0, text.state(0), n_states=2))
+    rng = np.random.default_rng(seed)
+    if kind == "random-2-text":
+        text = random_text(rng, 2, int(rng.integers(2, 5)))
+    elif kind == "classical-3-text":
+        text = random_classical_text(rng, 3, int(rng.integers(3, 5)))
+    else:
+        text = make_real_uniform(3, -0.2)
+    result = feasibility_search(text, 1.0, SearchOptions(seed=seed))
+    assert result.feasible
+    return text, result.certificate
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("qubit-example", 0), ("classical-pair", 0), ("uniform-3-text", 0)]
+    + [("random-2-text", seed) for seed in range(8)]
+    + [("classical-3-text", seed) for seed in range(4)],
+)
+def test_procedure_commutes_with_swap_at_q_one(kind, seed):
+    # at q = 1 the inputs and the clones are swap-symmetric, and so is their span
+    text, cert = _q_one_case(kind, seed)
+    assert abs(cert.params.Q - 1.0) < 1e-12
+    u = build_procedure(text, cert)
+    s = swap_operator(text.dimension)
+    assert np.linalg.norm(u @ s - s @ u) < 1e-12
     assert verify_procedure(u, text, cert) < 1e-8
-
-
-def test_symmetrize_procedure_classical_pair():
-    text = make_text(2, [[1, 0], [0, 1]])
-    params = EnscriptionParams.from_q(1.0, text.state(0), n_states=2)
-    cert = certificate(text, params)
-    u = symmetrize_procedure(text, cert)
-    p = swap_operator(2)
-    assert np.linalg.norm(u @ p - p @ u) < 1e-10
-    assert verify_procedure(u, text, cert) < 1e-8
-
-
-def test_symmetrize_procedure_requires_q_one():
-    text = make_real_uniform(2, 0.5)
-    cert = solve_two_text(text)
-    with pytest.raises(NotQOne):
-        symmetrize_procedure(text, cert)
 
 
 def test_procedures_are_deterministic():

@@ -49,15 +49,6 @@ def test_benchmark_hooks_keep_their_signatures():
     assert list(inspect.signature(search._Objective.residual_vector).parameters) == ["self", "x", "fixed_q"]
 
 
-def test_import_leaves_scipy_optimize_out():
-    # the search solves with its own Jacobian; scipy.optimize would add about
-    # 0.3 s and 20 MB to every import
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, enscribe; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
 def test_import_loads_no_scipy_module():
     # the package needs only numpy; scipy.linalg alone took about 0.2 s of every import
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
