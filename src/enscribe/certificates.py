@@ -85,7 +85,7 @@ class EnscriptionParams:
         return self.phases.shape[0]
 
 
-# Residual below which a certificate is valid; every accept_tol default reads it.
+# Residual below which a certificate is valid: the one acceptance line, which no parameter moves.
 ACCEPT_TOL = 1e-8
 
 
@@ -95,8 +95,8 @@ class EnscriptionCertificate:
     residual: float
     flavor: str
 
-    def is_valid(self, accept_tol: float = ACCEPT_TOL) -> bool:
-        return self.residual < accept_tol
+    def is_valid(self) -> bool:
+        return self.residual < ACCEPT_TOL
 
 
 def input_normalizer(text: texts.QuantumText, i: int, q: complex, tablet: np.ndarray) -> float:
@@ -115,8 +115,6 @@ def entangled_input(text: texts.QuantumText, i: int, q: complex, tablet) -> np.n
     tab = np.asarray(tablet, dtype=complex).reshape(-1)
     if tab.shape[0] != text.dimension:
         raise DimensionMismatch("tablet length does not match the language dimension")
-    if not 0 <= i < text.n_states:
-        raise DimensionMismatch(f"state index {i} out of range")
     a = input_normalizer(text, i, q, tab)
     if a <= DEGENERATE_TOL:
         raise DegenerateNormalizer(f"entangled input {i} has vanishing norm (A={a:.3e})")

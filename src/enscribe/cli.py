@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import engine, files, linalg, machine, procedures, texts, verification
-from .certificates import ACCEPT_TOL, EnscriptionParams, certificate
+from .certificates import EnscriptionParams, certificate
 from .errors import EnscribeError
 from .search import SearchOptions, feasibility_search
 
@@ -37,10 +37,6 @@ def _inputs(args) -> list:
 
 def _load_text(args) -> texts.QuantumText:
     return files.load_text(_inputs(args)[0])
-
-
-def _search_options(args) -> SearchOptions:
-    return SearchOptions(seed=args.seed, starts=args.starts, accept_tol=args.tolerance)
 
 
 def cmd_classify(args) -> int:
@@ -96,8 +92,7 @@ def _solve_dispatch(text: texts.QuantumText, args):
         if uniform_z is not None:
             log.info("dispatching to the real-uniform central solver (z=%g)", uniform_z)
             return _real_uniform_certificate(text, uniform_z), None
-    options = _search_options(args)
-    result = feasibility_search(text, args.q, options)
+    result = feasibility_search(text, args.q, SearchOptions(seed=args.seed, starts=args.starts))
     if result.feasible:
         return result.certificate, result
     return None, result
@@ -121,9 +116,9 @@ def cmd_solve(args) -> int:
         _emit(report, args.output)
         return 2
     report = files.certificate_to_dict(cert)
-    report["feasible"] = bool(cert.residual < args.tolerance)
+    report["feasible"] = cert.is_valid()
     _emit(report, args.output)
-    return 0 if cert.residual < args.tolerance else 2
+    return 0 if cert.is_valid() else 2
 
 
 def _thin_interval(iv: engine.QInterval) -> engine.QInterval:
@@ -168,7 +163,7 @@ def _certificate_for(args, text):
 def cmd_build_procedure(args) -> int:
     text = _load_text(args)
     cert = _certificate_for(args, text)
-    u = procedures.build_procedure(text, cert, accept_tol=args.tolerance)
+    u = procedures.build_procedure(text, cert)
     defect = procedures.verify_procedure(u, text, cert)
     report = files.procedure_to_dict(u)
     report["verification_error"] = defect
@@ -179,10 +174,10 @@ def cmd_build_procedure(args) -> int:
 def cmd_clone(args) -> int:
     text = _load_text(args)
     cert = _certificate_for(args, text)
-    u = procedures.build_procedure(text, cert, accept_tol=args.tolerance)
+    u = procedures.build_procedure(text, cert)
     rows = []
     for i in range(text.n_states):
-        outcome = machine.run_clone(text, cert, i, procedure=u, accept_tol=args.tolerance)
+        outcome = machine.run_clone(text, cert, i, procedure=u)
         p_real = machine.real_q_success_probability(text, cert.params, i)
         parity = None if p_real is None else machine.failure_state_symmetry_check(text, cert, i).expected_parity
         rows.append(
@@ -224,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", action="append", help="input JSON file; repeat to pass a text then a certificate"
     )
     solver = argparse.ArgumentParser(add_help=False, parents=[reader, seed])
-    solver.add_argument("--tolerance", type=float, default=ACCEPT_TOL)
     solver.add_argument("--starts", type=int, default=64)
     solver.add_argument("--q", type=float, default=None, help="fix the entanglement parameter")
     solver.add_argument("--search", action="store_true", help="force the numeric search path")
@@ -244,14 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args) -> None:
-    """Check every seed, start count and tolerance up front, by the rule of SearchOptions."""
-    if "tolerance" in args:
-        _search_options(args)
-    elif "seed" in args:
-        SearchOptions(seed=args.seed)
-
-
 def main(argv=None) -> int:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("ENSCRIBE_LOG", "error").lower(), logging.ERROR
@@ -259,7 +245,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        _validate(args)
+        if "seed" in args:  # a bad seed or start count fails up front, by the rule of SearchOptions
+            SearchOptions(seed=args.seed, starts=getattr(args, "starts", SearchOptions.starts))
         return args.func(args)
     except (EnscribeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,10 +28,25 @@ def _vector(v: np.ndarray) -> list:
 def _unvector(pairs) -> np.ndarray:
     """The complex vector of a list of [re, im] entries; ValueError unless each is exactly two numbers."""
     a = np.array(pairs)
-    if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iuf":
+    # numpy reads a boolean beside numbers as 0 or 1, so the entries are searched for one
+    if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iuf" or bool in {type(x) for p in pairs for x in p}:
         raise ValueError("complex entries must be [re, im] pairs of numbers")
     # a view, not re + 1j * im, keeps every bit: that sum turns an re of -0.0 into 0.0
     return np.ascontiguousarray(a, dtype=float).view(complex)[:, 0]
+
+
+def _integer(value) -> int:
+    """A count field (a text's dimension, a procedure's dim); ValueError unless it is an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_written(normalized: np.ndarray, written: np.ndarray) -> np.ndarray:
+    """The written values where normalizing them again moved only their last bits, so a save and a load
+    are bit-exact (a saved unit vector's norm can be an ulp off 1); else the normalized ones."""
+    moved = np.max(np.abs(normalized - written), initial=0.0)
+    return written if moved <= 16 * np.finfo(float).eps else normalized
 
 
 def text_to_dict(text: texts.QuantumText) -> dict:
@@ -43,11 +58,12 @@ def text_to_dict(text: texts.QuantumText) -> dict:
 
 def text_from_dict(data: dict) -> texts.QuantumText:
     try:
-        dim = int(data["dimension"])
+        dim = _integer(data["dimension"])
         states = [_unvector(s) for s in data["states"]]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed text object: {exc}") from exc
-    return texts.make_text(dim, states)
+    text = texts.make_text(dim, states)
+    return dataclasses.replace(text, states=_as_written(text.states, np.column_stack(states)))
 
 
 def certificate_to_dict(cert: EnscriptionCertificate) -> dict:
@@ -72,6 +88,9 @@ def certificate_from_dict(data: dict, text: texts.QuantumText | None = None) -> 
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed certificate object: {exc}") from exc
     params = EnscriptionParams.from_q(q, tablet, phases=phases)
+    # EnscriptionParams normalizes on construction; set the written bits back
+    object.__setattr__(params, "tablet", _as_written(params.tablet, tablet))
+    object.__setattr__(params, "phases", _as_written(params.phases, phases))
     if text is not None:
         return certificate(text, params)
     return EnscriptionCertificate(params=params, residual=residual, flavor=flavor)
@@ -84,7 +103,7 @@ def procedure_to_dict(matrix: np.ndarray) -> dict:
 
 def procedure_from_dict(data: dict) -> np.ndarray:
     try:
-        dim = int(data["dim"])
+        dim = _integer(data["dim"])
         m = np.vstack([_unvector(r) for r in data["matrix"]])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed procedure object: {exc}") from exc

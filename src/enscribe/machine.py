@@ -108,7 +108,6 @@ def run_clone(
     cert: EnscriptionCertificate,
     i: int,
     procedure: np.ndarray | None = None,
-    accept_tol: float = ACCEPT_TOL,
 ) -> CloneOutcome:
     """Exact state-vector run of the machine on state i, post-selected on success.
 
@@ -117,8 +116,8 @@ def run_clone(
     decomposition, and applies the enscription procedure on the success
     branch; the failure branch state is also recorded (None when p_i = 1).
     """
-    if not cert.is_valid(accept_tol):
-        raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {accept_tol:.1e}")
+    if not cert.is_valid():
+        raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
     p = cert.params
     q = complex(p.q)
     if abs(q) == 0.0:
@@ -142,11 +141,11 @@ def run_clone(
     if decomp_err > 1e-10:
         raise InvalidCertificate(f"controlled-swap output decomposition off by {decomp_err:.3e}")
 
-    u = procedures.build_procedure(text, cert, accept_tol) if procedure is None else procedure
+    u = procedures.build_procedure(text, cert) if procedure is None else procedure
     final_clone = u @ omega_q
     target = np.kron(text.state(i), text.state(i))
     clone_err = float(np.linalg.norm(final_clone - p.phases[i] * target))
-    if clone_err > max(accept_tol, 10.0 * cert.residual):
+    if clone_err > max(ACCEPT_TOL, 10.0 * cert.residual):
         raise InvalidCertificate(
             f"procedure misses the phased clone of state {i} by {clone_err:.3e}"
         )
@@ -174,9 +173,7 @@ def failure_state_symmetry_check(
     q = complex(cert.params.q)
     if abs(q.imag) > 1e-12:
         raise ComplexQ("failure-state parity is only defined for real q")
-    if abs(q) == 0.0:
-        raise QZero("the cloning machine is undefined at q = 0")
-    prob = success_probability(text, cert.params, i)
+    prob = success_probability(text, cert.params, i)  # raises QZero at q = 0
     if 1.0 - prob <= 1e-12:
         return FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)
     omega_fail = entangled_input(text, i, -q / abs(q), cert.params.tablet)

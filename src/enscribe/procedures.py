@@ -16,11 +16,7 @@ def _inputs_and_clones(text: texts.QuantumText, p: EnscriptionParams) -> tuple:
     return inputs, clones
 
 
-def build_procedure(
-    text: texts.QuantumText,
-    cert: EnscriptionCertificate,
-    accept_tol: float = ACCEPT_TOL,
-) -> np.ndarray:
+def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> np.ndarray:
     """Unitary on the doubled space mapping each entangled input to its clone.
 
     The correspondence fixes the action on the span of the inputs; the
@@ -33,8 +29,8 @@ def build_procedure(
     """
     if cert.params.n_states != text.n_states:
         raise InvalidCertificate("certificate does not match the text size")
-    if not cert.is_valid(accept_tol):
-        raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {accept_tol:.1e}")
+    if not cert.is_valid():
+        raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
     inputs, clones = _inputs_and_clones(text, cert.params)
     gram_tol = max(linalg.GRAM_TOL, 10.0 * cert.residual)
     dim = text.dimension ** 2

@@ -16,7 +16,7 @@ parameters.
 
 Each start is one Levenberg-Marquardt solve of the pairwise mismatches with
 their analytic Jacobian. Starts run in a fixed, seeded order and the first
-whose largest residual beats the accept tolerance wins, so the search stops
+whose largest residual beats certificates.ACCEPT_TOL wins, so the search stops
 there. When no start certifies, every start runs and the result
 records the lexicographic minimum of (residual, start index): a floor over
 the starts, not a proof of infeasibility. The starts are coordinate vectors:
@@ -27,7 +27,7 @@ tablet is built once, for the winning start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, isfinite, sin, sqrt
+from math import cos, sin, sqrt
 
 import numpy as np
 
@@ -47,19 +47,16 @@ FLOOR_TOL = 1e-4
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Seed, start count and accept tolerance of a search; invalid values raise EnscribeError."""
+    """Seed and start count of a search; invalid values raise EnscribeError."""
 
     seed: int = 0
     starts: int = 64
-    accept_tol: float = ACCEPT_TOL
 
     def __post_init__(self):
         if not self.seed >= 0:
             raise EnscribeError(f"seed must be nonnegative, got {self.seed}")
         if not self.starts >= 1:
             raise EnscribeError(f"starts must be at least 1, got {self.starts}")
-        if not (isfinite(self.accept_tol) and self.accept_tol > 0.0):
-            raise EnscribeError(f"tolerance must be finite and positive, got {self.accept_tol}")
 
 
 @dataclass(frozen=True)
@@ -323,7 +320,7 @@ def feasibility_search(
     entangled inputs are dependent, see engine.q_minus_one_dependence_check),
     so no start runs and the floor is infinite.
 
-    The first start, in start order, whose residual beats the accept tolerance
+    The first start, in start order, whose residual beats ACCEPT_TOL
     ends the search and yields the certificate. Otherwise every start runs
     and the result records the attained floor with verdict "infeasible"
     (above the floor tolerance) or "inconclusive" (in between).
@@ -343,12 +340,12 @@ def feasibility_search(
         res, phases = obj.max_residual(x, fixed_q)
         if res < best_res:
             best_x, best_res, best_idx, best_phases = x, res, idx, phases
-        if res < options.accept_tol:
+        if res < ACCEPT_TOL:
             break
     if best_x is None:
         return SearchResult(None, np.inf, "infeasible", fixed_q, -1, evals)
     qv = obj.q_of(best_x, fixed_q)
-    if best_res < options.accept_tol:
+    if best_res < ACCEPT_TOL:
         params = EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases)
         return SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
     verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"

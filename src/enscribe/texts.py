@@ -45,6 +45,9 @@ class QuantumText:
         return self.states.shape[1]
 
     def state(self, i: int) -> np.ndarray:
+        """State i for 0 <= i < N; any other index raises DimensionMismatch."""
+        if not 0 <= i < self.states.shape[1]:
+            raise DimensionMismatch(f"state index {i} out of range for {self.states.shape[1]} states")
         return self.states[:, i]
 
     def subtext(self, indices) -> "QuantumText":

@@ -1,10 +1,22 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enscribe import QInterval, files, make_real_uniform, solve_two_text, qubit_example
-from enscribe.errors import ParseError, QOutOfRange
+from enscribe import (
+    EnscriptionCertificate,
+    EnscriptionParams,
+    QInterval,
+    files,
+    make_real_uniform,
+    make_text,
+    qubit_example,
+    solve_two_text,
+)
+from enscribe.errors import EnscribeError, ParseError, QOutOfRange
 
 from helpers import random_text
 
@@ -74,6 +86,37 @@ def test_three_element_entries_raise_parse_error():
 
 
 @pytest.mark.parametrize(
+    "entry", [[True, False], [False, 0.0], [1.0, True], [1, False]], ids=["bools", "bool-re", "bool-im", "int-bool"]
+)
+def test_boolean_entries_raise_parse_error(entry):
+    # numpy reads a boolean beside numbers as 0 or 1; JSON true is not a number here
+    with pytest.raises(ParseError):
+        files.text_from_dict({"dimension": 2, "states": [[entry, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    data = files.certificate_to_dict(solve_two_text(make_real_uniform(2, 0.5)))
+    data["q"] = entry
+    with pytest.raises(ParseError):
+        files.certificate_from_dict(data)
+    with pytest.raises(ParseError):
+        files.procedure_from_dict({"dim": 2, "matrix": [[entry, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "2", math.inf], ids=repr)
+def test_dimension_and_dim_must_be_integers(value):
+    # one reader serves both: no truncation of 2.7, no True as 1, and 1e400 (read as inf) is no OverflowError
+    with pytest.raises(ParseError):
+        files.text_from_dict({"dimension": value, "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    with pytest.raises(ParseError):
+        files.procedure_from_dict({"dim": value, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+
+
+def test_overflowing_dimension_in_a_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"dimension": 1e400, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}')
+    with pytest.raises(ParseError):
+        files.load_text(str(path))
+
+
+@pytest.mark.parametrize(
     "matrix",
     [[], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], [[[1.0, 0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
 )
@@ -122,3 +165,98 @@ def test_dump_json_writes_numpy_values_complex_numbers_and_dataclasses():
 def test_dump_json_refuses_non_finite_numbers(value):
     with pytest.raises(ValueError):
         files.dump_json({"x": value})
+
+
+@st.composite
+def saved_objects(draw):
+    """A text, certificate or procedure, with the text a certificate is loaded against.
+
+    Entries drawn as zero are written as -0.0, which a sum re + 1j * im would turn into 0.0.
+    """
+    kind = draw(st.sampled_from(["text", "certificate", "procedure"]))
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4 if d > 1 else 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+
+    def unit():
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v[zeros] = complex(-0.0, -0.0)
+        return v / np.linalg.norm(v) if np.any(v) else np.eye(d)[0] * complex(1.0, -0.0)
+
+    try:
+        text = make_text(d, [unit() for _ in range(n)])
+    except EnscribeError:  # zeros in the same places can make two states colinear
+        text = random_text(rng, n, d)
+    if kind == "text":
+        return kind, text, text
+    if kind == "procedure":
+        return kind, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), None
+    q = complex(*draw(st.sampled_from([(0.0, 0.0), (-0.0, 1.0), (1.0, 0.0)]) | st.just(tuple(rng.standard_normal(2)))))
+    params = EnscriptionParams.from_q(q, unit(), phases=np.exp(2j * np.pi * rng.random(n)))
+    residual = draw(st.sampled_from([0.0, 1e-17]) | st.floats(0.0, 10.0))
+    cert = EnscriptionCertificate(params, residual, draw(st.sampled_from(["central", "generic"])))
+    return kind, cert, text
+
+
+_WRITE = {"text": files.text_to_dict, "certificate": files.certificate_to_dict, "procedure": files.procedure_to_dict}
+
+
+def _load_all(kind, data, text):
+    """Every reader of one kind of dict; a certificate is read alone and against its text."""
+    if kind == "text":
+        return [files.text_from_dict(data)]
+    if kind == "procedure":
+        return [files.procedure_from_dict(data)]
+    return [files.certificate_from_dict(data), files.certificate_from_dict(data, text)]
+
+
+def _bits(obj) -> list:
+    if isinstance(obj, np.ndarray):
+        return [obj.tobytes()]
+    if hasattr(obj, "states"):
+        return [obj.dimension, obj.states.tobytes()]
+    p = obj.params
+    return [np.complex128(p.q).tobytes(), np.float64(p.Q).tobytes(), p.tablet.tobytes(), p.phases.tobytes(),
+            np.float64(obj.residual).tobytes(), obj.flavor]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(saved_objects())
+def test_saved_objects_load_bit_exactly(case):
+    kind, obj, _ = case
+    saved = files.dump_json(_WRITE[kind](obj))
+    back = _load_all(kind, json.loads(saved), None)[0]
+    assert _bits(back) == _bits(obj)
+    assert files.dump_json(_WRITE[kind](back)) == saved
+
+
+def _paths(node, path=()):
+    """The path of every value below a JSON node, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+# a bool, a string, null, a fraction, a nested list and 1e400 (which JSON reads as inf)
+_BAD_VALUES = [True, False, "1", None, 2.7, [[0.5]], json.loads("1e400")]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(saved_objects())
+def test_a_corrupted_value_raises_only_enscribe_errors(case):
+    # every value of the dict in turn, by every bad value
+    kind, obj, text = case
+    saved = files.dump_json(_WRITE[kind](obj))
+    for path in _paths(json.loads(saved)):
+        for bad in _BAD_VALUES:
+            doc = json.loads(saved)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+            try:
+                _load_all(kind, doc, text)
+            except EnscribeError:
+                pass

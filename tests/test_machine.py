@@ -17,8 +17,8 @@ from enscribe import (
     success_probability,
     swap_operator,
 )
-from enscribe import machine
-from enscribe.errors import ComplexQ, InvalidCertificate, QZero, ZOutOfRange
+from enscribe import input_normalizer, machine
+from enscribe.errors import ComplexQ, DimensionMismatch, InvalidCertificate, QZero, ZOutOfRange
 
 from helpers import random_classical_text, random_state, random_text
 
@@ -132,6 +132,27 @@ def test_run_clone_norm_and_decomposition():
             + np.sqrt(1 - outcome.p_success) * outcome.failure_state
         )
         assert abs(np.linalg.norm(total) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda text, cert, i: run_clone(text, cert, i),
+        lambda text, cert, i: success_probability(text, cert.params, i),
+        lambda text, cert, i: failure_state_symmetry_check(text, cert, i),
+        lambda text, cert, i: machine.real_q_success_probability(text, cert.params, i),
+        lambda text, cert, i: input_normalizer(text, i, cert.params.q, cert.params.tablet),
+    ],
+    ids=["run_clone", "success_probability", "failure_state_symmetry_check", "real_q_success_probability",
+         "input_normalizer"],
+)
+@pytest.mark.parametrize("i", [2, -1])
+def test_state_index_out_of_range_raises_dimension_mismatch(call, i):
+    # QuantumText.state owns the bounds check; -1 would silently pick the last state
+    text = make_real_uniform(2, -0.4)
+    cert = solve_two_text(text)
+    with pytest.raises(DimensionMismatch, match="state index"):
+        call(text, cert, i)
 
 
 def test_run_clone_rejects_zero_deformation():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enscribe import (
@@ -12,15 +12,18 @@ from enscribe import (
     gram,
     make_real_uniform,
     make_text,
+    q_range_real_uniform,
     qubit_example,
     solve_real_uniform_central,
     solve_two_text,
     swap_operator,
+    thin_extension_family,
     unitary_from_correspondence,
     verify_procedure,
 )
 from enscribe.errors import GramMismatch, InvalidCertificate
 from enscribe.search import SearchOptions
+from enscribe.verification import random_equivalence_image
 
 from helpers import random_classical_text, random_state, random_text, random_unitary
 
@@ -217,9 +220,38 @@ def test_procedures_are_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_every_procedure_is_unitary():
-    for z in (0.2, 0.5, -0.2):
-        text = make_real_uniform(2, z)
-        cert = solve_two_text(text)
-        u = build_procedure(text, cert)
-        assert _unitarity_defect(u) < 1e-10
+@st.composite
+def closed_form_certificates(draw):
+    """A text with a closed-form certificate: a random complex 2-text (d = 2..4), an
+    equivalence image of a feasible real uniform N-text (N = 3..5), or a thin 2-text's
+    certificate slid out of its dialect by the thin-extension lift."""
+    kind = draw(st.sampled_from(["two-text", "uniform-image", "thin-lift"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "two-text":
+        text = random_text(rng, 2, draw(st.integers(2, 4)))
+        return text, solve_two_text(text)
+    if kind == "uniform-image":
+        n = draw(st.integers(3, 5))
+        z = draw(st.floats(-1.0 / (n - 1), 0.9, exclude_min=True))
+        assume(not q_range_real_uniform(n, z).empty)
+        cert = solve_real_uniform_central(n, z)
+        image, v, beta, perm = random_equivalence_image(rng, make_real_uniform(n, z))
+        phases = [cert.params.phases[perm[i]] * np.conj(beta[i]) for i in range(n)]
+        return image, certificate(image, EnscriptionParams.from_q(cert.params.q, v @ cert.params.tablet, phases=phases))
+    d = draw(st.integers(3, 4))
+    text = random_text(rng, 2, d)
+    cert = solve_two_text(text)
+    frame = np.linalg.svd(text.states)[0]
+    direction = frame[:, 2:] @ (rng.standard_normal(d - 2) + 1j * rng.standard_normal(d - 2))
+    t = draw(st.floats(max(abs(cert.params.Q), 1e-6), 1.0))
+    return text, thin_extension_family(text, cert, t, direction)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(closed_form_certificates())
+def test_every_procedure_is_unitary(case):
+    text, cert = case
+    assert cert.is_valid()
+    u = build_procedure(text, cert)
+    assert _unitarity_defect(u) < 1e-10
+    assert verify_procedure(u, text, cert) < 1e-8

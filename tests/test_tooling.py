@@ -1,3 +1,4 @@
+import argparse
 import ast
 import inspect
 import os
@@ -58,13 +59,8 @@ def test_import_loads_no_scipy_module():
 
 
 # the tolerance and start-count parameters some caller sets; every other
-# threshold is a named module constant
-SETTABLE = {
-    ("certificates", "is_valid", "accept_tol"),
-    ("procedures", "build_procedure", "accept_tol"),
-    ("machine", "run_clone", "accept_tol"),
-    ("linalg", "unitary_from_correspondence", "gram_tol"),
-}
+# threshold, certificates.ACCEPT_TOL included, is a named module constant
+SETTABLE = {("linalg", "unitary_from_correspondence", "gram_tol")}
 
 
 def test_no_unset_tolerance_parameters():
@@ -137,3 +133,21 @@ def test_default_tol_readers_are_listed():
     for path in sorted(SRC.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem, None)
     assert found == DEFAULT_TOL_READERS
+
+
+def test_readme_flag_table_lists_each_subcommands_flags():
+    # the "| subcommand | flags |" table against cli.build_parser(), so a removed flag cannot linger
+    from enscribe import cli
+
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actual = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt not in ("-h", "--help")}
+        for name, sub in subparsers.choices.items()
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"^\| subcommand \| flags \|\n\| --- \| --- \|\n((?:\|.*\|\n)+)", readme, re.M).group(1)
+    listed = {}
+    for names, flags in re.findall(r"^\| (.*) \| (.*) \|$", table, re.M):
+        for name in re.findall(r"`([\w-]+)`", names):
+            listed[name] = set(re.findall(r"`(--[\w-]+)`", flags))
+    assert listed == actual
