@@ -1,7 +1,9 @@
 """JSON file formats for texts, certificates, procedures, and reports.
 
 Complex numbers are stored as two-element [re, im] arrays of doubles, which
-round-trips bit-exactly through Python's JSON encoder.
+round-trips bit-exactly through Python's JSON encoder. A file carries inputs,
+never verdicts: a certificate is read as its q, tablet and phases and
+certified again on its text, and a procedure is written but not read.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _unvector(pairs) -> np.ndarray:
 
 
 def _integer(value) -> int:
-    """A count field (a text's dimension, a procedure's dim); ValueError unless it is an integer."""
+    """A text's dimension; ValueError unless it is an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
@@ -78,40 +80,28 @@ def certificate_to_dict(cert: EnscriptionCertificate) -> dict:
     }
 
 
-def certificate_from_dict(data: dict, text: texts.QuantumText | None = None) -> EnscriptionCertificate:
+def certificate_from_dict(data: dict, text: texts.QuantumText) -> EnscriptionCertificate:
+    """The certificate of the written q, tablet and phases on ``text``.
+
+    The written Q, residual and flavor are not read: they are computed again
+    (``certificates.certificate``), so a file cannot vouch for itself.
+    """
     try:
         q = complex(_unvector([data["q"]])[0])
         tablet = _unvector(data["tablet"])
         phases = _unvector(data["phases"])
-        residual = float(data["residual"])
-        flavor = str(data["flavor"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed certificate object: {exc}") from exc
     params = EnscriptionParams.from_q(q, tablet, phases=phases)
     # EnscriptionParams normalizes on construction; set the written bits back
     object.__setattr__(params, "tablet", _as_written(params.tablet, tablet))
     object.__setattr__(params, "phases", _as_written(params.phases, phases))
-    if text is not None:
-        return certificate(text, params)
-    return EnscriptionCertificate(params=params, residual=residual, flavor=flavor)
+    return certificate(text, params)
 
 
 def procedure_to_dict(matrix: np.ndarray) -> dict:
     m = np.asarray(matrix, dtype=complex)
     return {"dim": m.shape[0], "matrix": [_vector(row) for row in m]}
-
-
-def procedure_from_dict(data: dict) -> np.ndarray:
-    try:
-        dim = _integer(data["dim"])
-        m = np.vstack([_unvector(r) for r in data["matrix"]])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"malformed procedure object: {exc}") from exc
-    if m.shape != (dim, dim):
-        raise ParseError(f"procedure matrix has shape {m.shape}, expected ({dim}, {dim})")
-    if not np.all(np.isfinite(m)):
-        raise ParseError("procedure matrix has a non-finite entry")
-    return m
 
 
 def _encode(obj):
@@ -155,17 +145,9 @@ def save_text(text: texts.QuantumText, path: str) -> None:
     dump_json(text_to_dict(text), path)
 
 
-def load_certificate(path: str, text: texts.QuantumText | None = None) -> EnscriptionCertificate:
+def load_certificate(path: str, text: texts.QuantumText) -> EnscriptionCertificate:
     return certificate_from_dict(load_json(path), text)
 
 
 def save_certificate(cert: EnscriptionCertificate, path: str) -> None:
     dump_json(certificate_to_dict(cert), path)
-
-
-def load_procedure(path: str) -> np.ndarray:
-    return procedure_from_dict(load_json(path))
-
-
-def save_procedure(matrix: np.ndarray, path: str) -> None:
-    dump_json(procedure_to_dict(matrix), path)

@@ -102,7 +102,7 @@ def dialect_frame(vectors: np.ndarray, g: np.ndarray | None = None) -> np.ndarra
 def unitary_from_correspondence(
     inputs,
     outputs,
-    dim: int | None = None,
+    dim: int,
     gram_tol: float = GRAM_TOL,
 ) -> np.ndarray:
     """Unitary W with W @ inputs[k] = outputs[k] for Gram-matched vector families.
@@ -119,17 +119,16 @@ def unitary_from_correspondence(
     both, including columns of V outside their span.
 
     Raises GramMismatch when the two Gram matrices differ by more than
-    ``gram_tol`` entrywise, DimensionMismatch on inconsistent shapes.
+    ``gram_tol`` entrywise, DimensionMismatch on empty families or
+    inconsistent shapes.
     """
-    a = np.column_stack([np.asarray(v, dtype=complex) for v in inputs]) if len(inputs) else None
-    b = np.column_stack([np.asarray(v, dtype=complex) for v in outputs]) if len(outputs) else None
-    if (a is None) != (b is None) or (a is not None and a.shape != b.shape):
+    if not len(inputs) or not len(outputs):
+        raise DimensionMismatch("a correspondence needs at least one vector on each side")
+    a = np.column_stack([np.asarray(v, dtype=complex) for v in inputs])
+    b = np.column_stack([np.asarray(v, dtype=complex) for v in outputs])
+    if a.shape != b.shape:
         raise DimensionMismatch("input and output families must have matching shapes")
-    if a is None:
-        if dim is None:
-            raise DimensionMismatch("dimension required for empty correspondence")
-        return np.eye(dim, dtype=complex)
-    if dim is not None and a.shape[0] != dim:
+    if a.shape[0] != dim:
         raise DimensionMismatch(f"vectors have length {a.shape[0]}, expected {dim}")
     ga = dagger(a) @ a
     gb = dagger(b) @ b

@@ -107,13 +107,14 @@ def run_clone(
     text: texts.QuantumText,
     cert: EnscriptionCertificate,
     i: int,
-    procedure: np.ndarray | None = None,
+    procedure: np.ndarray,
 ) -> CloneOutcome:
     """Exact state-vector run of the machine on state i, post-selected on success.
 
     Prepares the ancilla, applies the controlled swap to
     xi (x) psi_i (x) tablet, verifies the orthogonal success/failure
-    decomposition, and applies the enscription procedure on the success
+    decomposition, and applies the enscription procedure (from
+    procedures.build_procedure, built once per certificate) on the success
     branch; the failure branch state is also recorded (None when p_i = 1).
     """
     if not cert.is_valid():
@@ -141,8 +142,7 @@ def run_clone(
     if decomp_err > 1e-10:
         raise InvalidCertificate(f"controlled-swap output decomposition off by {decomp_err:.3e}")
 
-    u = procedures.build_procedure(text, cert) if procedure is None else procedure
-    final_clone = u @ omega_q
+    final_clone = procedure @ omega_q
     target = np.kron(text.state(i), text.state(i))
     clone_err = float(np.linalg.norm(final_clone - p.phases[i] * target))
     if clone_err > max(ACCEPT_TOL, 10.0 * cert.residual):

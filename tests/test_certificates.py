@@ -17,6 +17,7 @@ from enscribe import (
     tablet_flavor,
 )
 from enscribe.errors import DegenerateNormalizer, DimensionMismatch, QOutOfRange
+from enscribe.verification import random_equivalence_image
 
 from helpers import random_classical_text, random_state, random_text
 
@@ -231,3 +232,18 @@ def test_residual_depends_on_q_only_through_big_q(n, extra, seed, big_q, u, flip
     assert abs(via_real - via_other) < 1e-12
     assert abs(via_real - enscription_residual(text, real)) < 1e-12
     assert abs(via_other - enscription_residual(text, other)) < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0))
+def test_residual_is_covariant_under_equivalence(n, extra, seed, big_q):
+    # states beta_i V psi_perm(i), tablet V t and phases alpha_perm(i) conj(beta_i) scale
+    # each pair mismatch by a unit factor, for any parameters, valid or not
+    rng = np.random.default_rng(seed)
+    d = n + extra
+    text = random_text(rng, n, d)
+    params = EnscriptionParams.from_Q(big_q, random_state(rng, d), phases=np.exp(2j * np.pi * rng.random(n)))
+    image, v, beta, perm = random_equivalence_image(rng, text)
+    phases = [params.phases[perm[i]] * np.conj(beta[i]) for i in range(n)]
+    moved = EnscriptionParams.from_q(params.q, v @ params.tablet, phases=phases)
+    assert abs(enscription_residual(image, moved) - enscription_residual(text, params)) < 1e-12

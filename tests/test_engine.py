@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enscribe import (
     EnscriptionParams,
@@ -260,6 +262,55 @@ def test_direct_sum_enscribe_classical_pair_plus_two_text():
     # tablet orthogonal to the classical block
     ov = np.abs(combined.states[:, :2].conj().T @ lifted.params.tablet)
     assert np.max(ov) < 1e-9
+
+
+@st.composite
+def direct_sums(draw):
+    """A text with a valid certificate of its block at ``quantum``: a complex 2-text or a
+    feasible real uniform N-text (N = 3, 4), beside k <= 3 states orthogonal to it and to
+    each other, in C^(d + k + free) rotated at random, with the block at random positions.
+    The certificate's tablet may slide partly out of the block's dialect (thin extension)."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n == 2:
+        block = random_text(rng, 2, draw(st.integers(2, 3)))
+        cert = solve_two_text(block)
+    else:
+        z = draw(st.floats(-1.0 / (n - 1), 0.9, exclude_min=True))
+        assume(not q_range_real_uniform(n, z).empty)
+        block, cert = make_real_uniform(n, z), solve_real_uniform_central(n, z)
+    k = draw(st.integers(0, 3))
+    d = block.dimension
+    dim = d + k + draw(st.integers(0, 2))
+    w = random_unitary(rng, dim)
+    where = rng.permutation(n + k)
+    quantum, classical = tuple(int(i) for i in where[:n]), tuple(int(i) for i in where[n:])
+    states = np.zeros((dim, n + k), dtype=complex)
+    states[:d, list(quantum)] = block.states
+    states[d + np.arange(k), list(classical)] = 1.0
+    combined = make_text(dim, list((w @ states).T))
+    tablet, big_q = w[:, :d] @ cert.params.tablet, cert.params.Q
+    if dim > d and big_q != 0.0 and draw(st.booleans()):
+        # |Q| grows towards 1 while the tablet's part in the block's dialect shrinks
+        # by sqrt(Q / Q'), so Q |<psi_i|t>|^2 stays put
+        big_q = np.copysign(abs(big_q) + draw(st.floats(0.0, 1.0)) * (1.0 - abs(big_q)), big_q)
+        c = np.sqrt(cert.params.Q / big_q)
+        # direct_sum_enscribe refuses a tablet (nearly) orthogonal to the block's dialect
+        assume(c > 1e-4)
+        tablet = c * tablet + np.sqrt(1.0 - c * c) * w[:, d + int(rng.integers(dim - d))]
+    params = EnscriptionParams.from_Q(big_q, tablet, phases=cert.params.phases)
+    return combined, certificate(combined.subtext(quantum), params), quantum, classical
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(direct_sums())
+def test_direct_sum_lift_stays_valid(case):
+    combined, cert, quantum, classical = case
+    assert cert.is_valid()
+    lifted = direct_sum_enscribe(combined, cert, quantum)
+    assert lifted.is_valid()
+    overlaps = combined.states[:, list(classical)].conj().T @ lifted.params.tablet
+    assert np.max(np.abs(overlaps), initial=0.0) < 1e-9
 
 
 def test_direct_sum_enscribe_rejects_overlapping_complement():

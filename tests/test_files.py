@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enscribe import (
-    EnscriptionCertificate,
     EnscriptionParams,
     QInterval,
+    canonical_q,
+    certificate,
     files,
     make_real_uniform,
     make_text,
-    qubit_example,
     solve_two_text,
 )
 from enscribe.errors import EnscribeError, ParseError, QOutOfRange
@@ -32,10 +32,11 @@ def test_text_round_trip_is_exact(tmp_path):
 
 
 def test_certificate_round_trip(tmp_path):
-    cert = solve_two_text(make_real_uniform(2, 0.5))
+    text = make_real_uniform(2, 0.5)
+    cert = solve_two_text(text)
     path = tmp_path / "cert.json"
     files.save_certificate(cert, str(path))
-    back = files.load_certificate(str(path))
+    back = files.load_certificate(str(path), text)
     assert back.params.Q == cert.params.Q
     assert np.array_equal(back.params.tablet, cert.params.tablet)
     assert np.array_equal(back.params.phases, cert.params.phases)
@@ -52,11 +53,19 @@ def test_certificate_revalidated_against_text(tmp_path):
     assert back.residual < 1e-10
 
 
-def test_procedure_round_trip(tmp_path):
-    _, _, u = qubit_example()
-    path = tmp_path / "proc.json"
-    files.save_procedure(u, str(path))
-    assert np.array_equal(files.load_procedure(str(path)), u)
+def _solved_two_text():
+    """make_real_uniform(2, 0.5) and the dict of its closed-form certificate."""
+    text = make_real_uniform(2, 0.5)
+    return text, files.certificate_to_dict(solve_two_text(text))
+
+
+def test_a_written_residual_is_never_trusted():
+    # Q = 0.3 lies in the gap of this text; the file claims a zero residual
+    text, data = _solved_two_text()
+    data.update(q=[canonical_q(0.3), 0.0], Q=0.3, residual="0")
+    back = files.certificate_from_dict(data, text)
+    assert abs(back.residual - 0.41875) < 1e-12
+    assert not back.is_valid()
 
 
 def test_malformed_inputs_raise_parse_error(tmp_path):
@@ -79,10 +88,10 @@ def test_non_utf8_file_raises_parse_error(tmp_path):
 def test_three_element_entries_raise_parse_error():
     with pytest.raises(ParseError):
         files.text_from_dict({"dimension": 2, "states": [[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]]})
-    data = files.certificate_to_dict(solve_two_text(make_real_uniform(2, 0.5)))
+    text, data = _solved_two_text()
     data["q"] = [data["q"][0], data["q"][1], 5.0]
     with pytest.raises(ParseError):
-        files.certificate_from_dict(data)
+        files.certificate_from_dict(data, text)
 
 
 @pytest.mark.parametrize(
@@ -92,21 +101,17 @@ def test_boolean_entries_raise_parse_error(entry):
     # numpy reads a boolean beside numbers as 0 or 1; JSON true is not a number here
     with pytest.raises(ParseError):
         files.text_from_dict({"dimension": 2, "states": [[entry, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
-    data = files.certificate_to_dict(solve_two_text(make_real_uniform(2, 0.5)))
+    text, data = _solved_two_text()
     data["q"] = entry
     with pytest.raises(ParseError):
-        files.certificate_from_dict(data)
-    with pytest.raises(ParseError):
-        files.procedure_from_dict({"dim": 2, "matrix": [[entry, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+        files.certificate_from_dict(data, text)
 
 
 @pytest.mark.parametrize("value", [2.7, 2.0, True, "2", math.inf], ids=repr)
 def test_dimension_and_dim_must_be_integers(value):
-    # one reader serves both: no truncation of 2.7, no True as 1, and 1e400 (read as inf) is no OverflowError
+    # no truncation of 2.7, no True as 1, and 1e400 (read as inf) is no OverflowError
     with pytest.raises(ParseError):
         files.text_from_dict({"dimension": value, "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
-    with pytest.raises(ParseError):
-        files.procedure_from_dict({"dim": value, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
 
 
 def test_overflowing_dimension_in_a_file_is_a_parse_error(tmp_path):
@@ -116,27 +121,11 @@ def test_overflowing_dimension_in_a_file_is_a_parse_error(tmp_path):
         files.load_text(str(path))
 
 
-@pytest.mark.parametrize(
-    "matrix",
-    [[], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], [[[1.0, 0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
-)
-def test_malformed_procedure_raises_parse_error(matrix):
-    with pytest.raises(ParseError):
-        files.procedure_from_dict({"dim": 2, "matrix": matrix})
-
-
 def test_certificate_with_nan_q_is_rejected():
-    data = files.certificate_to_dict(solve_two_text(make_real_uniform(2, 0.5)))
+    text, data = _solved_two_text()
     data["q"] = [float("nan"), 0.0]
     with pytest.raises(QOutOfRange):
-        files.certificate_from_dict(json.loads(json.dumps(data)))
-
-
-def test_procedure_with_nan_entry_raises_parse_error():
-    data = files.procedure_to_dict(np.eye(2, dtype=complex))
-    data["matrix"][1][0] = [float("nan"), 0.0]
-    with pytest.raises(ParseError):
-        files.procedure_from_dict(data)
+        files.certificate_from_dict(json.loads(json.dumps(data)), text)
 
 
 def test_dump_json_is_deterministic():
@@ -168,12 +157,12 @@ def test_dump_json_refuses_non_finite_numbers(value):
 
 
 @st.composite
-def saved_objects(draw):
-    """A text, certificate or procedure, with the text a certificate is loaded against.
+def saved_objects(draw, kinds=("text", "certificate")):
+    """A text, or a certificate of random parameters on a text, with that text.
 
     Entries drawn as zero are written as -0.0, which a sum re + 1j * im would turn into 0.0.
     """
-    kind = draw(st.sampled_from(["text", "certificate", "procedure"]))
+    kind = draw(st.sampled_from(kinds))
     d = draw(st.integers(1, 5))
     n = draw(st.integers(1, 4 if d > 1 else 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -190,30 +179,16 @@ def saved_objects(draw):
         text = random_text(rng, n, d)
     if kind == "text":
         return kind, text, text
-    if kind == "procedure":
-        return kind, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), None
     q = complex(*draw(st.sampled_from([(0.0, 0.0), (-0.0, 1.0), (1.0, 0.0)]) | st.just(tuple(rng.standard_normal(2)))))
     params = EnscriptionParams.from_q(q, unit(), phases=np.exp(2j * np.pi * rng.random(n)))
-    residual = draw(st.sampled_from([0.0, 1e-17]) | st.floats(0.0, 10.0))
-    cert = EnscriptionCertificate(params, residual, draw(st.sampled_from(["central", "generic"])))
-    return kind, cert, text
+    return kind, certificate(text, params), text
 
 
-_WRITE = {"text": files.text_to_dict, "certificate": files.certificate_to_dict, "procedure": files.procedure_to_dict}
-
-
-def _load_all(kind, data, text):
-    """Every reader of one kind of dict; a certificate is read alone and against its text."""
-    if kind == "text":
-        return [files.text_from_dict(data)]
-    if kind == "procedure":
-        return [files.procedure_from_dict(data)]
-    return [files.certificate_from_dict(data), files.certificate_from_dict(data, text)]
+_WRITE = {"text": files.text_to_dict, "certificate": files.certificate_to_dict}
+_READ = {"text": lambda data, _: files.text_from_dict(data), "certificate": files.certificate_from_dict}
 
 
 def _bits(obj) -> list:
-    if isinstance(obj, np.ndarray):
-        return [obj.tobytes()]
     if hasattr(obj, "states"):
         return [obj.dimension, obj.states.tobytes()]
     p = obj.params
@@ -224,9 +199,9 @@ def _bits(obj) -> list:
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(saved_objects())
 def test_saved_objects_load_bit_exactly(case):
-    kind, obj, _ = case
+    kind, obj, text = case
     saved = files.dump_json(_WRITE[kind](obj))
-    back = _load_all(kind, json.loads(saved), None)[0]
+    back = _READ[kind](json.loads(saved), text)
     assert _bits(back) == _bits(obj)
     assert files.dump_json(_WRITE[kind](back)) == saved
 
@@ -257,6 +232,18 @@ def test_a_corrupted_value_raises_only_enscribe_errors(case):
                 node = node[key]
             node[path[-1]] = bad
             try:
-                _load_all(kind, doc, text)
+                _READ[kind](doc, text)
             except EnscribeError:
                 pass
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(saved_objects(kinds=("certificate",)))
+def test_written_verdicts_are_not_read(case):
+    # Q, residual and flavor are recomputed on load, so no value written there changes it
+    _, cert, text = case
+    data = files.certificate_to_dict(cert)
+    clean = _bits(files.certificate_from_dict(data, text))
+    for key in ("Q", "residual", "flavor"):
+        for bad in _BAD_VALUES:
+            assert _bits(files.certificate_from_dict({**data, key: bad}, text)) == clean

@@ -137,7 +137,7 @@ def test_run_clone_norm_and_decomposition():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda text, cert, i: run_clone(text, cert, i),
+        lambda text, cert, i: run_clone(text, cert, i, procedure=build_procedure(text, cert)),
         lambda text, cert, i: success_probability(text, cert.params, i),
         lambda text, cert, i: failure_state_symmetry_check(text, cert, i),
         lambda text, cert, i: machine.real_q_success_probability(text, cert.params, i),
@@ -159,8 +159,9 @@ def test_run_clone_rejects_zero_deformation():
     text = make_text(2, [[1, 0], [0, 1]])
     params = EnscriptionParams.from_q(0.0, text.state(0), n_states=2)
     cert = certificate(text, params)
+    u = build_procedure(text, cert)
     with pytest.raises(QZero):
-        run_clone(text, cert, 0)
+        run_clone(text, cert, 0, procedure=u)
 
 
 def test_failure_symmetry_positive_q_is_antisymmetric():
@@ -195,7 +196,7 @@ def test_failure_state_orthogonal_tablet_explicit_form():
     tablet = np.array([0.0, 0.0, 1.0])
     params = EnscriptionParams.from_q(1.0, tablet, n_states=2)
     cert = certificate(text, params)
-    outcome = run_clone(text, cert, 0)
+    outcome = run_clone(text, cert, 0, procedure=build_procedure(text, cert))
     expected = (np.kron(text.state(0), tablet) - np.kron(tablet, text.state(0))) / np.sqrt(2)
     anc = ancilla_states(1.0)
     assert np.linalg.norm(outcome.failure_state - np.kron(anc.chi, expected)) < 1e-10

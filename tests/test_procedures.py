@@ -21,7 +21,7 @@ from enscribe import (
     unitary_from_correspondence,
     verify_procedure,
 )
-from enscribe.errors import GramMismatch, InvalidCertificate
+from enscribe.errors import DimensionMismatch, GramMismatch, InvalidCertificate
 from enscribe.search import SearchOptions
 from enscribe.verification import random_equivalence_image
 
@@ -118,6 +118,13 @@ def test_correspondence_is_the_identity_plus_a_rotation_on_both_spans(families):
     outside = u[:, int(np.sum(sv > 1e-10 * sv[0])) :]
     assert np.max(np.abs(w @ outside - outside), initial=0.0) < 1e-12
     assert np.array_equal(w, unitary_from_correspondence(ins, outs, dim))
+
+
+@pytest.mark.parametrize("ins, outs", [([], []), ([], [np.eye(2)[0]]), ([np.eye(2)[0]], [])], ids=["both", "inputs", "outputs"])
+def test_correspondence_of_an_empty_family_is_a_dimension_mismatch(ins, outs):
+    # a text has at least one state, so an empty family is a caller's error, not the identity
+    with pytest.raises(DimensionMismatch):
+        unitary_from_correspondence(ins, outs, 2)
 
 
 def test_correspondence_rejects_nan_vectors():
@@ -255,3 +262,22 @@ def test_every_procedure_is_unitary(case):
     u = build_procedure(text, cert)
     assert _unitarity_defect(u) < 1e-10
     assert verify_procedure(u, text, cert) < 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(closed_form_certificates(), st.integers(0, 2**32 - 1))
+def test_built_procedure_is_covariant_under_equivalence(case, seed):
+    # the image's inputs and clones are the text's, moved by V x V, relabeled and scaled
+    # by the same beta_i, so the procedure moves to (V x V) U (V x V)^dag
+    text, cert = case
+    image, v, beta, perm = random_equivalence_image(np.random.default_rng(seed), text)
+    phases = [cert.params.phases[perm[i]] * np.conj(beta[i]) for i in range(text.n_states)]
+    moved = certificate(image, EnscriptionParams.from_q(cert.params.q, v @ cert.params.tablet, phases=phases))
+    assert abs(moved.residual - cert.residual) < 1e-12
+    vv = np.kron(v, v)
+    expected = vv @ build_procedure(text, cert) @ vv.conj().T
+    assert verify_procedure(expected, image, moved) < 1e-8
+    # the unitary nearest the identity is unique unless some clone is orthogonal to every
+    # input, as at Q = -1, where the inputs are antisymmetric and the clones symmetric
+    if cert.params.Q > -0.99:
+        assert np.max(np.abs(build_procedure(image, moved) - expected)) < 1e-9

@@ -58,6 +58,48 @@ def test_import_loads_no_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
+def _functions_where(matches) -> list:
+    """(module, enclosing function) of each node of the package source that ``matches``, in document order."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if matches(node):
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem, None)
+    return found
+
+
+def test_certificates_are_constructed_only_by_certificates_certificate():
+    # every residual the package holds is computed by enscription_residual, never read or set
+    def constructs(node):
+        if not isinstance(node, ast.Call):
+            return False
+        callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        return callee == "EnscriptionCertificate"
+
+    assert _functions_where(constructs) == [("certificates", "certificate")]
+
+
+def test_verdict_inputs_have_no_default():
+    # a certificate is judged on its text, a clone runs the caller's procedure,
+    # and a correspondence is sized by the caller, never by a fallback
+    from enscribe import files, linalg, machine
+
+    for function, name in [
+        (files.certificate_from_dict, "text"),
+        (files.load_certificate, "text"),
+        (machine.run_clone, "procedure"),
+        (linalg.unitary_from_correspondence, "dim"),
+    ]:
+        assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty, function.__name__
+
+
 # the tolerance and start-count parameters some caller sets; every other
 # threshold, certificates.ACCEPT_TOL included, is a named module constant
 SETTABLE = {("linalg", "unitary_from_correspondence", "gram_tol")}
@@ -118,21 +160,12 @@ DEFAULT_TOL_READERS = {
 
 
 def test_default_tol_readers_are_listed():
-    found = set()
-
-    def visit(node, module, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if (isinstance(node, ast.Name) and node.id == "DEFAULT_TOL" and isinstance(node.ctx, ast.Load)) or (
+    def reads(node):
+        return (isinstance(node, ast.Name) and node.id == "DEFAULT_TOL" and isinstance(node.ctx, ast.Load)) or (
             isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOL"
-        ):
-            found.add((module, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, module, function)
+        )
 
-    for path in sorted(SRC.rglob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem, None)
-    assert found == DEFAULT_TOL_READERS
+    assert set(_functions_where(reads)) == DEFAULT_TOL_READERS
 
 
 def test_readme_flag_table_lists_each_subcommands_flags():
