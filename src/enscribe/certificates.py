@@ -119,7 +119,7 @@ def entangled_input(text: texts.QuantumText, i: int, q: complex, tablet) -> np.n
     if a <= DEGENERATE_TOL:
         raise DegenerateNormalizer(f"entangled input {i} has vanishing norm (A={a:.3e})")
     psi = text.state(i)
-    return (np.kron(psi, tab) + complex(q) * np.kron(tab, psi)) / np.sqrt(a)
+    return (np.outer(psi, tab).ravel() + complex(q) * np.outer(tab, psi).ravel()) / np.sqrt(a)
 
 
 def _pair_mismatch(text: texts.QuantumText, params: EnscriptionParams) -> np.ndarray:

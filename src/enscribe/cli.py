@@ -8,6 +8,7 @@ environment variable (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -202,7 +203,14 @@ def cmd_verify_theorems(args) -> int:
     return 0 if report["all_passed"] else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared for the rest of the process.
+
+    Parsing leaves the parser as it was: each parse_args call fills a fresh
+    Namespace, so the shared parser carries nothing from one main() call to
+    the next. Callers must not add arguments to it.
+    """
     parser = argparse.ArgumentParser(
         prog="enscribe",
         description="Entangled-cloning feasibility analysis for finite sets of quantum states.",
@@ -242,7 +250,10 @@ def main(argv=None) -> int:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("ENSCRIBE_LOG", "error").lower(), logging.ERROR
     )
+    # basicConfig installs the stderr handler once per process and is a no-op
+    # after that, so the package's level is set on every call
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level)
     args = build_parser().parse_args(argv)
     try:
         if "seed" in args:  # a bad seed or start count fails up front, by the rule of SearchOptions

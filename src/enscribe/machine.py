@@ -126,24 +126,24 @@ def run_clone(
     d = text.dimension
     anc = ancilla_states(q)
     # controlled_swap(d) @ kron(xi, product): the ancilla-|1> half has its registers swapped
-    product = np.kron(text.state(i), p.tablet)
+    product = np.outer(text.state(i), p.tablet).ravel()
     out = np.concatenate([anc.xi[0] * product, anc.xi[1] * linalg.swap_factors(product, d)])
 
     prob = success_probability(text, p, i)
     omega_q = entangled_input(text, i, q, p.tablet)
-    success_state = np.kron(anc.eta, omega_q)
+    success_state = np.outer(anc.eta, omega_q).ravel()
     failure_state = None
     recon = np.sqrt(prob) * success_state
     if 1.0 - prob > 1e-12:
         omega_fail = entangled_input(text, i, -q / abs(q), p.tablet)
-        failure_state = np.kron(anc.chi, omega_fail)
+        failure_state = np.outer(anc.chi, omega_fail).ravel()
         recon = recon + np.sqrt(1.0 - prob) * failure_state
     decomp_err = float(np.linalg.norm(out - recon))
     if decomp_err > 1e-10:
         raise InvalidCertificate(f"controlled-swap output decomposition off by {decomp_err:.3e}")
 
     final_clone = procedure @ omega_q
-    target = np.kron(text.state(i), text.state(i))
+    target = np.outer(text.state(i), text.state(i)).ravel()
     clone_err = float(np.linalg.norm(final_clone - p.phases[i] * target))
     if clone_err > max(ACCEPT_TOL, 10.0 * cert.residual):
         raise InvalidCertificate(

@@ -12,7 +12,7 @@ from .errors import InvalidCertificate
 def _inputs_and_clones(text: texts.QuantumText, p: EnscriptionParams) -> tuple:
     """Entangled inputs omega_i and their phased clones alpha_i psi_i (x) psi_i."""
     inputs = [entangled_input(text, i, p.q, p.tablet) for i in range(text.n_states)]
-    clones = [p.phases[i] * np.kron(text.state(i), text.state(i)) for i in range(text.n_states)]
+    clones = [p.phases[i] * np.outer(text.state(i), text.state(i)).ravel() for i in range(text.n_states)]
     return inputs, clones
 
 
@@ -26,6 +26,14 @@ def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> np
     of the two copies. The Gram-match gate is widened with the certificate
     residual, since a residual r allows the two families' Gram matrices to
     differ at that scale.
+
+    The realization is unique only where every clone direction overlaps some
+    input. Where one is orthogonal to every input (at Q = -1, where the inputs
+    are antisymmetric and the clones symmetric, and on an orthonormal text
+    with the tablet on a state), several rotations are equally near the
+    identity, and which one is returned depends on the basis the QR and SVD
+    pick; there the procedure of an equivalent text need not be the moved
+    (V (x) V) U (V (x) V)^dag, though both realize the moved certificate.
     """
     if cert.params.n_states != text.n_states:
         raise InvalidCertificate("certificate does not match the text size")

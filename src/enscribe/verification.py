@@ -114,7 +114,7 @@ def check_qubit_example(seed: int = 0) -> CheckResult:
     action = 0.0
     for i in range(2):
         omega = entangled_input(text, i, cert.params.q, cert.params.tablet)
-        target = cert.params.phases[i] * np.kron(text.state(i), text.state(i))
+        target = cert.params.phases[i] * np.outer(text.state(i), text.state(i)).ravel()
         action = max(action, float(np.linalg.norm(u @ omega - target)))
     swap = linalg.swap_operator(2)
     comm = float(np.linalg.norm(u @ swap - swap @ u))

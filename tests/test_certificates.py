@@ -10,6 +10,7 @@ from enscribe import (
     enscription_residual,
     entangled_input,
     gram,
+    input_normalizer,
     make_real_uniform,
     make_text,
     q_to_Q,
@@ -69,10 +70,9 @@ def test_entangled_input_matches_dense_kron_oracle():
     tab /= np.linalg.norm(tab)
     q = 1j
     vec = entangled_input(text, 1, q, tab)
-    direct = np.kron(psi, tab) + q * np.kron(tab, psi)
-    direct /= np.linalg.norm(direct)
+    direct = (np.kron(psi, tab) + q * np.kron(tab, psi)) / np.sqrt(input_normalizer(text, 1, q, tab))
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-    assert np.linalg.norm(vec - direct) < 1e-12
+    assert np.array_equal(vec, direct)
 
 
 def test_entangled_input_unit_norm_random():

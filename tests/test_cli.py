@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from enscribe import enscription_residual, files, make_real_uniform, make_text
+from enscribe import cli, enscription_residual, files, make_real_uniform, make_text
 from enscribe.certificates import EnscriptionParams, certificate
 from enscribe.cli import main
 
@@ -221,6 +226,8 @@ def test_bad_flag_values_are_errors(tmp_path, capsys):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
+    # a rejected call leaves nothing behind for the next one
+    assert main(["solve", "--input", path]) == 0
 
 
 @pytest.mark.parametrize("command", ["solve", "build-procedure", "clone"])
@@ -331,3 +338,50 @@ def test_qrange_of_a_thin_two_text_closes_minus_one(tmp_path, capsys):
     for big_q in (neg["lower"], neg["upper"], pos["lower"], pos["upper"]):
         code, report = _run(capsys, ["solve", "--input", path, "--q", repr(big_q)])
         assert code == 0, big_q
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert main(["classify", "--input", path]) == 0
+    first = len(built)
+    assert first > 0
+    for command in ("qrange", "solve", "gram", "classify"):
+        assert main([command, "--input", path]) == 0
+    capsys.readouterr()
+    assert len(built) == first
+
+
+def test_calls_share_no_parsed_state(tmp_path, capsys):
+    # a fresh parser, then a call with every solver flag set, then the plain call again
+    path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
+    cli.build_parser.cache_clear()
+    first = _run(capsys, ["solve", "--input", path])
+    assert first[0] == 0
+    main(["solve", "--input", path, "--q", "0.3", "--search", "--starts", "8", "--seed", "3"])
+    capsys.readouterr()
+    assert _run(capsys, ["solve", "--input", path]) == first
+
+
+def test_log_level_is_read_on_every_call(tmp_path):
+    # in a fresh process, so that the stderr handler main installs is the only one
+    path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import os, sys; from enscribe.cli import main\n"
+        "for level in ('error', 'info'):\n"
+        "    os.environ['ENSCRIBE_LOG'] = level\n"
+        "    print('--', level, file=sys.stderr)\n"
+        "    main(['solve', '--input', sys.argv[1], '--output', os.devnull])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, check=True)
+    assert out.stderr == "-- error\n-- info\nINFO enscribe: dispatching to the 2-text central solver\n"

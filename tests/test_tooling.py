@@ -86,6 +86,14 @@ def test_certificates_are_constructed_only_by_certificates_certificate():
     assert _functions_where(constructs) == [("certificates", "certificate")]
 
 
+def test_clone_path_builds_product_vectors_without_kron():
+    # np.kron of two vectors costs about five times np.outer(a, b).ravel(), which gives the same bits
+    def kron(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "kron"
+
+    assert [module for module, _ in _functions_where(kron) if module in ("certificates", "procedures", "machine")] == []
+
+
 def test_verdict_inputs_have_no_default():
     # a certificate is judged on its text, a clone runs the caller's procedure,
     # and a correspondence is sized by the caller, never by a fallback
