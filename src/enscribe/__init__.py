@@ -16,12 +16,14 @@ from .engine import (
     IllegibilityReport,
     QInterval,
     QRangeResult,
+    closed_form_q_range,
     direct_sum_enscribe,
     illegibility_screen,
     q_minus_one_dependence_check,
     q_range_real_uniform,
     q_range_two_text,
     real_uniform_overlap,
+    solve_real_uniform,
     solve_real_uniform_central,
     solve_two_text,
     thin_extension_family,

@@ -61,12 +61,13 @@ class EnscriptionParams:
         norm = float(np.linalg.norm(tab))
         if not abs(norm - 1.0) <= 1e-9:
             raise DimensionMismatch(f"tablet must be unit norm, got {norm}")
-        object.__setattr__(self, "tablet", tab / norm)
+        object.__setattr__(self, "tablet", linalg.unit(tab))
         ph = np.asarray(self.phases, dtype=complex).reshape(-1)
         mods = np.abs(ph)
         if ph.size and not np.max(np.abs(mods - 1.0)) <= 1e-9:
             raise DimensionMismatch("output phases must have modulus 1")
-        object.__setattr__(self, "phases", ph / mods)
+        # each phase is one column of a 1 x N row, so linalg.unit normalizes it by itself
+        object.__setattr__(self, "phases", linalg.unit(ph[None, :])[0])
 
     @classmethod
     def from_q(cls, q: complex, tablet, phases=None, n_states: int | None = None) -> "EnscriptionParams":

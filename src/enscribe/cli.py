@@ -12,12 +12,10 @@ import functools
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from . import engine, files, linalg, machine, procedures, texts, verification
-from .certificates import EnscriptionParams, certificate
+from . import engine, files, machine, procedures, texts, verification
 from .errors import EnscribeError
 from .search import SearchOptions, feasibility_search
 
@@ -72,17 +70,6 @@ def cmd_gram(args) -> int:
     return 0
 
 
-def _real_uniform_certificate(text: texts.QuantumText, z: float):
-    """Closed-form certificate of a real uniform text, moved onto the input's own states.
-
-    The solver certifies ``make_real_uniform(N, z)``. Keeping the tablet's
-    coefficients over the states keeps every overlap, so Q and the phases carry over.
-    """
-    p = engine.solve_real_uniform_central(text.n_states, z).params
-    coeffs = np.linalg.solve(texts.make_real_uniform(text.n_states, z).states, p.tablet)
-    return certificate(text, EnscriptionParams(p.q, p.Q, linalg.unit(text.states @ coeffs), p.phases))
-
-
 def _solve_dispatch(text: texts.QuantumText, args):
     """Closed-form solvers first, the numeric search as fallback or on request."""
     if args.q is None and not args.search:
@@ -92,7 +79,7 @@ def _solve_dispatch(text: texts.QuantumText, args):
         uniform_z = engine.real_uniform_overlap(text)
         if uniform_z is not None:
             log.info("dispatching to the real-uniform central solver (z=%g)", uniform_z)
-            return _real_uniform_certificate(text, uniform_z), None
+            return engine.solve_real_uniform(text, uniform_z), None
     result = feasibility_search(text, args.q, SearchOptions(seed=args.seed, starts=args.starts))
     if result.feasible:
         return result.certificate, result
@@ -122,30 +109,8 @@ def cmd_solve(args) -> int:
     return 0 if cert.is_valid() else 2
 
 
-def _thin_interval(iv: engine.QInterval) -> engine.QInterval:
-    """A thick interval widened for a thin text: the search sees the tablet's
-    dialect part only through Q |a|^2, so Q is feasible when Q s^2 is for some
-    s in (0, 1] (the rescaling of engine.thin_extension_family), which
-    stretches each interval out to -1 or 1, closed."""
-    if iv.lower < 0.0 and not (iv.lower == -1.0 and iv.lower_closed):
-        iv = replace(iv, lower=-1.0, lower_closed=True, lower_flavor="closed")
-    if iv.upper > 0.0 and not (iv.upper == 1.0 and iv.upper_closed):
-        iv = replace(iv, upper=1.0, upper_closed=True, upper_flavor="closed")
-    return iv
-
-
 def cmd_qrange(args) -> int:
-    text = _load_text(args)
-    if text.n_states == 2:
-        z = abs(complex(texts.gram(text)[0, 1]))
-        rng_result = engine.q_range_two_text(z)
-    else:
-        uniform_z = engine.real_uniform_overlap(text)
-        if uniform_z is None:
-            raise EnscribeError("no closed-form Q range for this text (need a 2-text or a real uniform text)")
-        rng_result = engine.q_range_real_uniform(text.n_states, uniform_z)
-    if text.n_states < text.dimension:
-        rng_result = engine.QRangeResult(tuple(_thin_interval(iv) for iv in rng_result.intervals))
+    rng_result = engine.closed_form_q_range(_load_text(args))
     report = {"empty": rng_result.empty, "intervals": rng_result.intervals}
     _emit(report, args.output)
     return 2 if rng_result.empty else 0
@@ -250,9 +215,13 @@ def main(argv=None) -> int:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("ENSCRIBE_LOG", "error").lower(), logging.ERROR
     )
-    # basicConfig installs the stderr handler once per process and is a no-op
-    # after that, so the package's level is set on every call
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # only the package's logger is configured, so an embedding process keeps its
+    # logging: one stderr handler, installed at the first call; the level, at every call
+    if not log.handlers:
+        handler = logging.StreamHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+        log.propagate = False
     log.setLevel(level)
     args = build_parser().parse_args(argv)
     try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .certificates import (
 from .errors import (
     DimensionMismatch,
     DirectionNotOrthogonal,
+    EnscribeError,
     IllegibleText,
     InvalidInputCertificate,
     NotADirectSum,
@@ -204,7 +205,34 @@ def q_range_real_uniform(n_states: int, z: float) -> QRangeResult:
     return QRangeResult(intervals=(QInterval(lo, hi, lo_closed, hi_closed, lo_flavor, hi_flavor),))
 
 
-def _quasi_central_uniform(n: int, z: float, big_q: float) -> EnscriptionParams:
+def _thin_interval(iv: QInterval) -> QInterval:
+    """A thick interval widened for a thin text: Q is feasible when Q s^2 is for some s in (0, 1]
+    (the rescaling of thin_extension_family), so each interval reaches out to -1 or 1, closed."""
+    if iv.lower < 0.0 and not (iv.lower == -1.0 and iv.lower_closed):
+        iv = replace(iv, lower=-1.0, lower_closed=True, lower_flavor="closed")
+    if iv.upper > 0.0 and not (iv.upper == 1.0 and iv.upper_closed):
+        iv = replace(iv, upper=1.0, upper_closed=True, upper_flavor="closed")
+    return iv
+
+
+def closed_form_q_range(text: texts.QuantumText) -> QRangeResult:
+    """The closed-form Q range of a 2-text or a real uniform text, widened for a thin text (N < d).
+
+    Any other text raises EnscribeError.
+    """
+    if text.n_states == 2:
+        result = q_range_two_text(abs(complex(texts.gram(text)[0, 1])))
+    else:
+        uniform_z = real_uniform_overlap(text)
+        if uniform_z is None:
+            raise EnscribeError("no closed-form Q range for this text (need a 2-text or a real uniform text)")
+        result = q_range_real_uniform(text.n_states, uniform_z)
+    if text.n_states < text.dimension:
+        result = QRangeResult(tuple(_thin_interval(iv) for iv in result.intervals))
+    return result
+
+
+def _quasi_central_uniform(text: texts.QuantumText, z: float, big_q: float) -> EnscriptionParams:
     """Exact quasi-central parameters for a real uniform text at a feasible Q.
 
     One state keeps a distinct tablet overlap c1 = x + iy while the other
@@ -212,6 +240,7 @@ def _quasi_central_uniform(n: int, z: float, big_q: float) -> EnscriptionParams:
     tablet constraint is linear in |c1|^2 once x is eliminated, so the
     remaining unimodularity condition reduces to a linear equation.
     """
+    n = text.n_states
     lam = 1.0 + (n - 1) * z
     t_c = -z / ((1.0 + z) * big_q)
     if t_c <= 0:
@@ -233,7 +262,7 @@ def _quasi_central_uniform(n: int, z: float, big_q: float) -> EnscriptionParams:
     overlaps = np.full(n, c, dtype=complex)
     overlaps[0] = x + 1j * y
     weights = (overlaps - z * np.sum(overlaps) / lam) / (1.0 - z)
-    tablet = texts.make_real_uniform(n, z).states @ weights
+    tablet = text.states @ weights
     b1 = 1.0 + big_q * s
     b = 1.0 / (1.0 + z)
     gamma = (z + big_q * overlaps[0] * c) / (np.sqrt(b1 * b) * z * z)
@@ -242,30 +271,32 @@ def _quasi_central_uniform(n: int, z: float, big_q: float) -> EnscriptionParams:
     return EnscriptionParams.from_Q(big_q, tablet, phases=phases)
 
 
-def solve_real_uniform_central(n_states: int, z: float) -> EnscriptionCertificate:
-    """Enscription of the real uniform N-text with constant overlap z.
+def solve_real_uniform(text: texts.QuantumText, z: float) -> EnscriptionCertificate:
+    """Enscription of a real uniform N-text with constant overlap z, on its own states.
 
-    The uniform superposition of the states is the central tablet whenever its
+    The normalized sum of the states is the central tablet whenever its
     entanglement parameter -Nz/((1+z)(1+(N-1)z)) lies inside [-1, 1]; in the
     narrow negative-z band where that value escapes the range but the text is
     still enscribable, a quasi-central certificate at an interior parameter is
     returned instead. Raises IllegibleText when no enscription exists.
     """
-    n = int(n_states)
+    n = text.n_states
     z = float(z)
     rng = q_range_real_uniform(n, z)
     if rng.empty:
         raise IllegibleText(f"real uniform N={n} text with z={z} admits no enscription")
-    text = texts.make_real_uniform(n, z)
     q2 = 0.0 if z == 0.0 else _uniform_q2(n, z)
     if abs(q2) <= 1.0:
-        tablet = np.ones(n, dtype=complex) / np.sqrt(n)
-        params = EnscriptionParams.from_Q(q2, tablet, n_states=n)
-        return certificate(text, params)
-    interval = rng.intervals[0]
-    interior = 0.5 * (interval.lower + interval.upper)
-    params = _quasi_central_uniform(n, z, interior)
+        params = EnscriptionParams.from_Q(q2, linalg.unit(text.states.sum(axis=1)), n_states=n)
+    else:
+        interval = rng.intervals[0]
+        params = _quasi_central_uniform(text, z, 0.5 * (interval.lower + interval.upper))
     return certificate(text, params)
+
+
+def solve_real_uniform_central(n_states: int, z: float) -> EnscriptionCertificate:
+    """solve_real_uniform on make_real_uniform(n_states, z)."""
+    return solve_real_uniform(texts.make_real_uniform(n_states, z), z)
 
 
 def direct_sum_enscribe(

@@ -1,9 +1,11 @@
 """JSON file formats for texts, certificates, procedures, and reports.
 
 Complex numbers are stored as two-element [re, im] arrays of doubles, which
-round-trips bit-exactly through Python's JSON encoder. A file carries inputs,
-never verdicts: a certificate is read as its q, tablet and phases and
-certified again on its text, and a procedure is written but not read.
+round-trips bit-exactly through Python's JSON encoder; a load keeps those
+bits, because make_text and EnscriptionParams leave unit values as they are.
+A file carries inputs, never verdicts: a certificate is read as its q, tablet
+and phases and certified again on its text, and a procedure is written but
+not read.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _as_written(normalized: np.ndarray, written: np.ndarray) -> np.ndarray:
-    """The written values where normalizing them again moved only their last bits, so a save and a load
-    are bit-exact (a saved unit vector's norm can be an ulp off 1); else the normalized ones."""
-    moved = np.max(np.abs(normalized - written), initial=0.0)
-    return written if moved <= 16 * np.finfo(float).eps else normalized
-
-
 def text_to_dict(text: texts.QuantumText) -> dict:
     return {
         "dimension": text.dimension,
@@ -64,8 +59,7 @@ def text_from_dict(data: dict) -> texts.QuantumText:
         states = [_unvector(s) for s in data["states"]]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed text object: {exc}") from exc
-    text = texts.make_text(dim, states)
-    return dataclasses.replace(text, states=_as_written(text.states, np.column_stack(states)))
+    return texts.make_text(dim, states)
 
 
 def certificate_to_dict(cert: EnscriptionCertificate) -> dict:
@@ -92,11 +86,7 @@ def certificate_from_dict(data: dict, text: texts.QuantumText) -> EnscriptionCer
         phases = _unvector(data["phases"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed certificate object: {exc}") from exc
-    params = EnscriptionParams.from_q(q, tablet, phases=phases)
-    # EnscriptionParams normalizes on construction; set the written bits back
-    object.__setattr__(params, "tablet", _as_written(params.tablet, tablet))
-    object.__setattr__(params, "phases", _as_written(params.phases, phases))
-    return certificate(text, params)
+    return certificate(text, EnscriptionParams.from_q(q, tablet, phases=phases))
 
 
 def procedure_to_dict(matrix: np.ndarray) -> dict:

@@ -8,6 +8,8 @@ from .errors import DimensionMismatch, GramMismatch
 
 GRAM_TOL = 1e-10
 RANK_TOL = 1e-8
+# How far v / |v| may move an entry of a vector that unit keeps as it is.
+UNIT_TOL = 16 * np.finfo(float).eps
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -15,7 +17,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    """A new array of v / |v|, column by column for a matrix; a column that this would move by no more
+    than UNIT_TOL in any entry keeps its values, so unit(unit(v)) is unit(v), bit for bit."""
+    u = v / np.linalg.norm(v, axis=0)
+    return np.where(np.abs(u - v).max(axis=0, initial=0.0) <= UNIT_TOL, v, u)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -108,9 +108,9 @@ class DirectSumSplit:
 def make_text(dimension: int, raw_states) -> QuantumText:
     """Validate raw vectors into a QuantumText.
 
-    States whose norm deviates from 1 by less than DEFAULT_TOL are
-    re-normalized; larger deviations raise NonUnitState. A pair with overlap
-    modulus at or above ``1 - DEFAULT_TOL`` raises ColinearPair.
+    States whose norm deviates from 1 by less than DEFAULT_TOL are normalized by
+    linalg.unit, so a text's own states rebuild it bit for bit; larger deviations
+    raise NonUnitState. An overlap modulus of at least ``1 - DEFAULT_TOL`` raises ColinearPair.
     """
     if dimension < 1:
         raise DimensionMismatch("dimension must be >= 1")
@@ -123,8 +123,7 @@ def make_text(dimension: int, raw_states) -> QuantumText:
         norm = float(np.linalg.norm(v))
         if not abs(norm - 1.0) < DEFAULT_TOL:
             raise NonUnitState(f"state {k} has norm {norm}")
-        vecs[k] = v / norm
-    mat = np.column_stack(vecs)
+    mat = linalg.unit(np.column_stack(vecs))
     g = linalg.dagger(mat) @ mat
     n = mat.shape[1]
     for i in range(n):

@@ -17,7 +17,7 @@ from enscribe import (
     residual_via_states,
     tablet_flavor,
 )
-from enscribe.errors import DegenerateNormalizer, DimensionMismatch, QOutOfRange
+from enscribe.errors import DegenerateNormalizer, DimensionMismatch, EnscribeError, QOutOfRange
 from enscribe.verification import random_equivalence_image
 
 from helpers import random_classical_text, random_state, random_text
@@ -247,3 +247,23 @@ def test_residual_is_covariant_under_equivalence(n, extra, seed, big_q):
     phases = [params.phases[perm[i]] * np.conj(beta[i]) for i in range(n)]
     moved = EnscriptionParams.from_q(params.q, v @ params.tablet, phases=phases)
     assert abs(enscription_residual(image, moved) - enscription_residual(text, params)) < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 20), st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-1e-10, 1e-10))
+def test_rebuilding_a_text_or_parameters_keeps_their_bits(d, n, seed, stretch):
+    # normalization is idempotent, so an object built from its own vectors is the same object;
+    # stretch puts the raw vectors slightly off the unit sphere, as a computed vector often is
+    rng = np.random.default_rng(seed)
+    n = min(n, d)
+    raw = [random_state(rng, d) * (1.0 + stretch) for _ in range(n)]
+    try:
+        text = make_text(d, raw)
+    except EnscribeError:  # a colinear draw
+        return
+    assert make_text(d, list(text.states.T)).states.tobytes() == text.states.tobytes()
+    phases = np.exp(2j * np.pi * rng.random(n)) * (1.0 + stretch)
+    p = EnscriptionParams.from_q(complex(*rng.standard_normal(2)), random_state(rng, d) * (1.0 + stretch), phases)
+    again = EnscriptionParams.from_q(p.q, p.tablet, p.phases)
+    assert (again.q, again.Q) == (p.q, p.Q)
+    assert (again.tablet.tobytes(), again.phases.tobytes()) == (p.tablet.tobytes(), p.phases.tobytes())

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -385,3 +386,21 @@ def test_log_level_is_read_on_every_call(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, check=True)
     assert out.stderr == "-- error\n-- info\nINFO enscribe: dispatching to the 2-text central solver\n"
+
+
+def test_main_leaves_other_loggers_alone():
+    # in a fresh process: main configures only the enscribe logger, so the root
+    # level stays as it was and another logger's warning still prints
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env.pop("ENSCRIBE_LOG", None)
+    code = (
+        "import logging, os; from enscribe.cli import main\n"
+        "before = logging.getLogger().level\n"
+        "main(['verify-theorems', '--only', 'z0', '--output', os.devnull])\n"
+        "print(before, logging.getLogger().level)\n"
+        "logging.getLogger('app').warning('app warning')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == f"{logging.WARNING} {logging.WARNING}\n"
+    assert out.stderr == "PASS z0-threshold\napp warning\n"

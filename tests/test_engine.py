@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from enscribe import (
     EnscriptionParams,
+    QInterval,
+    QRangeResult,
     certificate,
     classify,
+    closed_form_q_range,
     direct_sum_decompose,
     direct_sum_enscribe,
     enscription_residual,
@@ -18,7 +21,9 @@ from enscribe import (
     q_minus_one_dependence_check,
     q_range_real_uniform,
     q_range_two_text,
+    real_uniform_overlap,
     search,
+    solve_real_uniform,
     solve_real_uniform_central,
     solve_two_text,
     texts,
@@ -28,6 +33,7 @@ from enscribe import (
 )
 from enscribe.errors import (
     DimensionMismatch,
+    EnscribeError,
     DirectionNotOrthogonal,
     IllegibleText,
     InvalidInputCertificate,
@@ -221,6 +227,83 @@ def test_solve_real_uniform_sweep():
                 continue
             cert = solve_real_uniform_central(n, z)
             assert cert.residual < 1e-9
+
+
+def _central_limit(n):
+    """The negative overlap where the central parameter -Nz/((1+z)(1+(N-1)z)) reaches 1."""
+    return (-n + np.sqrt(n * n - (n - 1))) / (n - 1)
+
+
+def _rotated_uniform(rng, n, z, d):
+    """make_real_uniform(n, z) in C^d (zeros appended), under a random unitary."""
+    states = make_real_uniform(n, z).states
+    v = random_unitary(rng, d)
+    return make_text(d, [v @ np.append(states[:, i], np.zeros(d - n)) for i in range(n)])
+
+
+_UNIFORM_CASES = [
+    (n, z, flavor)
+    for n in range(3, 8)
+    for z, flavor in [
+        (0.6, "central"),
+        (0.25 / (n - 1), "central"),
+        (0.5 * _central_limit(n), "central"),
+        (0.5 * (z0_threshold(n) + _central_limit(n)), "quasi_central"),
+    ]
+]
+
+
+@pytest.mark.parametrize("thin", [False, True], ids=["thick", "thin"])
+@pytest.mark.parametrize("n, z, flavor", _UNIFORM_CASES)
+def test_solve_real_uniform_certifies_on_a_rotated_text(n, z, flavor, thin):
+    rng = np.random.default_rng(7 * n + (1 if thin else 0))
+    text = _rotated_uniform(rng, n, z, n + 1 if thin else n)
+    cert = solve_real_uniform(text, z)
+    assert cert.residual < 1e-12
+    assert cert.flavor == flavor
+    # the central endpoint is Q itself, up to the rounding of canonical_q
+    assert q_range_real_uniform(n, z).contains(cert.params.Q, margin=-1e-12)
+
+
+@pytest.mark.parametrize("n, z", [(3, 0.3), (3, -0.19), (4, -0.1), (4, -0.14), (5, 0.2), (7, 0.0)])
+def test_solve_real_uniform_central_is_solve_real_uniform_on_the_canonical_text(n, z):
+    def bits(cert):
+        p = cert.params
+        return p.q, p.Q, p.tablet.tobytes(), p.phases.tobytes(), cert.residual, cert.flavor
+
+    assert bits(solve_real_uniform_central(n, z)) == bits(solve_real_uniform(make_real_uniform(n, z), z))
+
+
+def test_closed_form_q_range_widens_a_thin_two_text():
+    z = 0.3
+    text = make_text(3, [[1.0, 0.0, 0.0], [z, np.sqrt(1 - z * z), 0.0]])
+    neg_hi, pos_lo = -2 * z / (1 + z) ** 2, 2 * z / (1 + z * z)
+    assert closed_form_q_range(text) == QRangeResult((
+        QInterval(-1.0, neg_hi, True, True, "closed", "weakly_central"),
+        QInterval(pos_lo, 1.0, True, True, "weakly_central", "closed"),
+    ))
+    assert closed_form_q_range(make_text(2, text.states[:2].T)) == q_range_two_text(z)
+
+
+@pytest.mark.parametrize("z", [0.3, -0.1])
+def test_closed_form_q_range_widens_a_thin_uniform_text(z):
+    text = _rotated_uniform(np.random.default_rng(3), 3, z, 4)
+    # the range of the overlap the text has, which the rotation moved by rounding
+    thick = q_range_real_uniform(3, real_uniform_overlap(text)).intervals[0]
+    (widened,) = closed_form_q_range(text).intervals
+    if z > 0:  # a negative interval reaches out to -1
+        expected = QInterval(-1.0, thick.upper, True, thick.upper_closed, "closed", thick.upper_flavor)
+    else:
+        expected = QInterval(thick.lower, 1.0, thick.lower_closed, True, thick.lower_flavor, "closed")
+    assert widened == expected
+    thick_text = make_real_uniform(3, z)
+    assert closed_form_q_range(thick_text) == q_range_real_uniform(3, real_uniform_overlap(thick_text))
+
+
+def test_closed_form_q_range_refuses_other_texts():
+    text = random_text(np.random.default_rng(5), 3, 3)
+    with pytest.raises(EnscribeError, match="no closed-form Q range for this text"):
+        closed_form_q_range(text)
 
 
 def test_direct_sum_enscribe_empty_complement_is_identity():

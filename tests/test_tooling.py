@@ -86,6 +86,41 @@ def test_certificates_are_constructed_only_by_certificates_certificate():
     assert _functions_where(constructs) == [("certificates", "certificate")]
 
 
+def test_only_enscription_params_sets_a_frozen_field():
+    # constructors normalize once, so no loader patches the fields of a built object
+    def sets(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        )
+
+    assert set(_functions_where(sets)) == {("certificates", "__post_init__")}
+
+
+def _importers(target) -> set:
+    """The package modules that import module ``target`` of the package, by any import form."""
+
+    def imports(node):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            return False
+        return any(name.split(".")[-1] == target for name in names)
+
+    return {module for module, _ in _functions_where(imports)}
+
+
+def test_cli_and_files_hold_no_numeric_rule():
+    # normalization lives in the constructors and closed forms in engine, so the
+    # I/O layers need neither linalg nor, in cli, certificates
+    assert {"cli", "files"} & _importers("linalg") == set()
+    assert "cli" not in _importers("certificates")
+
+
 def test_clone_path_builds_product_vectors_without_kron():
     # np.kron of two vectors costs about five times np.outer(a, b).ravel(), which gives the same bits
     def kron(node):
