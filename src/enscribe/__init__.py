@@ -53,7 +53,6 @@ from .texts import (
     QuantumText,
     TextClassification,
     classify,
-    direct_sum_decompose,
     equivalent,
     gram,
     make_real_uniform,

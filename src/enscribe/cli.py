@@ -81,9 +81,7 @@ def _solve_dispatch(text: texts.QuantumText, args):
             log.info("dispatching to the real-uniform central solver (z=%g)", uniform_z)
             return engine.solve_real_uniform(text, uniform_z), None
     result = feasibility_search(text, args.q, SearchOptions(seed=args.seed, starts=args.starts))
-    if result.feasible:
-        return result.certificate, result
-    return None, result
+    return result.certificate, result
 
 
 def cmd_solve(args) -> int:

@@ -105,8 +105,7 @@ def solve_two_text(text: texts.QuantumText) -> EnscriptionCertificate:
         phase2 = np.conj(z) / abs(z)
         zr = abs(z)
     tablet = linalg.unit(text.state(0) + phase2 * text.state(1))
-    big_q = min(1.0, max(-1.0, -2.0 * zr / (1.0 + zr) ** 2))
-    params = EnscriptionParams.from_Q(big_q, tablet, phases=np.array([1.0, phase2]))
+    params = EnscriptionParams.from_Q(-2.0 * zr / (1.0 + zr) ** 2, tablet, phases=np.array([1.0, phase2]))
     return certificate(text, params)
 
 

@@ -51,30 +51,10 @@ def swap_operator(dim: int) -> np.ndarray:
 def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns completing ``cols`` (dim x r, orthonormal) to a basis of C^dim.
 
-    Only the span of ``cols`` is fixed by the callers, so the completion is a
-    convention: the greedy column-pivoted QR of I - cols cols^dag. Each new
-    column is the normalized residual of the canonical vector whose residual
-    is largest (the largest diagonal entry of the residual projector, lowest
-    index on ties), orthogonalized twice against every column so far; its
-    component on that canonical vector is positive up to rounding, so R has
-    a positive diagonal.
+    The trailing columns of the complete Householder QR of ``cols``; callers
+    read only their span, the orthogonal complement of span(cols).
     """
-    dim, r = cols.shape
-    # the basis vectors as rows, so that each one is contiguous
-    rows = np.zeros((dim, dim), dtype=complex)
-    rows[:r] = cols.T
-    # diagonal of the residual projector: the squared residual of each canonical vector
-    resid = 1.0 - np.sum(np.abs(cols) ** 2, axis=1)
-    for k in range(r, dim):
-        j = int(np.argmax(resid))
-        done = rows[:k]
-        v = -(done[:, j].conj() @ done)
-        v[j] += 1.0
-        v -= (done.conj() @ v) @ done
-        v /= np.linalg.norm(v)
-        rows[k] = v
-        resid -= np.abs(v) ** 2
-    return rows[r:].T
+    return np.linalg.qr(cols, mode="complete")[0][:, cols.shape[1]:]
 
 
 def numerical_rank(values: np.ndarray) -> int:

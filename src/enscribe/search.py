@@ -273,10 +273,11 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
     """One Levenberg-Marquardt solve from x0; returns its end point and objective evaluations.
 
     Each step solves (J^T J + mu I) h = -J^T r with the analytic Jacobian; mu
-    follows Nielsen's gain-ratio rule. A trial with a larger or non-finite
-    residual is rejected. The solve stops when the gradient vanishes, an
-    accepted step gains less than 1e-12 of the squared residual, a rejected
-    step has shrunk to nothing, or 100 residuals have been evaluated.
+    follows Nielsen's gain-ratio rule, floored at 1e-12 of J^T J's largest
+    diagonal entry. A trial with a larger or non-finite residual is rejected.
+    The solve stops when the gradient vanishes, an accepted step gains less
+    than 1e-12 of the squared residual, a rejected step has shrunk to
+    nothing, or 100 residuals have been evaluated.
     """
     x = np.array(x0, dtype=float)
     r = obj.residual_vector(x, fixed_q)
@@ -300,6 +301,8 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
                 break
             jac = obj.jacobian(x, fixed_q)
             grad, normal = jac.T @ r, jac.T @ jac
+            # the tablet's radial direction leaves J^T J singular, so mu has a floor
+            mu = max(mu, 1e-12 * normal.diagonal().max())
         else:
             mu, nu = mu * nu, nu * 2.0
             if not np.linalg.norm(step) > 1e-15 * np.linalg.norm(x):

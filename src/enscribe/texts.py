@@ -80,7 +80,6 @@ class EquivalenceWitness:
 class DirectSumSplit:
     """Split of a text into an orthogonal and an overlapping part, with the block test."""
 
-    classical_indices: tuple
     quantum_indices: tuple
     classical_block_ok: bool
     quantum_block_ok: bool
@@ -93,7 +92,6 @@ class DirectSumSplit:
         t1 = tuple(int(i) for i in classical_indices)
         t2 = tuple(i for i in range(len(graph)) if i not in t1)
         return cls(
-            t1,
             t2,
             classical_block_ok=not graph[np.ix_(t1, t1)].any(),
             quantum_block_ok=int(graph[np.ix_(t2, t2)].sum()) == len(t2) * (len(t2) - 1),
@@ -204,21 +202,6 @@ def make_real_uniform(n_states: int, z: float) -> QuantumText:
     b = (np.sqrt(lam) - a) / n
     root = a * np.eye(n) + b * np.ones((n, n))
     return make_text(n, [root[:, i] for i in range(n)])
-
-
-def direct_sum_decompose(text: QuantumText, tablet) -> DirectSumSplit:
-    """Split indices by orthogonality to the tablet and test the direct-sum pattern.
-
-    The orthogonal part must be pairwise orthogonal, the overlapping part
-    pairwise non-orthogonal, and all cross overlaps must vanish; any failure
-    means the tablet cannot serve an enscription of this text. The tablet
-    overlaps a state above DEFAULT_TOL, the line of overlap_graph.
-    """
-    tab = linalg.unit(np.asarray(tablet, dtype=complex).reshape(-1))
-    if tab.shape[0] != text.dimension:
-        raise DimensionMismatch("tablet length does not match the language dimension")
-    ov = np.abs(linalg.dagger(text.states) @ tab)
-    return DirectSumSplit.of(overlap_graph(text), np.flatnonzero(ov <= DEFAULT_TOL))
 
 
 def equivalent(text_a: QuantumText, text_b: QuantumText):

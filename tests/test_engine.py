@@ -10,7 +10,6 @@ from enscribe import (
     certificate,
     classify,
     closed_form_q_range,
-    direct_sum_decompose,
     direct_sum_enscribe,
     enscription_residual,
     entangled_input,
@@ -541,7 +540,7 @@ def test_overlap_at_the_line_gets_one_verdict_everywhere(scale, overlapping):
     assert not cls.fully_quantum
     # an orthogonal text or one overlapping pair: the Lemma 2 pattern holds either way
     assert illegibility_screen(text).verdict == "possibly_enscribable"
-    assert direct_sum_decompose(text, [0, 0, 1]).consistent is not overlapping
+    assert texts.DirectSumSplit.of(texts.overlap_graph(text), (0, 1)).consistent is not overlapping
     cert = solve_two_text(text.subtext((1, 2)))
     if overlapping:
         with pytest.raises(NotADirectSum):

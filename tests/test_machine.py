@@ -210,6 +210,16 @@ def test_failure_symmetry_rejects_complex_q():
         failure_state_symmetry_check(text, cert, 0)
 
 
+def test_real_q_rule_is_one_line_at_1e_12():
+    # |Im q| = 1e-12 exactly: complex for the probability form, so complex for the parity too
+    text = make_text(2, [[1, 0], [0, 1]])
+    cert = certificate(text, EnscriptionParams.from_q(0.5 + 1e-12j, text.state(0), n_states=2))
+    assert cert.params.q.imag == 1e-12
+    assert machine.real_q_success_probability(text, cert.params, 0) is None
+    with pytest.raises(ComplexQ):
+        failure_state_symmetry_check(text, cert, 0)
+
+
 def test_duan_guo_saturation_half_overlap():
     rep = duan_guo_saturation(-0.5)
     assert rep.saturated

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from enscribe import (
     build_procedure,
+    closed_form_q_range,
     feasibility_search,
     make_real_uniform,
     make_text,
@@ -292,3 +293,53 @@ def test_thin_two_text_certifies_at_q_minus_one_with_a_proper_tablet():
     cert = result.certificate
     assert min(input_normalizer(thin, i, cert.params.q, cert.params.tablet) for i in range(2)) > DEGENERATE_TOL
     assert verify_procedure(build_procedure(thin, cert), thin, cert) < 1e-8
+
+
+def _padded_uniform(n, z, extra):
+    """A real uniform N-text padded with zeros, plus the extra canonical vectors: a block text in C^(N+extra)."""
+    base, d = make_real_uniform(n, z), n + extra
+    padded = [np.concatenate([base.state(i), np.zeros(extra)]) for i in range(n)]
+    return make_text(d, padded + [np.eye(d)[n + k] for k in range(extra)])
+
+
+@pytest.mark.parametrize(
+    "text, big_q, verdict, winner",
+    [
+        # the tablet's radial direction makes J^T J singular; an undamped solve raised LinAlgError
+        (make_real_uniform(3, 0.3), -0.5, "feasible", (4, 230)),
+        # Q = 0.3 lies outside the closed-form interval [0.1643, 0.1754]
+        (make_real_uniform(3, -0.05), 0.3, "infeasible", None),
+        (_padded_uniform(3, 0.3, 2), -0.5, "feasible", (5, 238)),
+    ],
+    ids=["uniform-feasible", "uniform-infeasible", "block-feasible"],
+)
+def test_fixed_q_search_on_a_singular_normal_matrix(text, big_q, verdict, winner):
+    result = feasibility_search(text, big_q, SearchOptions(seed=0, starts=64))
+    assert result.verdict == verdict
+    assert result.feasible is (verdict == "feasible")
+    if winner is not None:
+        # (start index, evaluations over all starts run)
+        assert (result.start_index, result.evaluations) == winner
+
+
+@st.composite
+def uniform_and_block_texts_at_q(draw):
+    """A real uniform N-text, alone or padded into a block text, and a Q: inside one of the uniform
+    text's closed-form intervals, where starts converge, or anywhere in [-1, 1] when there is none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 5))
+    z = rng.uniform(max(-1.0 / (n - 1), -0.95), 0.95)
+    intervals = closed_form_q_range(make_real_uniform(n, z)).intervals
+    inside = intervals[rng.integers(len(intervals))] if intervals else None
+    big_q = rng.uniform(inside.lower, inside.upper) if inside else rng.uniform(-1.0, 1.0)
+    return _padded_uniform(n, z, int(rng.integers(0, 3))), big_q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(uniform_and_block_texts_at_q())
+def test_fixed_q_search_on_uniform_and_block_texts_raises_only_enscribe_errors(drawn):
+    text, big_q = drawn
+    try:
+        feasibility_search(text, big_q, SearchOptions(seed=0, starts=8))
+    except EnscribeError:
+        pass

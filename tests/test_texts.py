@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enscribe import (
+    DirectSumSplit,
     classify,
-    direct_sum_decompose,
     equivalent,
     gram,
     make_real_uniform,
@@ -14,7 +14,7 @@ from enscribe import (
 )
 from enscribe.errors import ColinearPair, DimensionMismatch, NonUnitState, SizeMismatch, ZOutOfRange
 
-from helpers import random_classical_text, random_state, random_text, random_unitary
+from helpers import random_classical_text, random_text, random_unitary
 
 Z_QUBIT = np.sqrt(3.0) - 2.0
 
@@ -290,35 +290,28 @@ def test_equivalent_size_mismatch():
         equivalent(make_real_uniform(2, 0.3), make_real_uniform(3, 0.3))
 
 
-def test_direct_sum_decompose_classical_tablet_on_state():
+def test_direct_sum_split_of_a_classical_text():
     rng = np.random.default_rng(17)
     text = random_classical_text(rng, 3, 3)
-    split = direct_sum_decompose(text, text.state(0))
+    split = DirectSumSplit.of(texts.overlap_graph(text), (1, 2))
     assert split.quantum_indices == (0,)
-    assert split.classical_indices == (1, 2)
     assert split.consistent
 
 
-def test_direct_sum_decompose_one_zero_overlap_never_consistent():
+def test_direct_sum_split_one_zero_overlap_never_consistent():
+    # states 0 and 2 are orthogonal, both overlap state 1: no split into blocks fits
     a, b = 0.4, np.sqrt(1 - 0.16)
     text = make_text(3, [[1, 0, 0], [a, b, 0], [0, a, b]])
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        tablet = random_state(rng, 3)
-        assert not direct_sum_decompose(text, tablet).consistent
-    # also for tablets orthogonal to single states
-    for i in range(3):
-        tablet = random_state(rng, 3)
-        tablet -= text.state(i) * np.vdot(text.state(i), tablet)
-        tablet /= np.linalg.norm(tablet)
-        assert not direct_sum_decompose(text, tablet).consistent
+    graph = texts.overlap_graph(text)
+    for mask in range(8):
+        orthogonal = [i for i in range(3) if mask >> i & 1]
+        assert not DirectSumSplit.of(graph, orthogonal).consistent
 
 
-def test_direct_sum_decompose_fully_quantum_all_overlapping():
+def test_direct_sum_split_fully_quantum_all_overlapping():
     text = make_real_uniform(3, 0.4)
-    tablet = np.ones(3) / np.sqrt(3)
-    split = direct_sum_decompose(text, tablet)
-    assert split.classical_indices == ()
+    split = DirectSumSplit.of(texts.overlap_graph(text), ())
+    assert split.quantum_indices == (0, 1, 2)
     assert split.consistent
 
 

@@ -75,6 +75,28 @@ def _functions_where(matches) -> list:
     return found
 
 
+# the public module-level functions that no code in the package reads, each with its reader outside it
+UNREAD_PUBLIC_FUNCTIONS = {
+    ("files", "save_text"),  # file API: the writer of what load_text reads
+    ("files", "save_certificate"),  # file API: the writer of what load_certificate reads
+    ("machine", "controlled_swap"),  # bench probe: the dense operator's size in procedure-clone
+    ("texts", "equivalent"),  # bench screen op: the equivalence search on rotated texts
+}
+
+
+def test_public_functions_that_nothing_reads_are_listed():
+    # a new public function that no package path calls or passes on is an orphan, unless listed above
+    defined, read = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined |= {(path.stem, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert {(module, name) for module, name in defined if name not in read} == UNREAD_PUBLIC_FUNCTIONS
+
+
 def test_certificates_are_constructed_only_by_certificates_certificate():
     # every residual the package holds is computed by enscription_residual, never read or set
     def constructs(node):
@@ -197,7 +219,6 @@ DEFAULT_TOL_READERS = {
     ("texts", "make_text"),
     ("texts", "overlap_graph"),
     ("texts", "make_real_uniform"),
-    ("texts", "direct_sum_decompose"),
     ("engine", "real_uniform_overlap"),
 }
 
