@@ -23,6 +23,7 @@ from .engine import (
     q_range_real_uniform,
     q_range_two_text,
     real_uniform_overlap,
+    solve_closed_form,
     solve_real_uniform,
     solve_real_uniform_central,
     solve_two_text,

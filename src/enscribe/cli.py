@@ -41,19 +41,7 @@ def _load_text(args) -> texts.QuantumText:
 def cmd_classify(args) -> int:
     text = _load_text(args)
     screen = engine.illegibility_screen(text)
-    report = {
-        "classification": texts.classify(text),
-        "gram": texts.gram(text),
-        "illegibility": {
-            "efficient_ok": screen.efficient_ok,
-            "lemma2_pattern_ok": screen.lemma2_pattern_ok,
-            "eigen_sign_ok": screen.eigen_sign_ok,
-            "eigen_sign": screen.eigen_sign,
-            "uniform_threshold_ok": screen.uniform_threshold_ok,
-            "verdict": screen.verdict,
-        },
-    }
-    _emit(report, args.output)
+    _emit({"classification": texts.classify(text), "gram": texts.gram(text), "illegibility": screen}, args.output)
     return 2 if screen.illegible else 0
 
 
@@ -71,15 +59,11 @@ def cmd_gram(args) -> int:
 
 
 def _solve_dispatch(text: texts.QuantumText, args):
-    """Closed-form solvers first, the numeric search as fallback or on request."""
+    """The closed-form certificate where engine has one, else (or on request) the numeric search."""
     if args.q is None and not args.search:
-        if text.n_states == 2:
-            log.info("dispatching to the 2-text central solver")
-            return engine.solve_two_text(text), None
-        uniform_z = engine.real_uniform_overlap(text)
-        if uniform_z is not None:
-            log.info("dispatching to the real-uniform central solver (z=%g)", uniform_z)
-            return engine.solve_real_uniform(text, uniform_z), None
+        cert = engine.solve_closed_form(text)
+        if cert is not None:
+            return cert, None
     result = feasibility_search(text, args.q, SearchOptions(seed=args.seed, starts=args.starts))
     return result.certificate, result
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,8 @@ from .errors import (
 
 # Bracket width at which z0_threshold stops bisecting.
 Z0_TOL = 1e-10
+
+log = logging.getLogger("enscribe")
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,15 @@ class IllegibilityReport:
     eigen_sign: int | None
     uniform_threshold_ok: bool | None
     verdict: str
-    reason: str | None
+
+    @property
+    def reason(self) -> str | None:
+        """The failed condition that the verdict names, or None for possibly_enscribable."""
+        return self.verdict[len("illegible("):-1] if self.illegible else None
 
     @property
     def illegible(self) -> bool:
-        return self.reason is not None
+        return self.verdict != "possibly_enscribable"
 
 
 def solve_two_text(text: texts.QuantumText) -> EnscriptionCertificate:
@@ -217,7 +224,7 @@ def _thin_interval(iv: QInterval) -> QInterval:
 def closed_form_q_range(text: texts.QuantumText) -> QRangeResult:
     """The closed-form Q range of a 2-text or a real uniform text, widened for a thin text (N < d).
 
-    Any other text raises EnscribeError.
+    Any other text raises EnscribeError; a uniform z <= -1/(N-1), a dependent text, gets the empty range.
     """
     if text.n_states == 2:
         result = q_range_two_text(abs(complex(texts.gram(text)[0, 1])))
@@ -225,6 +232,8 @@ def closed_form_q_range(text: texts.QuantumText) -> QRangeResult:
         uniform_z = real_uniform_overlap(text)
         if uniform_z is None:
             raise EnscribeError("no closed-form Q range for this text (need a 2-text or a real uniform text)")
+        if uniform_z <= -1.0 / (text.n_states - 1):
+            return QRangeResult(intervals=())
         result = q_range_real_uniform(text.n_states, uniform_z)
     if text.n_states < text.dimension:
         result = QRangeResult(tuple(_thin_interval(iv) for iv in result.intervals))
@@ -296,6 +305,21 @@ def solve_real_uniform(text: texts.QuantumText, z: float) -> EnscriptionCertific
 def solve_real_uniform_central(n_states: int, z: float) -> EnscriptionCertificate:
     """solve_real_uniform on make_real_uniform(n_states, z)."""
     return solve_real_uniform(texts.make_real_uniform(n_states, z), z)
+
+
+def solve_closed_form(text: texts.QuantumText) -> EnscriptionCertificate | None:
+    """The closed-form certificate of a 2-text or a real uniform text; None for any other text.
+
+    An illegible uniform text raises the EnscribeError of solve_real_uniform.
+    """
+    if text.n_states == 2:
+        log.info("dispatching to the 2-text central solver")
+        return solve_two_text(text)
+    uniform_z = real_uniform_overlap(text)
+    if uniform_z is None:
+        return None
+    log.info("dispatching to the real-uniform central solver (z=%g)", uniform_z)
+    return solve_real_uniform(text, uniform_z)
 
 
 def direct_sum_enscribe(
@@ -395,12 +419,14 @@ def real_uniform_overlap(text: texts.QuantumText) -> float | None:
 
     Uniform means every off-diagonal overlap has an imaginary part of at most
     texts.DEFAULT_TOL and the real parts spread by at most that much; z is
-    their mean.
+    their mean, and exactly 0.0 when texts.overlap_graph has no edge.
     """
     n = text.n_states
     if n < 3:
         return None
-    off = texts.gram(text)[np.triu_indices(n, 1)]
+    if not texts.overlap_graph(text).any():
+        return 0.0
+    off = texts.gram(text)[~np.tri(n, dtype=bool)]  # i < j in row order, as np.triu_indices(n, 1) but cheaper
     if np.max(np.abs(off.imag)) > texts.DEFAULT_TOL:
         return None
     vals = off.real
@@ -417,13 +443,12 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
     overlapping block with no cross terms; for an overlapping block of three
     or more states the entrywise-reciprocal Gram matrix must be nonsingular
     with all but one eigenvalue of a single sign (which pins the sign of any
-    feasible entanglement parameter); and a real uniform text must sit at or
-    above its feasibility threshold. Which states overlap comes from
-    texts.overlap_graph.
+    feasible entanglement parameter); and a real uniform text must have a
+    nonempty closed_form_q_range, the rule that qrange and solve apply. Which
+    states overlap comes from texts.overlap_graph.
     """
     cls = texts.classify(text)
     g = texts.gram(text)
-    n = text.n_states
     graph = texts.overlap_graph(text)
     split = texts.DirectSumSplit.of(graph, np.flatnonzero(~graph.any(axis=1)))
     busy = split.quantum_indices
@@ -448,9 +473,8 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
                 eigen_ok = False
 
     uniform_ok: bool | None = None
-    z = real_uniform_overlap(text)
-    if z is not None and not cls.classical:
-        uniform_ok = z >= z0_threshold(n) - 1e-9
+    if not cls.classical and real_uniform_overlap(text) is not None:
+        uniform_ok = not closed_form_q_range(text).empty
 
     reason = None
     if not cls.efficient:
@@ -461,13 +485,11 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
         reason = "eigen_sign"
     elif uniform_ok is False:
         reason = "uniform_threshold"
-    verdict = "possibly_enscribable" if reason is None else f"illegible({reason})"
     return IllegibilityReport(
         efficient_ok=cls.efficient,
         lemma2_pattern_ok=lemma2_ok,
         eigen_sign_ok=eigen_ok,
         eigen_sign=eps,
         uniform_threshold_ok=uniform_ok,
-        verdict=verdict,
-        reason=reason,
+        verdict="possibly_enscribable" if reason is None else f"illegible({reason})",
     )

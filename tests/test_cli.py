@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enscribe import cli, enscription_residual, files, make_real_uniform, make_text
+from enscribe import cli, enscription_residual, files, make_real_uniform, make_text, z0_threshold
 from enscribe.certificates import EnscriptionParams, certificate
 from enscribe.cli import main
 
@@ -282,6 +282,19 @@ def test_uniform_detection_agrees_across_commands(tmp_path, capsys, shift, unifo
     # the closed-form solver reports a reason, the search a verdict
     _, report = _run(capsys, ["solve", "--input", path, "--starts", "4"])
     assert ("reason" in report) == uniform
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_closed_form_commands_share_one_legibility_rule(tmp_path, capsys, n, pad):
+    # just below z0 (inside the bisection's old 1e-9 margin), just above it, and at the dependence boundary
+    z0 = z0_threshold(n)
+    for z, expected in [(z0 - 5e-10, 2), (z0 + 1e-6, 0), (-1.0 / (n - 1), 2)]:
+        base = make_real_uniform(n, z)
+        text = make_text(n + pad, [np.append(base.state(i), np.zeros(pad)) for i in range(n)])
+        path = _write_text(tmp_path, "t.json", text)
+        codes = [_run(capsys, [command, "--input", path])[0] for command in ("classify", "qrange", "solve")]
+        assert codes == [expected] * 3, z
 
 
 @pytest.mark.parametrize("big_q", ["-1.5", "nan", "2"])

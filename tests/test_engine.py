@@ -22,6 +22,7 @@ from enscribe import (
     q_range_two_text,
     real_uniform_overlap,
     search,
+    solve_closed_form,
     solve_real_uniform,
     solve_real_uniform_central,
     solve_two_text,
@@ -42,6 +43,7 @@ from enscribe.errors import (
     ZOutOfRange,
 )
 from enscribe.linalg import unit
+from enscribe.verification import random_equivalence_image
 
 from helpers import random_state, random_text, random_unitary
 
@@ -303,6 +305,58 @@ def test_closed_form_q_range_refuses_other_texts():
     text = random_text(np.random.default_rng(5), 3, 3)
     with pytest.raises(EnscribeError, match="no closed-form Q range for this text"):
         closed_form_q_range(text)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_closed_form_q_range_is_empty_at_the_dependence_boundary(n):
+    # the mean overlap lands on -1/(N-1) or an ulp below it, outside q_range_real_uniform's domain
+    text = make_real_uniform(n, -1.0 / (n - 1))
+    assert closed_form_q_range(text).empty
+    # and solve reports a reason for it, so both exit 2
+    with pytest.raises(EnscribeError):
+        solve_closed_form(text)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_rotated_orthonormal_text_has_overlap_zero(n):
+    # a rotation leaves off-diagonal overlaps near 1e-17, which the overlap graph reads as zero
+    text = _rotated_uniform(np.random.default_rng(n), n, 0.0, n)
+    assert real_uniform_overlap(text) == 0.0
+    assert closed_form_q_range(text) == closed_form_q_range(make_real_uniform(n, 0.0))
+    assert solve_closed_form(text).params.Q == 0.0
+
+
+def test_solve_closed_form_leaves_other_texts_to_the_search():
+    assert solve_closed_form(random_text(np.random.default_rng(5), 3, 3)) is None
+    assert abs(solve_closed_form(make_real_uniform(2, 0.5)).params.Q + 4.0 / 9.0) < 1e-12
+
+
+@st.composite
+def uniform_texts(draw):
+    """make_real_uniform(N, z), zero-padded and rotated, with a seed: z = 0, the boundary, or any z."""
+    n = draw(st.integers(3, 6))
+    lo = -1.0 / (n - 1)
+    z = draw(st.one_of(st.just(0.0), st.just(lo), st.floats(lo, 0.9)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return _rotated_uniform(np.random.default_rng(seed), n, z, n + draw(st.integers(0, 2))), seed
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(uniform_texts())
+def test_screen_and_closed_form_share_one_legibility_rule(case):
+    text, seed = case
+    image, _, beta, _ = random_equivalence_image(np.random.default_rng(seed), text)
+    # its phases make the overlaps complex, which real_uniform_overlap does not read as uniform
+    image = make_text(image.dimension, list((image.states / beta).T))
+    ranges = []
+    for t in (text, image):
+        ranges.append(closed_form_q_range(t))
+        assert illegibility_screen(t).illegible == ranges[-1].empty
+    a, b = ranges
+    assert len(a.intervals) == len(b.intervals)
+    for x, y in zip(a.intervals, b.intervals):
+        assert abs(x.lower - y.lower) <= 1e-9 and abs(x.upper - y.upper) <= 1e-9
+        assert (x.lower_closed, x.upper_closed) == (y.lower_closed, y.upper_closed)
 
 
 def test_direct_sum_enscribe_empty_complement_is_identity():

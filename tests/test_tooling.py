@@ -136,11 +136,38 @@ def _importers(target) -> set:
     return {module for module, _ in _functions_where(imports)}
 
 
+def _loads(names):
+    """A matcher for nodes that read (or import) one of ``names``."""
+
+    def reads(node):
+        return (
+            (isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr in names and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.alias) and node.name in names)
+        )
+
+    return reads
+
+
 def test_cli_and_files_hold_no_numeric_rule():
     # normalization lives in the constructors and closed forms in engine, so the
     # I/O layers need neither linalg nor, in cli, certificates
     assert {"cli", "files"} & _importers("linalg") == set()
     assert "cli" not in _importers("certificates")
+    # which closed form applies is decided once, by engine.solve_closed_form and closed_form_q_range
+    closed_forms = {"solve_two_text", "solve_real_uniform", "real_uniform_overlap", "q_range_two_text",
+                    "q_range_real_uniform"}
+    assert [where for where in _functions_where(_loads(closed_forms)) if where[0] == "cli"] == []
+
+
+def test_only_the_acceptance_checks_read_z0_threshold():
+    # the bisection is the reference that verify-theorems compares the closed
+    # form against; no runtime verdict reads it
+    assert set(_functions_where(_loads({"z0_threshold"}))) == {
+        ("__init__", None),  # the package's re-export
+        ("verification", "check_uniform_threshold"),
+        ("verification", "check_uniform_q_range"),
+    }
 
 
 def test_clone_path_builds_product_vectors_without_kron():
