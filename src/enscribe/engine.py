@@ -94,26 +94,10 @@ class IllegibilityReport:
 
 
 def solve_two_text(text: texts.QuantumText) -> EnscriptionCertificate:
-    """Central-tablet enscription of a 2-text (always exists).
-
-    A real overlap z is kept as-is while -2z/(1+z)^2 stays inside [-1, 1]
-    (that covers all z >= sqrt(3)-2, where the boundary value reaches exactly
-    1); otherwise the second state is phase-rotated to make the overlap equal
-    |z|, which shows up as a non-trivial output phase.
-    """
+    """Central-tablet enscription of a 2-text (always exists), built by _solve_gauged."""
     if text.n_states != 2:
         raise SizeMismatch("solver only applies to 2-texts")
-    z = complex(texts.gram(text)[0, 1])
-    direct_ok = abs(z.imag) < 1e-12 and abs(-2.0 * z.real / (1.0 + z.real) ** 2) <= 1.0 + 1e-12
-    if direct_ok:
-        phase2 = 1.0 + 0j
-        zr = z.real
-    else:
-        phase2 = np.conj(z) / abs(z)
-        zr = abs(z)
-    tablet = linalg.unit(text.state(0) + phase2 * text.state(1))
-    params = EnscriptionParams.from_Q(-2.0 * zr / (1.0 + zr) ** 2, tablet, phases=np.array([1.0, phase2]))
-    return certificate(text, params)
+    return _solve_gauged(text, *_phase_gauge(text))
 
 
 def q_range_two_text(z_modulus: float) -> QRangeResult:
@@ -182,20 +166,20 @@ def _uniform_q1(n: int, z: float) -> float:
 
 
 def q_range_real_uniform(n_states: int, z: float) -> QRangeResult:
-    """Feasible entanglement parameters of a thick real uniform N-text, N >= 3.
+    """Feasible entanglement parameters of a thick real uniform N-text, N >= 3, or of an orthonormal text of any N.
 
     The closed-form endpoints are intersected with (-1, 1]; an empty result
     means the text is illegible. The endpoint produced by the central tablet
     is flagged "central"; every other feasible value is quasi-central.
     """
     n = int(n_states)
-    if n < 3:
-        raise SizeMismatch("defined for N >= 3")
     z = float(z)
-    if not -1.0 / (n - 1) < z < 1.0:
-        raise ZOutOfRange(f"need -1/(N-1) < z < 1, got {z}")
     if z == 0.0:
         return QRangeResult(intervals=(QInterval(-1.0, 1.0, False, True, "open", "closed"),))
+    if n < 3:
+        raise SizeMismatch("defined for N >= 3")
+    if not -1.0 / (n - 1) < z < 1.0:
+        raise ZOutOfRange(f"need -1/(N-1) < z < 1, got {z}")
     q2 = _uniform_q2(n, z)
     q1 = _uniform_q1(n, z)
     lo, hi = (q1, q2) if q1 <= q2 else (q2, q1)
@@ -222,33 +206,33 @@ def _thin_interval(iv: QInterval) -> QInterval:
 
 
 def closed_form_q_range(text: texts.QuantumText) -> QRangeResult:
-    """The closed-form Q range of a 2-text or a real uniform text, widened for a thin text (N < d).
+    """The closed-form Q range of a 2-text, a one-state text or a real uniform text up to phases (_phase_gauge).
 
-    Any other text raises EnscribeError; a uniform z <= -1/(N-1), a dependent text, gets the empty range.
+    Widened for a thin text (N < d). Any other text raises EnscribeError; a
+    uniform z <= -1/(N-1), a dependent text, gets the empty range.
     """
     if text.n_states == 2:
         result = q_range_two_text(abs(complex(texts.gram(text)[0, 1])))
     else:
-        uniform_z = real_uniform_overlap(text)
+        uniform_z = _phase_gauge(text)[1]
         if uniform_z is None:
             raise EnscribeError("no closed-form Q range for this text (need a 2-text or a real uniform text)")
-        if uniform_z <= -1.0 / (text.n_states - 1):
-            return QRangeResult(intervals=())
-        result = q_range_real_uniform(text.n_states, uniform_z)
+        dependent = text.n_states > 1 and uniform_z <= -1.0 / (text.n_states - 1)
+        result = QRangeResult(intervals=()) if dependent else q_range_real_uniform(text.n_states, uniform_z)
     if text.n_states < text.dimension:
         result = QRangeResult(tuple(_thin_interval(iv) for iv in result.intervals))
     return result
 
 
-def _quasi_central_uniform(text: texts.QuantumText, z: float, big_q: float) -> EnscriptionParams:
-    """Exact quasi-central parameters for a real uniform text at a feasible Q.
+def _quasi_central_uniform(states: np.ndarray, beta: np.ndarray, z: float, big_q: float) -> EnscriptionParams:
+    """Exact quasi-central parameters at a feasible Q for gauged states of common overlap z, phases times beta.
 
     One state keeps a distinct tablet overlap c1 = x + iy while the other
     N-1 share a common real overlap c fixed by Q c^2 = -z/(1+z). The unit-
     tablet constraint is linear in |c1|^2 once x is eliminated, so the
     remaining unimodularity condition reduces to a linear equation.
     """
-    n = text.n_states
+    n = states.shape[1]
     lam = 1.0 + (n - 1) * z
     t_c = -z / ((1.0 + z) * big_q)
     if t_c <= 0:
@@ -270,36 +254,38 @@ def _quasi_central_uniform(text: texts.QuantumText, z: float, big_q: float) -> E
     overlaps = np.full(n, c, dtype=complex)
     overlaps[0] = x + 1j * y
     weights = (overlaps - z * np.sum(overlaps) / lam) / (1.0 - z)
-    tablet = text.states @ weights
+    tablet = states @ weights
     b1 = 1.0 + big_q * s
     b = 1.0 / (1.0 + z)
     gamma = (z + big_q * overlaps[0] * c) / (np.sqrt(b1 * b) * z * z)
     gamma /= abs(gamma)
-    phases = np.concatenate([[1.0 + 0j], np.full(n - 1, gamma)])
+    phases = beta * np.concatenate([[1.0 + 0j], np.full(n - 1, gamma)])
     return EnscriptionParams.from_Q(big_q, tablet, phases=phases)
 
 
-def solve_real_uniform(text: texts.QuantumText, z: float) -> EnscriptionCertificate:
-    """Enscription of a real uniform N-text with constant overlap z, on its own states.
+def _solve_gauged(text: texts.QuantumText, beta: np.ndarray, z: float) -> EnscriptionCertificate:
+    """Enscription of a text whose gauged states beta_i psi_i (_phase_gauge) have the common real overlap z.
 
-    The normalized sum of the states is the central tablet whenever its
-    entanglement parameter -Nz/((1+z)(1+(N-1)z)) lies inside [-1, 1]; in the
-    narrow negative-z band where that value escapes the range but the text is
-    still enscribable, a quasi-central certificate at an interior parameter is
-    returned instead. Raises IllegibleText when no enscription exists.
+    The normalized sum of the gauged states is the central tablet, with output phases beta, while its
+    Q = -Nz/((1+z)(1+(N-1)z)) lies in [-1, 1] (up to canonical_q's 1e-12), as it does for a 2-text; in
+    the narrow negative-z band beyond, the certificate is quasi-central. Raises IllegibleText when none exists.
     """
     n = text.n_states
-    z = float(z)
-    rng = q_range_real_uniform(n, z)
-    if rng.empty:
+    if n > 2 and q_range_real_uniform(n, z).empty:
         raise IllegibleText(f"real uniform N={n} text with z={z} admits no enscription")
+    states = text.states * beta
     q2 = 0.0 if z == 0.0 else _uniform_q2(n, z)
-    if abs(q2) <= 1.0:
-        params = EnscriptionParams.from_Q(q2, linalg.unit(text.states.sum(axis=1)), n_states=n)
+    if abs(q2) <= 1.0 + 1e-12:
+        params = EnscriptionParams.from_Q(q2, linalg.unit(states.sum(axis=1)), phases=beta)
     else:
-        interval = rng.intervals[0]
-        params = _quasi_central_uniform(text, z, 0.5 * (interval.lower + interval.upper))
+        interval = q_range_real_uniform(n, z).intervals[0]
+        params = _quasi_central_uniform(states, beta, z, 0.5 * (interval.lower + interval.upper))
     return certificate(text, params)
+
+
+def solve_real_uniform(text: texts.QuantumText, z: float) -> EnscriptionCertificate:
+    """Enscription of a real uniform text up to phases, with common overlap z, on its own states (_solve_gauged)."""
+    return _solve_gauged(text, _phase_gauge(text)[0], float(z))
 
 
 def solve_real_uniform_central(n_states: int, z: float) -> EnscriptionCertificate:
@@ -310,16 +296,16 @@ def solve_real_uniform_central(n_states: int, z: float) -> EnscriptionCertificat
 def solve_closed_form(text: texts.QuantumText) -> EnscriptionCertificate | None:
     """The closed-form certificate of a 2-text or a real uniform text; None for any other text.
 
-    An illegible uniform text raises the EnscribeError of solve_real_uniform.
+    An illegible uniform text raises the EnscribeError of solve_real_uniform. A one-state text is left to the search.
     """
     if text.n_states == 2:
         log.info("dispatching to the 2-text central solver")
         return solve_two_text(text)
-    uniform_z = real_uniform_overlap(text)
-    if uniform_z is None:
+    beta, uniform_z = _phase_gauge(text)
+    if text.n_states == 1 or uniform_z is None:
         return None
     log.info("dispatching to the real-uniform central solver (z=%g)", uniform_z)
-    return solve_real_uniform(text, uniform_z)
+    return _solve_gauged(text, beta, uniform_z)
 
 
 def direct_sum_enscribe(
@@ -414,25 +400,38 @@ def q_minus_one_dependence_check(text: texts.QuantumText, tablet) -> bool:
     return linalg.numerical_rank(np.linalg.svd(omegas, compute_uv=False)) < text.n_states
 
 
-def real_uniform_overlap(text: texts.QuantumText) -> float | None:
-    """Common overlap z of a real uniform text with N >= 3 states, else None.
+def _phase_gauge(text: texts.QuantumText) -> tuple[np.ndarray, float | None]:
+    """Unit phases beta, beta_0 = 1, and the real z with conj(beta_i) beta_j <psi_i|psi_j> = z on every pair.
 
-    Uniform means every off-diagonal overlap has an imaginary part of at most
-    texts.DEFAULT_TOL and the real parts spread by at most that much; z is
-    their mean, and exactly 0.0 when texts.overlap_graph has no edge.
+    The one rule for a real overlap, so equivalent texts get one z: z is None
+    unless the gauged overlaps have imaginary parts of at most
+    texts.DEFAULT_TOL and real parts that spread by at most that much. beta_j
+    puts the overlap with state 0 at s |G_0j|, and z = s mean |G_ij|. For
+    N >= 3 the sign s is that of the Bargmann invariant G_01 G_12 G_20 = z^3;
+    a 2-text keeps a real negative overlap while its central Q stays within
+    [-1, 1], else s = 1. With no edge of texts.overlap_graph, z = 0, beta = 1.
     """
     n = text.n_states
-    if n < 3:
-        return None
+    beta = np.ones(n, dtype=complex)
     if not texts.overlap_graph(text).any():
-        return 0.0
-    off = texts.gram(text)[~np.tri(n, dtype=bool)]  # i < j in row order, as np.triu_indices(n, 1) but cheaper
-    if np.max(np.abs(off.imag)) > texts.DEFAULT_TOL:
-        return None
-    vals = off.real
-    if np.max(vals) - np.min(vals) > texts.DEFAULT_TOL:
-        return None
-    return float(np.mean(vals))
+        return beta, 0.0
+    g = texts.gram(text)
+    upper = ~np.tri(n, dtype=bool)  # i < j in row order, as np.triu_indices(n, 1) but cheaper
+    row, real = g[0, 1:], np.abs(g[0, 1:].imag) <= texts.DEFAULT_TOL
+    if n == 2:
+        s = -1.0 if real[0] and row[0].real < 0.0 and _uniform_q2(2, -abs(row[0])) <= 1.0 + 1e-12 else 1.0
+    else:
+        s = 1.0 if (g[0, 1] * g[1, 2] * g[2, 0]).real >= 0.0 else -1.0
+    # only an overlap with state 0 that is complex or of sign -s gets a phase; a real one keeps exactly 1
+    np.divide(s * np.conj(row), np.abs(row), out=beta[1:], where=~real | (s * row.real < 0.0))
+    gauged = (np.conj(beta)[:, None] * g * beta)[upper]
+    uniform = np.abs(gauged.imag).max() <= texts.DEFAULT_TOL and np.ptp(gauged.real) <= texts.DEFAULT_TOL
+    return beta, (s * float(np.abs(g[upper]).mean()) if uniform else None)
+
+
+def real_uniform_overlap(text: texts.QuantumText) -> float | None:
+    """Common overlap z of a real uniform text with N >= 3 states, up to phases: the z of _phase_gauge; else None."""
+    return _phase_gauge(text)[1] if text.n_states >= 3 else None
 
 
 def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:

@@ -12,6 +12,7 @@ import pytest
 from enscribe import cli, enscription_residual, files, make_real_uniform, make_text, z0_threshold
 from enscribe.certificates import EnscriptionParams, certificate
 from enscribe.cli import main
+from enscribe.verification import random_equivalence_image
 
 from helpers import random_unitary
 
@@ -352,6 +353,31 @@ def test_qrange_of_a_thin_two_text_closes_minus_one(tmp_path, capsys):
     for big_q in (neg["lower"], neg["upper"], pos["lower"], pos["upper"]):
         code, report = _run(capsys, ["solve", "--input", path, "--q", repr(big_q)])
         assert code == 0, big_q
+
+
+@pytest.mark.parametrize("n, z, expected", [(3, 0.3, 0), (3, -0.19, 0), (4, -0.2, 2)])
+def test_closed_form_commands_agree_on_a_phased_image(tmp_path, capsys, n, z, expected):
+    # legible central, legible quasi-central, illegible: phases and a rotation change no exit code
+    base = make_real_uniform(n, z)
+    image, _, _, _ = random_equivalence_image(np.random.default_rng(0), base)
+    for name, text in (("base.json", base), ("image.json", image)):
+        path = _write_text(tmp_path, name, text)
+        codes = [_run(capsys, [command, "--input", path])[0] for command in ("classify", "qrange", "solve")]
+        assert codes == [expected] * 3, name
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_one_state_text_has_a_closed_form_range(tmp_path, capsys, dimension):
+    # a text with no overlapping pair has z = 0: every Q in (-1, 1], and -1 too for a thin text
+    path = _write_text(tmp_path, "one.json", make_text(dimension, [np.eye(dimension)[0]]))
+    code, report = _run(capsys, ["qrange", "--input", path])
+    assert code == 0
+    assert report["intervals"] == [{"lower": -1.0, "lower_closed": dimension > 1,
+                                    "lower_flavor": "closed" if dimension > 1 else "open",
+                                    "upper": 1.0, "upper_closed": True, "upper_flavor": "closed"}]
+    code, report = _run(capsys, ["solve", "--input", path])
+    assert (code, report["Q"]) == (0, 0.0)
+    assert _run(capsys, ["classify", "--input", path])[0] == 0
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

@@ -317,6 +317,39 @@ def test_closed_form_q_range_is_empty_at_the_dependence_boundary(n):
         solve_closed_form(text)
 
 
+_COVARIANCE_CASES = [(2, z) for z in (0.0, 0.5, -0.2, -0.5)] + [
+    (n, z)
+    for n in range(3, 8)
+    for z in (0.0, 0.6, 0.5 * _central_limit(n), 0.5 * (z0_threshold(n) + _central_limit(n)),
+              0.5 * (z0_threshold(n) - 1.0 / (n - 1)))
+]
+
+
+@pytest.mark.parametrize("pad", [0, 1], ids=["thick", "padded"])
+@pytest.mark.parametrize("n, z", _COVARIANCE_CASES)
+def test_closed_forms_are_covariant_under_text_equivalence(n, z, pad):
+    # legible central, quasi-central and illegible overlaps: phases, a relabeling and a
+    # rotation keep the range and the screen verdict, and the closed form still certifies
+    base = make_real_uniform(n, z)
+    base = make_text(n + pad, [np.append(base.state(i), np.zeros(pad)) for i in range(n)])
+    image, _, _, _ = random_equivalence_image(np.random.default_rng(10 * n + pad), base)
+    expected, verdict = closed_form_q_range(base), illegibility_screen(base).verdict
+    for text in (base, image):
+        result = closed_form_q_range(text)
+        assert len(result.intervals) == len(expected.intervals)
+        for x, y in zip(result.intervals, expected.intervals):
+            assert abs(x.lower - y.lower) <= 1e-9 and abs(x.upper - y.upper) <= 1e-9
+            assert (x.lower_closed, x.upper_closed) == (y.lower_closed, y.upper_closed)
+        assert illegibility_screen(text).verdict == verdict
+        if result.empty:
+            with pytest.raises(EnscribeError):
+                solve_closed_form(text)
+        else:
+            cert = solve_closed_form(text)
+            assert cert.residual < 1e-12
+            assert result.contains(cert.params.Q, margin=-1e-12)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_rotated_orthonormal_text_has_overlap_zero(n):
     # a rotation leaves off-diagonal overlaps near 1e-17, which the overlap graph reads as zero
@@ -345,9 +378,7 @@ def uniform_texts(draw):
 @given(uniform_texts())
 def test_screen_and_closed_form_share_one_legibility_rule(case):
     text, seed = case
-    image, _, beta, _ = random_equivalence_image(np.random.default_rng(seed), text)
-    # its phases make the overlaps complex, which real_uniform_overlap does not read as uniform
-    image = make_text(image.dimension, list((image.states / beta).T))
+    image, _, _, _ = random_equivalence_image(np.random.default_rng(seed), text)
     ranges = []
     for t in (text, image):
         ranges.append(closed_form_q_range(t))

@@ -246,7 +246,7 @@ DEFAULT_TOL_READERS = {
     ("texts", "make_text"),
     ("texts", "overlap_graph"),
     ("texts", "make_real_uniform"),
-    ("engine", "real_uniform_overlap"),
+    ("engine", "_phase_gauge"),
 }
 
 
@@ -257,6 +257,12 @@ def test_default_tol_readers_are_listed():
         )
 
     assert set(_functions_where(reads)) == DEFAULT_TOL_READERS
+
+
+def test_only_the_phase_gauge_reads_imaginary_parts_in_engine():
+    # one rule decides that an overlap is real, so a text and its phased images get one closed form
+    readers = {where for where in _functions_where(_loads({"imag"})) if where[0] == "engine"}
+    assert readers == {("engine", "_phase_gauge")}
 
 
 def test_readme_flag_table_lists_each_subcommands_flags():
