@@ -15,11 +15,13 @@ nonzero-overlap graph, and what remains vanishes exactly at enscribable
 parameters.
 
 Each start is one Levenberg-Marquardt solve of the pairwise mismatches with
-their analytic Jacobian. Starts run in a fixed, seeded order and the first
-whose largest residual beats certificates.ACCEPT_TOL wins, so the search stops
-there. When no start certifies, every start runs and the result
-records the lexicographic minimum of (residual, start index): a floor over
-the starts, not a proof of infeasibility. The starts are coordinate vectors:
+their analytic Jacobian: Wirtinger rows over the overlaps, built on Python
+scalars from the residual's own evaluation, times a fixed direction matrix.
+Starts run in a fixed, seeded order and the first whose largest residual
+beats certificates.ACCEPT_TOL wins, so the search stops there. When no start
+certifies, every start runs and the result records the earliest start whose
+residual is within FLOOR_TIE (relative) of the smallest: a floor over the
+starts, not a proof of infeasibility. The starts are coordinate vectors:
 the text's states, their normalized sum, then seeded random vectors. The
 tablet is built once, for the winning start.
 """
@@ -43,6 +45,7 @@ from .certificates import (
 from .errors import EnscribeError
 
 FLOOR_TOL = 1e-4
+FLOOR_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,10 @@ class SearchResult:
     """Best certificate found (if any) together with the attained residual.
 
     Without a certificate, ``best_residual`` is the search's floor: the
-    largest pair mismatch at each start's end point, minimized over the
-    starts. Each start minimizes the sum of squared mismatches, not the
-    largest one, so the floor moves with the stop rules of _minimize_start;
-    it is evidence of infeasibility, not a lower bound on the residual.
+    largest pair mismatch at the winning start's end point, within FLOOR_TIE
+    of its minimum over the starts. Each start minimizes the sum of squares,
+    not the largest mismatch, so the floor moves with the stop rules of
+    _minimize_start; it is evidence of infeasibility, not a lower bound.
     """
 
     certificate: EnscriptionCertificate | None
@@ -87,9 +90,9 @@ class _Objective:
 
     x holds Re c, Im c, the remainder s of a thin text, then a joint Q
     coordinate. residual_vector gives the mismatches and jacobian their exact
-    derivative in x. Works on plain Python complex scalars; the problem sizes
-    here (a handful of states in a handful of dimensions) make that faster
-    than vectorizing.
+    derivative in x. Point-dependent work runs on Python complex scalars,
+    cheaper at these sizes than numpy's per-call cost; the Jacobian's product
+    with its constant frame is one numpy call.
     """
 
     def __init__(self, text: texts.QuantumText):
@@ -108,11 +111,12 @@ class _Objective:
         self.basis = q
         self.size = 2 * self.k + (self.k < text.dimension)
         self.rows = [[complex(v) for v in row] for row in self.factor]
-        # e_l, the move of L c per unit of coordinate l: the columns of L for
-        # Re c, i times them for Im c, 0 for s
-        self.directions = [[row[m] for row in self.rows] for m in range(self.k)]
-        self.directions += [[1j * v for v in col] for col in self.directions]
-        self.directions += [[0j] * self.n] * (self.size - 2 * self.k)
+        # rows E = [L, iL, 0] (the move of L c per unit of each tablet
+        # coordinate), conj E, x (set by jacobian) and the unit Q row
+        e = np.hstack([self.factor, 1j * self.factor, np.zeros((self.n, self.size + 1 - 2 * self.k))])
+        self.frame = np.vstack([e, e.conj(), np.zeros((2, self.size + 1))])
+        self.frame[-1, -1] = 1.0
+        self._last = (None, None)
         self.pairs = [
             (i, j, complex(g[i, j]), complex(g[i, j]) ** 2)
             for i in range(self.n)
@@ -169,84 +173,89 @@ class _Objective:
         ]
         return mismatches, alphas, sq
 
+    def _evaluate(self, x, fixed_q: float | None):
+        """(overlaps, Q, mismatches, phases, scales) at x, None at the origin; kept
+        for the last point, so the Jacobian at an evaluated point reuses them."""
+        key = (x.tolist(), fixed_q)
+        if self._last[0] != key:
+            ov = self.overlaps(x)
+            big_q = self.q_of(x, fixed_q)
+            self._last = (key, None if ov is None else (ov, big_q, *self._mismatches(ov, big_q)))
+        return self._last[1]
+
     def max_residual(self, x, fixed_q: float | None) -> tuple:
         """Largest pair mismatch at x with its phases; infinite at the origin and
         where an entangled input degenerates (A_i <= DEGENERATE_TOL, as in entangled_input)."""
-        ov = self.overlaps(x)
-        if ov is None:
+        state = self._evaluate(x, fixed_q)
+        if state is None:
             return np.inf, None
-        big_q = self.q_of(x, fixed_q)
+        ov, big_q, ms, alphas, _ = state
         q = canonical_q(big_q)
         if min(1.0 + q * q + 2.0 * q * abs(o) ** 2 for o in ov) <= DEGENERATE_TOL:
             return np.inf, None
-        ms, alphas, _ = self._mismatches(ov, big_q)
         return max(map(abs, ms), default=0.0), np.array(alphas, dtype=complex)
 
     def residual_vector(self, x, fixed_q: float | None) -> np.ndarray:
-        ov = self.overlaps(x)
-        if ov is None:
+        state = self._evaluate(x, fixed_q)
+        if state is None:
             return np.full(max(2 * len(self.pairs), 1), 1e3)
-        ms, _, _ = self._mismatches(ov, self.q_of(x, fixed_q))
         # real and imaginary parts interleaved
-        return np.array(ms, dtype=complex).view(np.float64)
+        return np.array(state[2], dtype=complex).view(np.float64)
 
     def jacobian(self, x, fixed_q: float | None) -> np.ndarray:
         """Derivative of residual_vector at x, rows in its order; zero at the origin.
-
-        Column l is the move of the mismatches per unit of x[l]. For a tablet
-        coordinate the overlaps a = L c / |(c, s)| move by (e_l - a x[l] / |x|) / |x|,
-        with e_l the l-th of the directions; a joint Q = sin(x[-1]) moves by
-        cos(x[-1]), and by 0 on its clamp.
-        """
-        ov = self.overlaps(x)
-        if ov is None:
-            return np.zeros((max(2 * len(self.pairs), 1), len(x)))
-        big_q = self.q_of(x, fixed_q)
-        _, alphas, sq = self._mismatches(ov, big_q)
-        xs = [float(v) for v in x[: self.size]]
-        norm = sqrt(sum(v * v for v in xs))
-        columns = [
-            self._mismatch_derivative(ov, alphas, sq, big_q, [(e - o * v / norm) / norm for e, o in zip(col, ov)], 0.0)
-            for col, v in zip(self.directions, xs)
-        ]
-        if fixed_q is None:
-            # on its clamp q_of returns the bound, not the sine
-            d_q = cos(float(x[-1])) if big_q == sin(float(x[-1])) else 0.0
-            columns.append(self._mismatch_derivative(ov, alphas, sq, big_q, [0j] * self.n, d_q))
-        # real and imaginary rows interleaved, as in residual_vector
-        return np.array(columns, dtype=complex).reshape(len(x), -1).view(np.float64).T
-
-    def _mismatch_derivative(self, ov, alphas, sq, big_q, d_ov, d_q) -> list:
-        """Derivative of the pair mismatches when the overlaps move by d_ov and Q by d_q.
 
         With w = z + Q a_i conj(a_j) and s_i = sqrt(1 + Q |a_i|^2), each forest
         phase follows its parent's, d theta_j = d theta_p + Im(dw / w), and each
         mismatch m = w - s_i s_j e^{i(theta_j - theta_i)} z^2 moves by
         dw - z^2 e^{i(theta_j - theta_i)} (d(s_i s_j) + i s_i s_j (d theta_j - d theta_i)).
-        Terms through a vanishing w or s_i are 0.
+        One scalar pass writes each move as a Wirtinger row over (da, d conj a, dQ),
+        a real differential as its da half h (its d conj a half is conj(h));
+        terms through a vanishing w or s_i are 0. The overlaps a = L c / |x|
+        move by (E - a x^T / |x|) / |x|, so the tablet columns are
+        (rows [E; conj E] - (rows [a; conj a]) x^T / |x|) / |x|, one product with
+        the frame. A joint Q = sin(x[-1]) moves by cos(x[-1]), and by 0 on its clamp.
         """
-
-        def d_w(i, j):
-            return d_q * ov[i] * ov[j].conjugate() + big_q * (
-                d_ov[i] * ov[j].conjugate() + ov[i] * d_ov[j].conjugate()
-            )
-
-        d_sq = [
-            (d_q * (o.real * o.real + o.imag * o.imag) + 2.0 * big_q * (o.conjugate() * do).real) / (2.0 * s)
-            if s > 0.0
-            else 0.0
-            for o, do, s in zip(ov, d_ov, sq)
-        ]
-        d_theta = [0.0] * self.n
-        for i, j, z, _ in self.forest:
-            w = z + big_q * ov[i] * ov[j].conjugate()
-            d_theta[j] = d_theta[i] + ((d_w(i, j) / w).imag if w and sq[i] * sq[j] > 0.0 else 0.0)
-        return [
-            d_w(i, j)
-            - z2 * alphas[i].conjugate() * alphas[j]
-            * (d_sq[i] * sq[j] + sq[i] * d_sq[j] + 1j * sq[i] * sq[j] * (d_theta[j] - d_theta[i]))
-            for i, j, _, z2 in self.pairs
-        ]
+        state = self._evaluate(x, fixed_q)
+        if state is None:
+            return np.zeros((max(2 * len(self.pairs), 1), len(x)))
+        ov, big_q, _, alphas, sq = state
+        n = self.n
+        conj_ov = [o.conjugate() for o in ov]
+        # ds_i as its da_i coefficient and dQ part; theta_j as its da row, dQ part last
+        d_sq = [big_q * co / (2.0 * s) if s > 0.0 else 0j for co, s in zip(conj_ov, sq)]
+        d_sq_q = [(o.real * o.real + o.imag * o.imag) / (2.0 * s) if s > 0.0 else 0.0 for o, s in zip(ov, sq)]
+        theta = [[0j] * (n + 1) for _ in range(n)]
+        for p, j, z, _ in self.forest:
+            row = theta[j] = theta[p][:]
+            w = z + big_q * ov[p] * conj_ov[j]
+            if w and sq[p] * sq[j] > 0.0:
+                # Im(dw / w) = (dw / w - conj(dw / w)) / 2i
+                row[p] += big_q * conj_ov[j] / (2j * w)
+                row[j] -= big_q * conj_ov[p] / (2j * w.conjugate())
+                row[n] += (ov[p] * conj_ov[j] / w).imag
+        norm = sqrt(sum(v * v for v in x[: self.size].tolist()))
+        # on its clamp q_of returns the bound, not the sine
+        d_q = cos(float(x[-1])) if fixed_q is None and big_q == sin(float(x[-1])) else 0.0
+        rows = []
+        for i, j, _, z2 in self.pairs:
+            phase = z2 * alphas[i].conjugate() * alphas[j]
+            spin = -1j * phase * sq[i] * sq[j]
+            diff = [b - a for a, b in zip(theta[i], theta[j])]
+            d_a = [spin * v for v in diff[:n]]
+            d_conj_a = [spin * v.conjugate() for v in diff[:n]]
+            d_a[i] += big_q * conj_ov[j] - phase * sq[j] * d_sq[i]
+            d_a[j] -= phase * sq[i] * d_sq[j]
+            d_conj_a[i] -= phase * sq[j] * d_sq[i].conjugate()
+            d_conj_a[j] += big_q * ov[i] - phase * sq[i] * d_sq[j].conjugate()
+            radial = sum(t * o for t, o in zip(d_a, ov)) + sum(t * o for t, o in zip(d_conj_a, conj_ov))
+            move_q = ov[i] * conj_ov[j] - phase * (sq[j] * d_sq_q[i] + sq[i] * d_sq_q[j]) + spin * diff[n]
+            rows.append(d_a + d_conj_a + [-radial / norm, move_q * d_q * norm])
+        frame = self.frame[:, : len(x)]
+        frame[2 * n, : self.size] = x[: self.size]
+        cols = np.array(rows, dtype=complex).reshape(len(self.pairs), 2 * n + 2) @ frame / norm
+        # real and imaginary rows interleaved, as in residual_vector
+        return np.ascontiguousarray(cols.T).view(np.float64).T
 
 
 def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool) -> list:
@@ -285,8 +294,9 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
     jac = obj.jacobian(x, fixed_q)
     grad, normal = jac.T @ r, jac.T @ jac
     mu, nu = 1e-3 * np.max(np.diagonal(normal), initial=0.0), 2.0
+    eye = np.eye(len(x))
     while evals < 100 and np.max(np.abs(grad), initial=0.0) > 1e-15:
-        step = np.linalg.solve(normal + mu * np.eye(len(x)), -grad)
+        step = np.linalg.solve(normal + mu * eye, -grad)
         trial = x + step
         r_trial = obj.residual_vector(trial, fixed_q)
         evals += 1
@@ -325,8 +335,9 @@ def feasibility_search(
 
     The first start, in start order, whose residual beats ACCEPT_TOL
     ends the search and yields the certificate. Otherwise every start runs
-    and the result records the attained floor with verdict "infeasible"
-    (above the floor tolerance) or "inconclusive" (in between).
+    and the result records the earliest start whose floor is within FLOOR_TIE
+    (relative) of the smallest, with that start's floor and Q, and verdict
+    "infeasible" (above the floor tolerance) or "inconclusive" (in between).
     """
     options = options or SearchOptions()
     joint = big_q is None
@@ -336,17 +347,21 @@ def feasibility_search(
         if fixed_q == -1.0 and texts.classify(text).thick:
             return SearchResult(None, np.inf, "infeasible", fixed_q, -1, 0)
     obj = _Objective(text)
-    best_x, best_phases, best_res, best_idx, evals = None, None, np.inf, -1, 0
-    for idx, x0 in enumerate(_starts_for(obj, options, joint)):
+    ends, evals = [], 0
+    for x0 in _starts_for(obj, options, joint):
         x, used = _minimize_start(obj, x0, fixed_q)
         evals += used
-        res, phases = obj.max_residual(x, fixed_q)
-        if res < best_res:
-            best_x, best_res, best_idx, best_phases = x, res, idx, phases
-        if res < ACCEPT_TOL:
+        ends.append((*obj.max_residual(x, fixed_q), x))
+        if ends[-1][0] < ACCEPT_TOL:
             break
-    if best_x is None:
+    floor = min(res for res, _, _ in ends)
+    if floor == np.inf:
         return SearchResult(None, np.inf, "infeasible", fixed_q, -1, evals)
+    best_idx = len(ends) - 1
+    if floor >= ACCEPT_TOL:
+        # many starts end on one floor up to rounding, so a tie goes to the earliest
+        best_idx = next(i for i, (res, _, _) in enumerate(ends) if res - floor <= FLOOR_TIE * floor)
+    best_res, best_phases, best_x = ends[best_idx]
     qv = obj.q_of(best_x, fixed_q)
     if best_res < ACCEPT_TOL:
         params = EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases)

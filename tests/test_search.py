@@ -239,6 +239,57 @@ def test_jacobian_matches_central_differences(drawn, big_q):
     assert np.max(np.abs(jac - diffs), initial=0.0) <= 1e-6 * max(1.0, np.max(np.abs(diffs), initial=0.0))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(texts_with_zero_overlaps(), st.one_of(st.none(), st.floats(-1.0, 1.0)))
+def test_jacobian_annihilates_the_radial_and_global_phase_directions(drawn, big_q):
+    # the residual depends on the tablet's ray only: neither its length nor a
+    # global phase c -> e^{i phi} c moves a mismatch
+    text, rng = drawn
+    obj = search._Objective(text)
+    x = rng.standard_normal(obj.size + (big_q is None))
+    jac, k = obj.jacobian(x, big_q), obj.k
+    radial, phase = np.zeros_like(x), np.zeros_like(x)
+    radial[: obj.size] = x[: obj.size]
+    phase[:k], phase[k: 2 * k] = -x[k: 2 * k], x[:k]
+    bound = 1e-12 * np.max(np.abs(jac), initial=0.0)
+    assert np.max(np.abs(jac @ radial), initial=0.0) <= bound
+    assert np.max(np.abs(jac @ phase), initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("big_q", [None, 0.5])
+@pytest.mark.parametrize(
+    "text, at_origin",
+    [(make_text(2, [[1, 0]]), False), (make_text(2, [[1, 0]]), True), (make_real_uniform(3, 0.3), True)],
+    ids=["one-state", "one-state-origin", "three-state-origin"],
+)
+def test_jacobian_shapes_fit_the_solve(text, at_origin, big_q):
+    obj = search._Objective(text)
+    x = np.zeros(obj.size + (big_q is None))
+    if not at_origin:
+        x[0] = 1.0
+    r, jac = obj.residual_vector(x, big_q), obj.jacobian(x, big_q)
+    assert jac.shape == (len(r), len(x))
+    end, evals = search._minimize_start(obj, x, big_q)
+    assert end.shape == x.shape
+    assert evals >= 1
+
+
+@pytest.mark.parametrize("z", [0.5, 0.65, 0.75])
+def test_infeasible_winner_survives_a_one_ulp_move_of_a_state(z):
+    # most starts end on one floor up to rounding; the strict minimum of the
+    # floor moved from start 31 to 15 at z = 0.65 and from 33 to 13 at 0.75
+    text = make_real_uniform(2, z)
+    below, above = closed_form_q_range(text).intervals
+    big_q = below.upper + 0.4 * (above.lower - below.upper)
+    states = text.states.copy()
+    states[0, 1] = np.nextafter(states[0, 1].real, 2.0)
+    moved = make_text(2, list(states.T))
+    assert not np.array_equal(moved.states, text.states)
+    a, b = (feasibility_search(t, big_q, SearchOptions(seed=0, starts=64)) for t in (text, moved))
+    assert a.verdict == b.verdict == "infeasible"
+    assert (a.start_index, a.Q) == (b.start_index, b.Q)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_search_coordinates_do_not_depend_on_the_rotation_of_a_text(n):
     # a uniform text's Gram matrix has a repeated eigenvalue, so an eigenbasis

@@ -50,6 +50,17 @@ def test_benchmark_hooks_keep_their_signatures():
     assert list(inspect.signature(search._Objective.residual_vector).parameters) == ["self", "x", "fixed_q"]
 
 
+def test_benchmark_smoke_passes():
+    # every benchmark correctness check runs on tiny inputs, so a package
+    # change that breaks one fails the suite; scipy is the bench extra
+    pytest.importorskip("scipy")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--smoke"], cwd=ROOT, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+    assert out.stdout.strip().endswith("smoke ok")
+
+
 def test_import_loads_no_scipy_module():
     # the package needs only numpy; scipy.linalg alone took about 0.2 s of every import
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
