@@ -71,6 +71,9 @@ class SearchResult:
     of its minimum over the starts. Each start minimizes the sum of squares,
     not the largest mismatch, so the floor moves with the stop rules of
     _minimize_start; it is evidence of infeasibility, not a lower bound.
+    A floor whose winning start ran into the 100-evaluation cap near |Q| = 1,
+    where a joint Q coordinate barely moves, carries rounding noise of up to
+    1e-4 relative: a 1e-15 relative change of the Jacobian moves it there.
     """
 
     certificate: EnscriptionCertificate | None
@@ -132,7 +135,7 @@ class _Objective:
     def overlaps(self, x) -> list | None:
         """The tablet's overlaps a = L c / |(c, s)| with the states; None at the origin."""
         k = self.k
-        xs = [float(v) for v in x[: self.size]]
+        xs = x[: self.size].tolist()
         norm_sq = sum(v * v for v in xs)
         if norm_sq < 1e-18:
             return None
@@ -295,7 +298,7 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
     grad, normal = jac.T @ r, jac.T @ jac
     mu, nu = 1e-3 * np.max(np.diagonal(normal), initial=0.0), 2.0
     eye = np.eye(len(x))
-    while evals < 100 and np.max(np.abs(grad), initial=0.0) > 1e-15:
+    while evals < 100 and abs(grad).max() > 1e-15:
         step = np.linalg.solve(normal + mu * eye, -grad)
         trial = x + step
         r_trial = obj.residual_vector(trial, fixed_q)

@@ -427,6 +427,22 @@ def test_log_level_is_read_on_every_call(tmp_path):
     assert out.stderr == "-- error\n-- info\nINFO enscribe: dispatching to the 2-text central solver\n"
 
 
+def test_build_procedure_logs_the_verification_terms_only_at_debug(tmp_path):
+    # in a fresh process, so that the stderr handler main installs is the only one
+    path = _write_text(tmp_path, "t.json", make_real_uniform(3, 0.3))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env.pop("ENSCRIBE_LOG", None)
+    argv = [sys.executable, "-m", "enscribe.cli", "build-procedure", "--input", path, "--output", os.devnull]
+    quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert quiet.stderr == ""
+    loud = subprocess.run(argv, env={**env, "ENSCRIBE_LOG": "debug"}, capture_output=True, text=True, check=True)
+    lines = [line for line in loud.stderr.splitlines() if line.startswith("DEBUG enscribe: verify_procedure:")]
+    assert len(lines) == 1
+    for term in ("action error", "span defect", "off-span residual"):
+        assert term in lines[0]
+
+
 def test_main_leaves_other_loggers_alone():
     # in a fresh process: main configures only the enscribe logger, so the root
     # level stays as it was and another logger's warning still prints

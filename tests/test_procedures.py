@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,24 @@ from helpers import random_classical_text, random_state, random_text, random_uni
 
 def _unitarity_defect(u):
     return np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
+
+
+def _dense_reference(u, text, cert):
+    """max_i ||U omega_i - alpha_i psi_i (x) psi_i|| plus the dense ||U^dag U - I||."""
+    action = max(
+        np.linalg.norm(u @ entangled_input(text, i, cert.params.q, cert.params.tablet)
+                       - cert.params.phases[i] * np.kron(text.state(i), text.state(i)))
+        for i in range(text.n_states)
+    )
+    return action + _unitarity_defect(u)
+
+
+def _span_complement(text, cert):
+    """Orthonormal columns spanning the complement of span(inputs, clones)."""
+    families = [entangled_input(text, i, cert.params.q, cert.params.tablet) for i in range(text.n_states)]
+    families += [np.kron(text.state(i), text.state(i)) for i in range(text.n_states)]
+    u, sv, _ = np.linalg.svd(np.column_stack(families))
+    return u[:, int(np.sum(sv > 1e-10 * sv[0])) :]
 
 
 def test_correspondence_identity_on_same_lists():
@@ -281,3 +301,66 @@ def test_built_procedure_is_covariant_under_equivalence(case, seed):
     # input, as at Q = -1, where the inputs are antisymmetric and the clones symmetric
     if cert.params.Q > -0.99:
         assert np.max(np.abs(build_procedure(image, moved) - expected)) < 1e-9
+
+
+def _bench_size_cases():
+    """The largest procedure-clone inputs: a central uniform 20-text and a rotated 2-text in C^20."""
+    v, z = random_unitary(np.random.default_rng(7), 20), -0.15
+    two = make_text(20, [v[:, 0], z * v[:, 0] + np.sqrt(1.0 - z * z) * v[:, 1]])
+    return [(make_real_uniform(20, 0.3), solve_real_uniform_central(20, 0.3)), (two, solve_two_text(two))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(closed_form_certificates(), st.integers(0, 2**32 - 1))
+def test_verify_procedure_bounds_the_dense_defect(case, seed):
+    # tight on build_procedure's unitaries, which are the identity off span(inputs, clones),
+    # and never below the dense reference, also after a perturbation that moves the action
+    # (full) or that does not (projected onto the complement of the span on both sides)
+    text, cert = case
+    u = build_procedure(text, cert)
+    ref = _dense_reference(u, text, cert)
+    assert ref - 1e-13 <= verify_procedure(u, text, cert) <= ref + 1e-12
+    rng = np.random.default_rng(seed)
+    dim = u.shape[0]
+    e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    out = _span_complement(text, cert)
+    for bump in (e, out @ (out.conj().T @ e @ out) @ out.conj().T):
+        moved = u + 1e-6 * bump
+        assert verify_procedure(moved, text, cert) >= _dense_reference(moved, text, cert) - 1e-13
+
+
+@pytest.mark.parametrize("case", _bench_size_cases(), ids=["uniform-d20", "two-text-d20"])
+def test_verify_procedure_is_tight_at_bench_size(case):
+    text, cert = case
+    u = build_procedure(text, cert)
+    ref = _dense_reference(u, text, cert)
+    assert ref - 1e-13 <= verify_procedure(u, text, cert) <= ref + 1e-12
+
+
+def test_verify_procedure_rejects_a_rotation_off_the_span():
+    # u W realizes the certificate and is unitary, but it rotates the complement of
+    # span(inputs, clones), so it is not the realization that is the identity there
+    text, cert = make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3)
+    u = build_procedure(text, cert)
+    out = _span_complement(text, cert)
+    rot = random_unitary(np.random.default_rng(8), out.shape[1])
+    w = np.eye(u.shape[0]) - out @ out.conj().T + out @ rot @ out.conj().T
+    uw = u @ w
+    assert _dense_reference(uw, text, cert) < 1e-13
+    assert verify_procedure(uw, text, cert) > 1.0
+
+
+def test_verify_procedure_logs_its_terms_at_debug(caplog, monkeypatch):
+    # cli.main stops the enscribe logger from propagating to the root, where caplog listens
+    monkeypatch.setattr(logging.getLogger("enscribe"), "propagate", True)
+    text, cert = make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3)
+    u = build_procedure(text, cert)
+    caplog.set_level(logging.NOTSET, logger="enscribe")
+    verify_procedure(u, text, cert)
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="enscribe")
+    verify_procedure(u, text, cert)
+    (record,) = caplog.records
+    assert record.name == "enscribe" and record.levelno == logging.DEBUG
+    for term in ("action error", "span defect", "off-span residual"):
+        assert term in record.getMessage()
