@@ -89,8 +89,9 @@ def certificate_from_dict(data: dict, text: texts.QuantumText) -> EnscriptionCer
     return certificate(text, EnscriptionParams.from_q(q, tablet, phases=phases))
 
 
-def procedure_to_dict(matrix: np.ndarray) -> dict:
-    m = np.asarray(matrix, dtype=complex)
+def procedure_to_dict(procedure) -> dict:
+    """The report of build-procedure: the dense matrix of a built procedure (a linalg.SpanUnitary), by rows."""
+    m = procedure.matrix()
     return {"dim": m.shape[0], "matrix": [_vector(row) for row in m]}
 
 

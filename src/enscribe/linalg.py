@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DimensionMismatch, GramMismatch
@@ -84,12 +86,42 @@ def dialect_frame(vectors: np.ndarray, g: np.ndarray | None = None) -> np.ndarra
     return u @ vh
 
 
+@dataclass(frozen=True)
+class SpanUnitary:
+    """The unitary W = I + V (M - I) V^dag, kept as its two factors.
+
+    ``frame`` is V, dim x k with orthonormal columns, and ``block`` is M, a
+    k x k unitary: W is M on span V and the identity outside it. apply costs
+    O(dim k) per vector, against O(dim^2) for the dense matrix, which only
+    matrix() forms.
+    """
+
+    frame: np.ndarray
+    block: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.frame.nbytes + self.block.nbytes
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x for a vector or a column stack x."""
+        rotation = self.block - np.eye(self.block.shape[0])
+        return x + self.frame @ (rotation @ (dagger(self.frame) @ x))
+
+    def matrix(self) -> np.ndarray:
+        """W as a dense dim x dim matrix."""
+        eye = np.eye(self.block.shape[0])
+        w = self.frame @ (self.block - eye) @ dagger(self.frame)
+        w += np.eye(self.frame.shape[0])
+        return w
+
+
 def unitary_from_correspondence(
     inputs,
     outputs,
     dim: int,
     gram_tol: float = GRAM_TOL,
-) -> np.ndarray:
+) -> SpanUnitary:
     """Unitary W with W @ inputs[k] = outputs[k] for Gram-matched vector families.
 
     Both families are mixed with the same coefficients into their dialect
@@ -101,7 +133,8 @@ def unitary_from_correspondence(
     factor of b a^dag + (I - b b^dag)(I - a a^dag) in C^k: it maps a to b,
     and the complement of span(a) to that of span(b) as close to the
     identity as a unitary can, so it fixes every direction orthogonal to
-    both, including columns of V outside their span.
+    both, including columns of V outside their span. W is returned as the
+    factors V and m (SpanUnitary).
 
     Raises GramMismatch when the two Gram matrices differ by more than
     ``gram_tol`` entrywise, DimensionMismatch on empty families or
@@ -132,6 +165,4 @@ def unitary_from_correspondence(
     # needing no completion convention, fixes every direction orthogonal to both
     off_a, off_b = eye - a_in @ dagger(a_in), eye - b_in @ dagger(b_in)
     left, _, right = np.linalg.svd(b_in @ dagger(a_in) + off_b @ off_a)
-    w = v @ (left @ right - eye) @ dagger(v)
-    w += np.eye(a.shape[0])
-    return w
+    return SpanUnitary(v, left @ right)

@@ -107,15 +107,17 @@ def run_clone(
     text: texts.QuantumText,
     cert: EnscriptionCertificate,
     i: int,
-    procedure: np.ndarray,
+    procedure: linalg.SpanUnitary | np.ndarray,
 ) -> CloneOutcome:
     """Exact state-vector run of the machine on state i, post-selected on success.
 
     Prepares the ancilla, applies the controlled swap to
     xi (x) psi_i (x) tablet, verifies the orthogonal success/failure
     decomposition, and applies the enscription procedure (from
-    procedures.build_procedure, built once per certificate) on the success
-    branch; the failure branch state is also recorded (None when p_i = 1).
+    procedures.build_procedure, built once per certificate, or a dense
+    d^2 x d^2 matrix) on the success branch; the failure branch state is also
+    recorded (None when p_i = 1). A factored procedure costs O(d^2 N) here.
+    Raises DimensionMismatch unless the procedure acts on C^d (x) C^d.
     """
     if not cert.is_valid():
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
@@ -142,7 +144,7 @@ def run_clone(
     if decomp_err > 1e-10:
         raise InvalidCertificate(f"controlled-swap output decomposition off by {decomp_err:.3e}")
 
-    final_clone = procedure @ omega_q
+    final_clone = procedures.apply_procedure(procedure, omega_q)
     target = np.outer(text.state(i), text.state(i)).ravel()
     clone_err = float(np.linalg.norm(final_clone - p.phases[i] * target))
     if clone_err > max(ACCEPT_TOL, 10.0 * cert.residual):

@@ -238,7 +238,7 @@ def equivalent(text_a: QuantumText, text_b: QuantumText):
         sources = [text_b.state(k) for k in perm]
         targets = [np.conj(beta[i]) * text_a.state(i) for i in range(n)]
         try:
-            v = linalg.unitary_from_correspondence(sources, targets, text_a.dimension, gram_tol=tol)
+            v = linalg.unitary_from_correspondence(sources, targets, text_a.dimension, gram_tol=tol).matrix()
         except GramMismatch:
             return None
         err = max(float(np.linalg.norm(text_a.state(i) - beta[i] * v @ text_b.state(k)))

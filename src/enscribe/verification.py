@@ -372,8 +372,8 @@ def check_structural_properties(seed: int = 0) -> CheckResult:
         res_image = enscription_residual(image, moved)
         worst_cov = max(worst_cov, abs(res_image - cert.residual))
         u = procedures.build_procedure(base, cert)
-        vv = np.kron(v, v)
-        moved_u = vv @ u @ linalg.dagger(vv)
+        # (V x V) U (V x V)^dag = I + (V x V) F (M - I) ((V x V) F)^dag: only the frame F moves
+        moved_u = linalg.SpanUnitary(np.kron(v, v) @ u.frame, u.block)
         moved_cert = certificate(image, moved)
         worst_proc = max(worst_proc, procedures.verify_procedure(moved_u, image, moved_cert))
 

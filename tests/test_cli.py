@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -14,7 +15,7 @@ from enscribe.certificates import EnscriptionParams, certificate
 from enscribe.cli import main
 from enscribe.verification import random_equivalence_image
 
-from helpers import random_unitary
+from helpers import random_text, random_unitary
 
 
 def _write_text(tmp_path, name, text):
@@ -185,6 +186,24 @@ def test_build_procedure_command(tmp_path, capsys):
     assert code == 0
     assert report["dim"] == 4
     assert report["verification_error"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (make_real_uniform(2, 0.5), "dd415a161cdf6ff4583f321ba3a1fb51162734d05fb97170b25bada5b2afd8a6"),
+        (make_real_uniform(3, 0.3), "5b3b30e7ec13ec18e1a73904436785bb188fd93bb8b42ae180471a040b8b83a9"),
+        (random_text(np.random.default_rng(11), 2, 3), "519272615a9b995f458d05fefcd08455f941c6ae0e0bfc0d534d11c533d64989"),
+    ],
+    ids=["uniform-2", "uniform-3", "complex-2-text"],
+)
+def test_build_procedure_matrix_keeps_its_bits(tmp_path, capsys, text, digest):
+    # the report forms the dense matrix of the factored procedure; these digests were
+    # taken when build_procedure returned that dense matrix itself
+    path = _write_text(tmp_path, "t.json", text)
+    code, report = _run(capsys, ["build-procedure", "--input", path])
+    assert code == 0
+    assert hashlib.sha256(json.dumps(report["matrix"]).encode()).hexdigest() == digest
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

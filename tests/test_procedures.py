@@ -16,6 +16,7 @@ from enscribe import (
     make_text,
     q_range_real_uniform,
     qubit_example,
+    run_clone,
     solve_real_uniform_central,
     solve_two_text,
     swap_operator,
@@ -24,6 +25,7 @@ from enscribe import (
     verify_procedure,
 )
 from enscribe.errors import DimensionMismatch, GramMismatch, InvalidCertificate
+from enscribe.linalg import SpanUnitary
 from enscribe.search import SearchOptions
 from enscribe.verification import random_equivalence_image
 
@@ -55,7 +57,7 @@ def _span_complement(text, cert):
 def test_correspondence_identity_on_same_lists():
     rng = np.random.default_rng(0)
     vecs = [random_state(rng, 4) for _ in range(2)]
-    w = unitary_from_correspondence(vecs, vecs, 4)
+    w = unitary_from_correspondence(vecs, vecs, 4).matrix()
     for v in vecs:
         assert np.linalg.norm(w @ v - v) < 1e-12
     assert _unitarity_defect(w) < 1e-12
@@ -64,7 +66,7 @@ def test_correspondence_identity_on_same_lists():
 def test_correspondence_single_pair():
     rng = np.random.default_rng(1)
     u, v = random_state(rng, 2), random_state(rng, 2)
-    w = unitary_from_correspondence([u], [v], 2)
+    w = unitary_from_correspondence([u], [v], 2).matrix()
     assert np.linalg.norm(w @ u - v) < 1e-12
     assert _unitarity_defect(w) < 1e-12
 
@@ -74,7 +76,7 @@ def test_correspondence_random_isometric_family():
     ins = [random_state(rng, 9) for _ in range(3)]
     rot = random_unitary(rng, 9)
     outs = [rot @ v for v in ins]
-    w = unitary_from_correspondence(ins, outs, 9)
+    w = unitary_from_correspondence(ins, outs, 9).matrix()
     err = max(np.linalg.norm(w @ a - b) for a, b in zip(ins, outs))
     assert err < 1e-9
     assert _unitarity_defect(w) < 1e-10
@@ -100,7 +102,7 @@ def test_correspondence_gate_is_sharp():
     outs[1] /= np.linalg.norm(outs[1])
     with pytest.raises(GramMismatch):
         unitary_from_correspondence(ins, outs, 3, gram_tol=1e-10)
-    w = unitary_from_correspondence(ins, outs, 3, gram_tol=1e-8)
+    w = unitary_from_correspondence(ins, outs, 3, gram_tol=1e-8).matrix()
     assert _unitarity_defect(w) < 1e-12
 
 
@@ -130,14 +132,18 @@ def gram_matched_families(draw):
 def test_correspondence_is_the_identity_plus_a_rotation_on_both_spans(families):
     ins, outs = families
     dim = ins[0].shape[0]
-    w = unitary_from_correspondence(ins, outs, dim)
+    factors = unitary_from_correspondence(ins, outs, dim)
+    w = factors.matrix()
     assert max(np.linalg.norm(w @ a - b) for a, b in zip(ins, outs)) < 1e-10
     assert _unitarity_defect(w) < 1e-12
     # W x = x for every x orthogonal to both families
     u, sv, _ = np.linalg.svd(np.column_stack(ins + outs))
     outside = u[:, int(np.sum(sv > 1e-10 * sv[0])) :]
     assert np.max(np.abs(w @ outside - outside), initial=0.0) < 1e-12
-    assert np.array_equal(w, unitary_from_correspondence(ins, outs, dim))
+    assert np.array_equal(w, unitary_from_correspondence(ins, outs, dim).matrix())
+    # the factors act as their dense matrix, on one vector and on a column stack
+    for x in (ins[0], np.column_stack(ins + outs), outside):
+        assert np.linalg.norm(factors.apply(x) - w @ x) <= 1e-14 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("ins, outs", [([], []), ([], [np.eye(2)[0]]), ([np.eye(2)[0]], [])], ids=["both", "inputs", "outputs"])
@@ -169,14 +175,14 @@ def test_build_procedure_qubit_example_action():
     assert verify_procedure(u, text, cert) < 1e-8
     for i in range(2):
         omega = entangled_input(text, i, cert.params.q, cert.params.tablet)
-        assert np.linalg.norm(u @ omega - np.kron(text.state(i), text.state(i))) < 1e-8
+        assert np.linalg.norm(u.matrix() @ omega - np.kron(text.state(i), text.state(i))) < 1e-8
 
 
 def test_build_procedure_uniform_central():
     cert = solve_real_uniform_central(3, 0.3)
     text = make_real_uniform(3, 0.3)
     u = build_procedure(text, cert)
-    assert u.shape == (9, 9)
+    assert u.matrix().shape == (9, 9)
     assert verify_procedure(u, text, cert) < 1e-8
 
 
@@ -235,7 +241,7 @@ def test_procedure_commutes_with_swap_at_q_one(kind, seed):
     assert abs(cert.params.Q - 1.0) < 1e-12
     u = build_procedure(text, cert)
     s = swap_operator(text.dimension)
-    assert np.linalg.norm(u @ s - s @ u) < 1e-12
+    assert np.linalg.norm(u.matrix() @ s - s @ u.matrix()) < 1e-12
     assert verify_procedure(u, text, cert) < 1e-8
 
 
@@ -244,7 +250,7 @@ def test_procedures_are_deterministic():
     text = make_real_uniform(3, 0.3)
     a = build_procedure(text, cert)
     b = build_procedure(text, cert)
-    assert np.array_equal(a, b)
+    assert np.array_equal(a.matrix(), b.matrix())
 
 
 @st.composite
@@ -280,7 +286,7 @@ def test_every_procedure_is_unitary(case):
     text, cert = case
     assert cert.is_valid()
     u = build_procedure(text, cert)
-    assert _unitarity_defect(u) < 1e-10
+    assert _unitarity_defect(u.matrix()) < 1e-10
     assert verify_procedure(u, text, cert) < 1e-8
 
 
@@ -295,12 +301,12 @@ def test_built_procedure_is_covariant_under_equivalence(case, seed):
     moved = certificate(image, EnscriptionParams.from_q(cert.params.q, v @ cert.params.tablet, phases=phases))
     assert abs(moved.residual - cert.residual) < 1e-12
     vv = np.kron(v, v)
-    expected = vv @ build_procedure(text, cert) @ vv.conj().T
+    expected = vv @ build_procedure(text, cert).matrix() @ vv.conj().T
     assert verify_procedure(expected, image, moved) < 1e-8
     # the unitary nearest the identity is unique unless some clone is orthogonal to every
     # input, as at Q = -1, where the inputs are antisymmetric and the clones symmetric
     if cert.params.Q > -0.99:
-        assert np.max(np.abs(build_procedure(image, moved) - expected)) < 1e-9
+        assert np.max(np.abs(build_procedure(image, moved).matrix() - expected)) < 1e-9
 
 
 def _bench_size_cases():
@@ -310,38 +316,52 @@ def _bench_size_cases():
     return [(make_real_uniform(20, 0.3), solve_real_uniform_central(20, 0.3)), (two, solve_two_text(two))]
 
 
+def _assert_tight(factors, text, cert):
+    """verify_procedure on the factors and on their dense matrix lies within rounding of the dense reference."""
+    dense = factors.matrix()
+    ref = _dense_reference(dense, text, cert)
+    for u in (factors, dense):
+        assert ref - 1e-13 <= verify_procedure(u, text, cert) <= ref + 1e-12
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(closed_form_certificates(), st.integers(0, 2**32 - 1))
 def test_verify_procedure_bounds_the_dense_defect(case, seed):
     # tight on build_procedure's unitaries, which are the identity off span(inputs, clones),
     # and never below the dense reference, also after a perturbation that moves the action
-    # (full) or that does not (projected onto the complement of the span on both sides)
+    # (full) or that does not (projected onto the complement of the span on both sides),
+    # and after one of the block (M + 1e-6 E) or of the frame (a column scaled by 1 + 1e-6),
+    # whose unitarity defect only the frame's orthonormality defect accounts for
     text, cert = case
     u = build_procedure(text, cert)
-    ref = _dense_reference(u, text, cert)
-    assert ref - 1e-13 <= verify_procedure(u, text, cert) <= ref + 1e-12
+    _assert_tight(u, text, cert)
     rng = np.random.default_rng(seed)
-    dim = u.shape[0]
+    dense = u.matrix()
+    dim = dense.shape[0]
     e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     out = _span_complement(text, cert)
     for bump in (e, out @ (out.conj().T @ e @ out) @ out.conj().T):
-        moved = u + 1e-6 * bump
+        moved = dense + 1e-6 * bump
         assert verify_procedure(moved, text, cert) >= _dense_reference(moved, text, cert) - 1e-13
+    k = u.block.shape[0]
+    scale = np.ones(k)
+    scale[rng.integers(k)] += 1e-6
+    block_bump = e[:k, :k]
+    for moved in (SpanUnitary(u.frame, u.block + 1e-6 * block_bump), SpanUnitary(u.frame * scale, u.block)):
+        assert verify_procedure(moved, text, cert) >= _dense_reference(moved.matrix(), text, cert) - 1e-13
 
 
 @pytest.mark.parametrize("case", _bench_size_cases(), ids=["uniform-d20", "two-text-d20"])
 def test_verify_procedure_is_tight_at_bench_size(case):
     text, cert = case
-    u = build_procedure(text, cert)
-    ref = _dense_reference(u, text, cert)
-    assert ref - 1e-13 <= verify_procedure(u, text, cert) <= ref + 1e-12
+    _assert_tight(build_procedure(text, cert), text, cert)
 
 
 def test_verify_procedure_rejects_a_rotation_off_the_span():
     # u W realizes the certificate and is unitary, but it rotates the complement of
     # span(inputs, clones), so it is not the realization that is the identity there
     text, cert = make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3)
-    u = build_procedure(text, cert)
+    u = build_procedure(text, cert).matrix()
     out = _span_complement(text, cert)
     rot = random_unitary(np.random.default_rng(8), out.shape[1])
     w = np.eye(u.shape[0]) - out @ out.conj().T + out @ rot @ out.conj().T
@@ -362,5 +382,27 @@ def test_verify_procedure_logs_its_terms_at_debug(caplog, monkeypatch):
     verify_procedure(u, text, cert)
     (record,) = caplog.records
     assert record.name == "enscribe" and record.levelno == logging.DEBUG
-    for term in ("action error", "span defect", "off-span residual"):
+    for term in ("action error", "span defect", "frame defect", "off-span residual"):
         assert term in record.getMessage()
+
+
+def _two_text_procedure():
+    text = make_real_uniform(2, 0.5)
+    return build_procedure(text, solve_two_text(text))
+
+
+@pytest.mark.parametrize(
+    "procedure",
+    [np.eye(4), np.ones((9, 4)), np.eye(3), _two_text_procedure(), SpanUnitary(np.eye(9)[:, :4], np.eye(3))],
+    ids=["square-d2", "non-square", "d-by-d", "factored-d2", "factored-block"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [verify_procedure, lambda u, text, cert: run_clone(text, cert, 0, procedure=u)],
+    ids=["verify_procedure", "run_clone"],
+)
+def test_procedure_of_the_wrong_size_is_a_dimension_mismatch(procedure, call):
+    # a procedure acts on the doubled space C^3 (x) C^3 of the text; any other size is the caller's error
+    text, cert = make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3)
+    with pytest.raises(DimensionMismatch, match="procedure"):
+        call(procedure, text, cert)

@@ -189,6 +189,15 @@ def test_clone_path_builds_product_vectors_without_kron():
     assert [module for module, _ in _functions_where(kron) if module in ("certificates", "procedures", "machine")] == []
 
 
+def test_only_the_reports_form_a_dense_procedure():
+    # a procedure is built, verified and run on its factors; only the build-procedure report
+    # and the d x d witness of texts.equivalent (its nested witness function) form a matrix
+    def forms(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "matrix"
+
+    assert set(_functions_where(forms)) == {("files", "procedure_to_dict"), ("texts", "witness")}
+
+
 def test_verdict_inputs_have_no_default():
     # a certificate is judged on its text, a clone runs the caller's procedure,
     # and a correspondence is sized by the caller, never by a fallback
