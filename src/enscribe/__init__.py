@@ -22,9 +22,7 @@ from .engine import (
     q_minus_one_dependence_check,
     q_range_real_uniform,
     q_range_two_text,
-    real_uniform_overlap,
     solve_closed_form,
-    solve_real_uniform,
     solve_real_uniform_central,
     solve_two_text,
     thin_extension_family,

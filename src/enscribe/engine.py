@@ -283,20 +283,17 @@ def _solve_gauged(text: texts.QuantumText, beta: np.ndarray, z: float) -> Enscri
     return certificate(text, params)
 
 
-def solve_real_uniform(text: texts.QuantumText, z: float) -> EnscriptionCertificate:
-    """Enscription of a real uniform text up to phases, with common overlap z, on its own states (_solve_gauged)."""
-    return _solve_gauged(text, _phase_gauge(text)[0], float(z))
-
-
 def solve_real_uniform_central(n_states: int, z: float) -> EnscriptionCertificate:
-    """solve_real_uniform on make_real_uniform(n_states, z)."""
-    return solve_real_uniform(texts.make_real_uniform(n_states, z), z)
+    """solve_closed_form on make_real_uniform(n_states, z), N >= 2."""
+    if int(n_states) < 2:
+        raise SizeMismatch("defined for N >= 2")
+    return solve_closed_form(texts.make_real_uniform(n_states, z))
 
 
 def solve_closed_form(text: texts.QuantumText) -> EnscriptionCertificate | None:
     """The closed-form certificate of a 2-text or a real uniform text; None for any other text.
 
-    An illegible uniform text raises the EnscribeError of solve_real_uniform. A one-state text is left to the search.
+    An illegible uniform text raises the EnscribeError of _solve_gauged. A one-state text is left to the search.
     """
     if text.n_states == 2:
         log.info("dispatching to the 2-text central solver")
@@ -429,11 +426,6 @@ def _phase_gauge(text: texts.QuantumText) -> tuple[np.ndarray, float | None]:
     return beta, (s * float(np.abs(g[upper]).mean()) if uniform else None)
 
 
-def real_uniform_overlap(text: texts.QuantumText) -> float | None:
-    """Common overlap z of a real uniform text with N >= 3 states, up to phases: the z of _phase_gauge; else None."""
-    return _phase_gauge(text)[1] if text.n_states >= 3 else None
-
-
 def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
     """Run the necessary conditions for enscribability and report the verdict.
 
@@ -472,7 +464,7 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
                 eigen_ok = False
 
     uniform_ok: bool | None = None
-    if not cls.classical and real_uniform_overlap(text) is not None:
+    if not cls.classical and text.n_states >= 3 and _phase_gauge(text)[1] is not None:
         uniform_ok = not closed_form_q_range(text).empty
 
     reason = None

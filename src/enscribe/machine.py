@@ -107,17 +107,17 @@ def run_clone(
     text: texts.QuantumText,
     cert: EnscriptionCertificate,
     i: int,
-    procedure: linalg.SpanUnitary | np.ndarray,
+    procedure: linalg.SpanUnitary,
 ) -> CloneOutcome:
     """Exact state-vector run of the machine on state i, post-selected on success.
 
     Prepares the ancilla, applies the controlled swap to
     xi (x) psi_i (x) tablet, verifies the orthogonal success/failure
     decomposition, and applies the enscription procedure (from
-    procedures.build_procedure, built once per certificate, or a dense
-    d^2 x d^2 matrix) on the success branch; the failure branch state is also
-    recorded (None when p_i = 1). A factored procedure costs O(d^2 N) here.
-    Raises DimensionMismatch unless the procedure acts on C^d (x) C^d.
+    procedures.build_procedure, built once per certificate) on the success
+    branch in O(d^2 N); the failure branch state is also recorded (None when
+    p_i = 1). Raises DimensionMismatch unless the procedure is a SpanUnitary
+    on C^d (x) C^d.
     """
     if not cert.is_valid():
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-from math import sqrt
 
 import numpy as np
 
@@ -52,96 +51,60 @@ def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> li
     return linalg.unitary_from_correspondence(inputs, clones, dim, gram_tol=gram_tol)
 
 
-def apply_procedure(u: linalg.SpanUnitary | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """U x for a factored (SpanUnitary) or a dense procedure U and a vector or column stack x.
+def apply_procedure(u: linalg.SpanUnitary, x: np.ndarray) -> np.ndarray:
+    """U x for a procedure U (SpanUnitary) and a vector or column stack x.
 
-    Raises DimensionMismatch unless U acts on the space of x: a dense U must
-    be square, and a SpanUnitary's frame must have as many rows as x and its
-    block as many rows and columns as the frame has columns.
+    Raises DimensionMismatch unless U is a SpanUnitary acting on the space of
+    x: its frame must have as many rows as x and its block as many rows and
+    columns as the frame has columns.
     """
-    dim = x.shape[0]
-    if isinstance(u, linalg.SpanUnitary):
-        k = u.frame.shape[1]
-        if u.frame.shape[0] != dim or u.block.shape != (k, k):
-            raise DimensionMismatch(f"procedure factors have shapes {u.frame.shape} and {u.block.shape}, "
-                                    f"expected ({dim}, k) and (k, k)")
-        return u.apply(x)
-    u = np.asarray(u)
-    if u.shape != (dim, dim):
-        raise DimensionMismatch(f"procedure has shape {u.shape}, expected ({dim}, {dim})")
-    return u @ x
+    if not isinstance(u, linalg.SpanUnitary):
+        raise DimensionMismatch(f"a procedure must be a SpanUnitary, got {type(u).__name__}")
+    k = u.frame.shape[1]
+    if u.frame.shape[0] != x.shape[0] or u.block.shape != (k, k):
+        raise DimensionMismatch(f"procedure factors have shapes {u.frame.shape} and {u.block.shape}, "
+                                f"expected ({x.shape[0]}, k) and (k, k)")
+    return u.apply(x)
 
 
-def verify_procedure(
-    u: linalg.SpanUnitary | np.ndarray,
-    text: texts.QuantumText,
-    cert: EnscriptionCertificate,
-) -> float:
-    """Action error plus a bound on the unitarity defect of a candidate procedure.
+def verify_procedure(u: linalg.SpanUnitary, text: texts.QuantumText, cert: EnscriptionCertificate) -> float:
+    """Action error plus a bound on the unitarity defect of a candidate procedure U = I + V (M - I) V^dag.
 
     Returns max_i ||U omega_i - alpha_i psi_i (x) psi_i|| plus a bound on
     ||U^dag U - I||_F; both must be small for the procedure to count as a
     realization. The inputs and clones are built again from the certificate,
     not taken from build_procedure, so the check does not trust the builder.
-    The bound reads U as U = U0 + F with U0 = I + V (B - I) V^dag
-    for a frame V (D x k) and a k x k block B:
+    With A = M - I and E = V^dag V - I, U^dag U - I = V (M^dag M - I + A^dag E A) V^dag,
+    so with delta = ||M^dag M - I||, eps = ||E|| and ||V||_2^2 <= 1 + eps,
 
-    - a SpanUnitary is its own frame and block, with F = 0;
-    - a dense U takes V = P, the reduced QR factor of the stacked inputs and
-      clones (min(D, 2N) orthonormal columns spanning at least
-      S = span(inputs, clones)), and B = P^dag U P, so F is U's part off span P.
-
-    With A = B - I and E = V^dag V - I, U0^dag U0 - I = V (B^dag B - I + A^dag E A) V^dag,
-    so with delta = ||B^dag B - I||, eps = ||E|| and ||V||_2^2 <= 1 + eps,
-
-        ||U0^dag U0 - I|| <= delta' = (1 + eps) (delta + ||A||_2^2 eps),
-
-    and with phi = ||F||, since ||U0||_2 <= sqrt(1 + delta'),
-
-        ||U^dag U - I|| <= delta' + 2 sqrt(1 + delta') phi + phi^2.
+        ||U^dag U - I|| <= (1 + eps) (delta + ||A||_2^2 eps).
 
     The eps term counts the rounding of a frame that is not exactly
-    orthonormal, which delta alone cannot see. The bound equals the dense
-    defect up to rounding when U is the identity off span V, as every
-    SpanUnitary is, and bounds it for any matrix. For a dense U, span P
-    holds the inputs and clones, so this verifies the realization that is
-    the identity off span(inputs, clones): a dense unitary that realizes the
-    certificate but also rotates the complement reads as unverified. On
-    factors it costs O(D N^2), and on a dense U O(D^2 N), against O(D^3) for
-    the dense U^dag U.
+    orthonormal, which delta alone cannot see. It costs O(D N^2) for
+    D = d^2, against O(D^3) for the dense U^dag U.
 
-    Raises DimensionMismatch unless U acts on the doubled space of dimension
-    D = d^2 (apply_procedure).
+    Raises DimensionMismatch unless U is a SpanUnitary on the doubled space
+    (apply_procedure).
     """
     n = text.n_states
     inputs, clones = _inputs_and_clones(text, cert.params)
     families = np.column_stack(inputs + clones)
     action = float(np.linalg.norm(apply_procedure(u, families[:, :n]) - families[:, n:], axis=0).max())
-    if isinstance(u, linalg.SpanUnitary):
-        frame, block, phi = u.frame, u.block, 0.0
-    else:
-        frame = np.linalg.qr(families)[0]
-        block = linalg.dagger(frame) @ (u @ frame)
-        # F = U - I - P (B - I) P^dag, formed in the one D x D buffer
-        off = frame @ ((block - np.eye(block.shape[0])) @ linalg.dagger(frame))
-        np.subtract(u, off, out=off)
-        off.flat[:: off.shape[0] + 1] -= 1.0
-        phi = float(np.linalg.norm(off))
-    eye = np.eye(block.shape[0])
-    delta = float(np.linalg.norm(linalg.dagger(block) @ block - eye))
-    eps = float(np.linalg.norm(linalg.dagger(frame) @ frame - eye))
-    span = (1.0 + eps) * (delta + float(np.linalg.norm(block - eye, 2)) ** 2 * eps)
-    log.debug("verify_procedure: action error %.3e, span defect %.3e, frame defect %.3e, off-span residual %.3e",
-              action, delta, eps, phi)
-    return action + span + 2.0 * sqrt(1.0 + span) * phi + phi * phi
+    eye = np.eye(u.block.shape[0])
+    delta = float(np.linalg.norm(linalg.dagger(u.block) @ u.block - eye))
+    eps = float(np.linalg.norm(linalg.dagger(u.frame) @ u.frame - eye))
+    span = (1.0 + eps) * (delta + float(np.linalg.norm(u.block - eye, 2)) ** 2 * eps)
+    log.debug("verify_procedure: action error %.3e, span defect %.3e, frame defect %.3e", action, delta, eps)
+    return action + span
 
 
 def qubit_example():
-    """The worked two-state qubit enscription at q = 1 with its explicit matrix.
+    """The worked two-state qubit enscription at q = 1 with its explicit procedure.
 
     States a+|0> + a-|1> and a+|0> - a-|1> with a± = sqrt((1±z)/2) and
-    z = sqrt(3) - 2, tablet |0>, trivial output phases. The returned 4x4
-    matrix realizes the enscription and commutes with the factor swap.
+    z = sqrt(3) - 2, tablet |0>, trivial output phases. The returned
+    procedure, the identity off span(|00>, |11>) and a reflection on it,
+    realizes the enscription and its 4x4 matrix commutes with the factor swap.
     """
     z = np.sqrt(3.0) - 2.0
     ap = np.sqrt((1.0 + z) / 2.0)
@@ -150,13 +113,5 @@ def qubit_example():
     params = EnscriptionParams.from_q(1.0, [1.0, 0.0], n_states=2)
     cert = certificate(text, params)
     s3 = np.sqrt(3.0) / 2.0
-    u = np.array(
-        [
-            [0.5, 0.0, 0.0, s3],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [s3, 0.0, 0.0, -0.5],
-        ],
-        dtype=complex,
-    )
+    u = linalg.SpanUnitary(np.eye(4, dtype=complex)[:, [0, 3]], np.array([[0.5, s3], [s3, -0.5]], dtype=complex))
     return text, cert, u

@@ -50,12 +50,16 @@ FLOOR_TIE = 1e-12
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Seed and start count of a search; invalid values raise EnscribeError."""
+    """Seed and start count of a search, both integers (not bools); invalid values raise EnscribeError."""
 
     seed: int = 0
     starts: int = 64
 
     def __post_init__(self):
+        for name in ("seed", "starts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise EnscribeError(f"{name} must be an integer, got {value!r}")
         if not self.seed >= 0:
             raise EnscribeError(f"seed must be nonnegative, got {self.seed}")
         if not self.starts >= 1:

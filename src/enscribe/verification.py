@@ -109,7 +109,8 @@ def check_uniform_threshold(seed: int = 0) -> CheckResult:
 
 def check_qubit_example(seed: int = 0) -> CheckResult:
     """Explicit two-qubit procedure: unitarity, action, and swap commutation."""
-    text, cert, u = procedures.qubit_example()
+    text, cert, procedure = procedures.qubit_example()
+    u = procedure.matrix()
     defect = float(np.linalg.norm(linalg.dagger(u) @ u - np.eye(4)))
     action = 0.0
     for i in range(2):
@@ -220,13 +221,14 @@ def check_uniform_q_range(seed: int = 0) -> CheckResult:
                 }
             if rng_result.empty:
                 continue
-            cert = engine.solve_real_uniform_central(n, z)
+            text = texts.make_real_uniform(n, z)
+            cert = engine.solve_closed_form(text)
             worst_residual = max(worst_residual, cert.residual)
             if abs(z) > 1e-12:
                 if np.sign(cert.params.Q) != -np.sign(z):
                     ok = False
                     details[f"sign_n{n}_z{z}"] = cert.params.Q
-                screen = engine.illegibility_screen(texts.make_real_uniform(n, z))
+                screen = engine.illegibility_screen(text)
                 if screen.eigen_sign is not None and screen.eigen_sign != np.sign(cert.params.Q):
                     ok = False
                     details[f"eps_n{n}_z{z}"] = screen.eigen_sign
@@ -363,7 +365,7 @@ def check_structural_properties(seed: int = 0) -> CheckResult:
         else:
             z = float(rng.uniform(0.05, 0.6))
             base = texts.make_real_uniform(3, z)
-            cert = engine.solve_real_uniform_central(3, z)
+            cert = engine.solve_closed_form(base)
         image, v, beta, perm = random_equivalence_image(rng, base)
         new_phases = np.array(
             [cert.params.phases[perm[i]] * np.conj(beta[i]) for i in range(base.n_states)]

@@ -458,7 +458,7 @@ def test_build_procedure_logs_the_verification_terms_only_at_debug(tmp_path):
     loud = subprocess.run(argv, env={**env, "ENSCRIBE_LOG": "debug"}, capture_output=True, text=True, check=True)
     lines = [line for line in loud.stderr.splitlines() if line.startswith("DEBUG enscribe: verify_procedure:")]
     assert len(lines) == 1
-    for term in ("action error", "span defect", "off-span residual"):
+    for term in ("action error", "span defect", "frame defect"):
         assert term in lines[0]
 
 

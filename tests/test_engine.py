@@ -20,10 +20,8 @@ from enscribe import (
     q_minus_one_dependence_check,
     q_range_real_uniform,
     q_range_two_text,
-    real_uniform_overlap,
     search,
     solve_closed_form,
-    solve_real_uniform,
     solve_real_uniform_central,
     solve_two_text,
     texts,
@@ -42,6 +40,7 @@ from enscribe.errors import (
     TOutOfRange,
     ZOutOfRange,
 )
+from enscribe.engine import _phase_gauge
 from enscribe.linalg import unit
 from enscribe.verification import random_equivalence_image
 
@@ -259,20 +258,35 @@ _UNIFORM_CASES = [
 def test_solve_real_uniform_certifies_on_a_rotated_text(n, z, flavor, thin):
     rng = np.random.default_rng(7 * n + (1 if thin else 0))
     text = _rotated_uniform(rng, n, z, n + 1 if thin else n)
-    cert = solve_real_uniform(text, z)
+    cert = solve_closed_form(text)
     assert cert.residual < 1e-12
     assert cert.flavor == flavor
     # the central endpoint is Q itself, up to the rounding of canonical_q
     assert q_range_real_uniform(n, z).contains(cert.params.Q, margin=-1e-12)
 
 
-@pytest.mark.parametrize("n, z", [(3, 0.3), (3, -0.19), (4, -0.1), (4, -0.14), (5, 0.2), (7, 0.0)])
-def test_solve_real_uniform_central_is_solve_real_uniform_on_the_canonical_text(n, z):
-    def bits(cert):
-        p = cert.params
-        return p.q, p.Q, p.tablet.tobytes(), p.phases.tobytes(), cert.residual, cert.flavor
+def _bits(cert):
+    p = cert.params
+    return p.q, p.Q, p.tablet.tobytes(), p.phases.tobytes(), cert.residual, cert.flavor
 
-    assert bits(solve_real_uniform_central(n, z)) == bits(solve_real_uniform(make_real_uniform(n, z), z))
+
+@pytest.mark.parametrize("n, z", [(3, 0.3), (3, -0.19), (4, -0.1), (4, -0.14), (5, 0.2), (7, 0.0)])
+def test_solve_real_uniform_central_is_solve_closed_form_on_the_canonical_text(n, z):
+    assert _bits(solve_real_uniform_central(n, z)) == _bits(solve_closed_form(make_real_uniform(n, z)))
+
+
+@pytest.mark.parametrize("z", [-0.5, -0.3, 0.3])
+def test_solve_real_uniform_central_certifies_every_two_text(z):
+    # below z = sqrt(3) - 2 the gauge flips a 2-text's phase, so the overlap it solves at is |z|,
+    # never the raw negative z, whose central Q would leave [-1, 1]
+    cert = solve_real_uniform_central(2, z)
+    assert cert.residual < 1e-12
+    assert _bits(cert) == _bits(solve_two_text(make_real_uniform(2, z)))
+
+
+def test_solve_real_uniform_central_needs_two_states():
+    with pytest.raises(SizeMismatch):
+        solve_real_uniform_central(1, 0.3)
 
 
 def test_closed_form_q_range_widens_a_thin_two_text():
@@ -290,7 +304,7 @@ def test_closed_form_q_range_widens_a_thin_two_text():
 def test_closed_form_q_range_widens_a_thin_uniform_text(z):
     text = _rotated_uniform(np.random.default_rng(3), 3, z, 4)
     # the range of the overlap the text has, which the rotation moved by rounding
-    thick = q_range_real_uniform(3, real_uniform_overlap(text)).intervals[0]
+    thick = q_range_real_uniform(3, _phase_gauge(text)[1]).intervals[0]
     (widened,) = closed_form_q_range(text).intervals
     if z > 0:  # a negative interval reaches out to -1
         expected = QInterval(-1.0, thick.upper, True, thick.upper_closed, "closed", thick.upper_flavor)
@@ -298,7 +312,7 @@ def test_closed_form_q_range_widens_a_thin_uniform_text(z):
         expected = QInterval(thick.lower, 1.0, thick.lower_closed, True, thick.lower_flavor, "closed")
     assert widened == expected
     thick_text = make_real_uniform(3, z)
-    assert closed_form_q_range(thick_text) == q_range_real_uniform(3, real_uniform_overlap(thick_text))
+    assert closed_form_q_range(thick_text) == q_range_real_uniform(3, _phase_gauge(thick_text)[1])
 
 
 def test_closed_form_q_range_refuses_other_texts():
@@ -354,7 +368,7 @@ def test_closed_forms_are_covariant_under_text_equivalence(n, z, pad):
 def test_rotated_orthonormal_text_has_overlap_zero(n):
     # a rotation leaves off-diagonal overlaps near 1e-17, which the overlap graph reads as zero
     text = _rotated_uniform(np.random.default_rng(n), n, 0.0, n)
-    assert real_uniform_overlap(text) == 0.0
+    assert _phase_gauge(text)[1] == 0.0
     assert closed_form_q_range(text) == closed_form_q_range(make_real_uniform(n, 0.0))
     assert solve_closed_form(text).params.Q == 0.0
 

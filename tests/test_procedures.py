@@ -25,7 +25,7 @@ from enscribe import (
     verify_procedure,
 )
 from enscribe.errors import DimensionMismatch, GramMismatch, InvalidCertificate
-from enscribe.linalg import SpanUnitary
+from enscribe.linalg import SpanUnitary, complete_orthonormal
 from enscribe.search import SearchOptions
 from enscribe.verification import random_equivalence_image
 
@@ -44,14 +44,6 @@ def _dense_reference(u, text, cert):
         for i in range(text.n_states)
     )
     return action + _unitarity_defect(u)
-
-
-def _span_complement(text, cert):
-    """Orthonormal columns spanning the complement of span(inputs, clones)."""
-    families = [entangled_input(text, i, cert.params.q, cert.params.tablet) for i in range(text.n_states)]
-    families += [np.kron(text.state(i), text.state(i)) for i in range(text.n_states)]
-    u, sv, _ = np.linalg.svd(np.column_stack(families))
-    return u[:, int(np.sum(sv > 1e-10 * sv[0])) :]
 
 
 def test_correspondence_identity_on_same_lists():
@@ -197,13 +189,18 @@ def test_build_procedure_rejects_bad_certificate():
 def test_verify_procedure_flags_identity():
     text = make_real_uniform(2, 0.5)
     cert = solve_two_text(text)
-    assert verify_procedure(np.eye(4, dtype=complex), text, cert) > 0.1
+    identity = SpanUnitary(np.eye(4, dtype=complex)[:, :1], np.eye(1, dtype=complex))
+    assert verify_procedure(identity, text, cert) > 0.1
 
 
 def test_qubit_example_explicit_matrix():
-    text, cert, u = qubit_example()
+    text, cert, procedure = qubit_example()
+    s3 = np.sqrt(3.0) / 2.0
+    explicit = np.array([[0.5, 0, 0, s3], [0, 1, 0, 0], [0, 0, 1, 0], [s3, 0, 0, -0.5]], dtype=complex)
+    u = procedure.matrix()
+    assert u.dtype == explicit.dtype and u.tobytes() == explicit.tobytes()
     assert _unitarity_defect(u) < 1e-12
-    assert verify_procedure(u, text, cert) < 1e-10
+    assert verify_procedure(procedure, text, cert) < 1e-10
     p = swap_operator(2)
     assert np.linalg.norm(u @ p - p @ u) < 1e-12
     assert abs(gram(text)[0, 1] - (np.sqrt(3) - 2)) < 1e-12
@@ -301,8 +298,10 @@ def test_built_procedure_is_covariant_under_equivalence(case, seed):
     moved = certificate(image, EnscriptionParams.from_q(cert.params.q, v @ cert.params.tablet, phases=phases))
     assert abs(moved.residual - cert.residual) < 1e-12
     vv = np.kron(v, v)
-    expected = vv @ build_procedure(text, cert).matrix() @ vv.conj().T
-    assert verify_procedure(expected, image, moved) < 1e-8
+    u = build_procedure(text, cert)
+    # (V x V) U (V x V)^dag = I + (V x V) F (M - I) ((V x V) F)^dag: only the frame F moves
+    assert verify_procedure(SpanUnitary(vv @ u.frame, u.block), image, moved) < 1e-8
+    expected = vv @ u.matrix() @ vv.conj().T
     # the unitary nearest the identity is unique unless some clone is orthogonal to every
     # input, as at Q = -1, where the inputs are antisymmetric and the clones symmetric
     if cert.params.Q > -0.99:
@@ -316,37 +315,27 @@ def _bench_size_cases():
     return [(make_real_uniform(20, 0.3), solve_real_uniform_central(20, 0.3)), (two, solve_two_text(two))]
 
 
-def _assert_tight(factors, text, cert):
-    """verify_procedure on the factors and on their dense matrix lies within rounding of the dense reference."""
-    dense = factors.matrix()
-    ref = _dense_reference(dense, text, cert)
-    for u in (factors, dense):
-        assert ref - 1e-13 <= verify_procedure(u, text, cert) <= ref + 1e-12
+def _assert_tight(u, text, cert):
+    """verify_procedure on the factors lies within rounding of the dense reference on their matrix."""
+    ref = _dense_reference(u.matrix(), text, cert)
+    assert ref - 1e-13 <= verify_procedure(u, text, cert) <= ref + 1e-12
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(closed_form_certificates(), st.integers(0, 2**32 - 1))
 def test_verify_procedure_bounds_the_dense_defect(case, seed):
-    # tight on build_procedure's unitaries, which are the identity off span(inputs, clones),
-    # and never below the dense reference, also after a perturbation that moves the action
-    # (full) or that does not (projected onto the complement of the span on both sides),
-    # and after one of the block (M + 1e-6 E) or of the frame (a column scaled by 1 + 1e-6),
+    # tight on build_procedure's unitaries, and never below the dense reference after a
+    # perturbation of the block (M + 1e-6 E) or of the frame (a column scaled by 1 + 1e-6),
     # whose unitarity defect only the frame's orthonormality defect accounts for
     text, cert = case
     u = build_procedure(text, cert)
     _assert_tight(u, text, cert)
     rng = np.random.default_rng(seed)
-    dense = u.matrix()
-    dim = dense.shape[0]
+    dim, k = u.frame.shape
     e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    out = _span_complement(text, cert)
-    for bump in (e, out @ (out.conj().T @ e @ out) @ out.conj().T):
-        moved = dense + 1e-6 * bump
-        assert verify_procedure(moved, text, cert) >= _dense_reference(moved, text, cert) - 1e-13
-    k = u.block.shape[0]
+    block_bump = e[:k, :k]
     scale = np.ones(k)
     scale[rng.integers(k)] += 1e-6
-    block_bump = e[:k, :k]
     for moved in (SpanUnitary(u.frame, u.block + 1e-6 * block_bump), SpanUnitary(u.frame * scale, u.block)):
         assert verify_procedure(moved, text, cert) >= _dense_reference(moved.matrix(), text, cert) - 1e-13
 
@@ -357,17 +346,19 @@ def test_verify_procedure_is_tight_at_bench_size(case):
     _assert_tight(build_procedure(text, cert), text, cert)
 
 
-def test_verify_procedure_rejects_a_rotation_off_the_span():
-    # u W realizes the certificate and is unitary, but it rotates the complement of
-    # span(inputs, clones), so it is not the realization that is the identity there
+def test_verify_procedure_accepts_factors_that_also_rotate_off_the_span():
+    # the factors are the procedure: one that also rotates the complement of span(inputs, clones)
+    # realizes the certificate, is unitary, and verifies
     text, cert = make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3)
-    u = build_procedure(text, cert).matrix()
-    out = _span_complement(text, cert)
+    u = build_procedure(text, cert)
+    out = complete_orthonormal(u.frame)  # the frame spans the inputs and the clones
     rot = random_unitary(np.random.default_rng(8), out.shape[1])
-    w = np.eye(u.shape[0]) - out @ out.conj().T + out @ rot @ out.conj().T
-    uw = u @ w
-    assert _dense_reference(uw, text, cert) < 1e-13
-    assert verify_procedure(uw, text, cert) > 1.0
+    k = u.block.shape[0]
+    block = np.block([[u.block, np.zeros((k, rot.shape[0]))], [np.zeros((rot.shape[0], k)), rot]])
+    uw = SpanUnitary(np.column_stack([u.frame, out]), block)
+    assert np.linalg.norm((uw.matrix() - u.matrix()) @ out) > 1.0
+    assert _dense_reference(uw.matrix(), text, cert) < 1e-13
+    assert verify_procedure(uw, text, cert) < 1e-13
 
 
 def test_verify_procedure_logs_its_terms_at_debug(caplog, monkeypatch):
@@ -382,7 +373,7 @@ def test_verify_procedure_logs_its_terms_at_debug(caplog, monkeypatch):
     verify_procedure(u, text, cert)
     (record,) = caplog.records
     assert record.name == "enscribe" and record.levelno == logging.DEBUG
-    for term in ("action error", "span defect", "frame defect", "off-span residual"):
+    for term in ("action error", "span defect", "frame defect"):
         assert term in record.getMessage()
 
 
@@ -393,8 +384,8 @@ def _two_text_procedure():
 
 @pytest.mark.parametrize(
     "procedure",
-    [np.eye(4), np.ones((9, 4)), np.eye(3), _two_text_procedure(), SpanUnitary(np.eye(9)[:, :4], np.eye(3))],
-    ids=["square-d2", "non-square", "d-by-d", "factored-d2", "factored-block"],
+    [np.eye(9), np.eye(4), np.ones((9, 4)), np.eye(3), _two_text_procedure(), SpanUnitary(np.eye(9)[:, :4], np.eye(3))],
+    ids=["dense-right-size", "square-d2", "non-square", "d-by-d", "factored-d2", "factored-block"],
 )
 @pytest.mark.parametrize(
     "call",
@@ -402,7 +393,8 @@ def _two_text_procedure():
     ids=["verify_procedure", "run_clone"],
 )
 def test_procedure_of_the_wrong_size_is_a_dimension_mismatch(procedure, call):
-    # a procedure acts on the doubled space C^3 (x) C^3 of the text; any other size is the caller's error
+    # a procedure is a SpanUnitary on the doubled space C^3 (x) C^3 of the text; a dense
+    # matrix, even of the right size, or factors of any other size are the caller's error
     text, cert = make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3)
     with pytest.raises(DimensionMismatch, match="procedure"):
         call(procedure, text, cert)

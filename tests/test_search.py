@@ -307,11 +307,22 @@ def test_search_coordinates_do_not_depend_on_the_rotation_of_a_text(n):
         {"starts": 0},
         {"starts": -3},
         {"seed": -1},
+        {"starts": 2.5},
+        {"starts": float("inf")},
+        {"starts": True},
+        {"seed": 1.5},
+        {"seed": float("nan")},
+        {"seed": False},
     ],
 )
 def test_invalid_search_options_raise(options):
+    # construction only: a search given an unbounded start count would append starts until memory runs out
     with pytest.raises(EnscribeError):
         SearchOptions(**options)
+
+
+def test_search_options_take_numpy_integers():
+    assert SearchOptions(seed=np.int64(3), starts=np.int32(5)) == SearchOptions(seed=3, starts=5)
 
 
 def test_search_options_hold_only_seed_and_starts():

@@ -90,6 +90,7 @@ def _functions_where(matches) -> list:
 UNREAD_PUBLIC_FUNCTIONS = {
     ("files", "save_text"),  # file API: the writer of what load_text reads
     ("files", "save_certificate"),  # file API: the writer of what load_certificate reads
+    ("engine", "solve_real_uniform_central"),  # bench setup and screen op: the closed form of a canonical text
     ("machine", "controlled_swap"),  # bench probe: the dense operator's size in procedure-clone
     ("texts", "equivalent"),  # bench screen op: the equivalence search on rotated texts
 }
@@ -166,7 +167,7 @@ def test_cli_and_files_hold_no_numeric_rule():
     assert {"cli", "files"} & _importers("linalg") == set()
     assert "cli" not in _importers("certificates")
     # which closed form applies is decided once, by engine.solve_closed_form and closed_form_q_range
-    closed_forms = {"solve_two_text", "solve_real_uniform", "real_uniform_overlap", "q_range_two_text",
+    closed_forms = {"solve_two_text", "solve_real_uniform_central", "_phase_gauge", "q_range_two_text",
                     "q_range_real_uniform"}
     assert [where for where in _functions_where(_loads(closed_forms)) if where[0] == "cli"] == []
 
@@ -190,12 +191,17 @@ def test_clone_path_builds_product_vectors_without_kron():
 
 
 def test_only_the_reports_form_a_dense_procedure():
-    # a procedure is built, verified and run on its factors; only the build-procedure report
-    # and the d x d witness of texts.equivalent (its nested witness function) form a matrix
+    # a procedure is built, verified and run on its factors; only the build-procedure report,
+    # the check whose subject is the qubit example's explicit matrix, and the d x d witness of
+    # texts.equivalent (its nested witness function) form a matrix
     def forms(node):
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "matrix"
 
-    assert set(_functions_where(forms)) == {("files", "procedure_to_dict"), ("texts", "witness")}
+    assert set(_functions_where(forms)) == {
+        ("files", "procedure_to_dict"),
+        ("verification", "check_qubit_example"),
+        ("texts", "witness"),
+    }
 
 
 def test_verdict_inputs_have_no_default():
