@@ -27,6 +27,8 @@ from .errors import DegenerateNormalizer, DimensionMismatch, QOutOfRange
 
 FLAVOR_TOL = 1e-8
 DEGENERATE_TOL = 1e-9
+# How far past 1 an |entanglement parameter| may round and still be read as one in [-1, 1].
+CANONICAL_Q_TOL = 1e-12
 
 
 def q_to_Q(q: complex) -> float:
@@ -38,7 +40,7 @@ def q_to_Q(q: complex) -> float:
 def canonical_q(Q: float) -> float:
     """The real deformation in [-1, 1] realizing a given entanglement parameter."""
     Q = float(Q)
-    if not abs(Q) <= 1.0 + 1e-12:
+    if not abs(Q) <= 1.0 + CANONICAL_Q_TOL:
         raise QOutOfRange(f"entanglement parameter must lie in [-1, 1], got {Q}")
     Q = min(1.0, max(-1.0, Q))
     return Q / (1.0 + np.sqrt(max(0.0, 1.0 - Q * Q)))

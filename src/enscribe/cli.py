@@ -1,7 +1,8 @@
 """Batch command-line front end emitting deterministic JSON reports.
 
-Exit codes: 0 success/feasible, 2 well-formed negative result (illegible or
-infeasible input), 1 error. Verbosity is controlled by the ENSCRIBE_LOG
+Exit codes: 0 success/feasible, 2 well-formed negative result (illegible
+input, or no valid certificate for solve, build-procedure or clone, which
+share _certificate), 1 error. Verbosity is controlled by the ENSCRIBE_LOG
 environment variable (error, info, debug).
 """
 
@@ -28,14 +29,10 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _inputs(args) -> list:
+def _load_text(args) -> texts.QuantumText:
     if not args.input:
         raise EnscribeError("at least one --input file is required")
-    return args.input
-
-
-def _load_text(args) -> texts.QuantumText:
-    return files.load_text(_inputs(args)[0])
+    return files.load_text(args.input[0])
 
 
 def cmd_classify(args) -> int:
@@ -58,37 +55,38 @@ def cmd_gram(args) -> int:
     return 0
 
 
-def _solve_dispatch(text: texts.QuantumText, args):
-    """The closed-form certificate where engine has one, else (or on request) the numeric search."""
-    if args.q is None and not args.search:
-        cert = engine.solve_closed_form(text)
-        if cert is not None:
-            return cert, None
-    result = feasibility_search(text, args.q, SearchOptions(seed=args.seed, starts=args.starts))
-    return result.certificate, result
+class _Negative(Exception):
+    """A well-formed negative result; main writes its report, args[0], and exits 2."""
+
+
+def _certificate(args, text: texts.QuantumText):
+    """The valid certificate of a second --input, else of engine's closed form, else of the search.
+
+    Else raises _Negative with solve's report: a solver's reason, the search's floor, or the invalid certificate.
+    """
+    if len(args.input) > 1:
+        cert = files.load_certificate(args.input[1], text)
+    else:
+        try:
+            cert = engine.solve_closed_form(text) if args.q is None and not args.search else None
+            if cert is None:
+                result = feasibility_search(text, args.q, SearchOptions(seed=args.seed, starts=args.starts))
+                cert = result.certificate
+        except EnscribeError as exc:
+            log.info("solver reported: %s", exc)
+            raise _Negative({"feasible": False, "reason": str(exc)}) from exc
+        if cert is None:
+            # no floor at all (no start ran, or none reached a proper tablet) is null
+            floor = result.best_residual if np.isfinite(result.best_residual) else None
+            raise _Negative({"feasible": False, "best_residual": floor, "verdict": result.verdict})
+    if not cert.is_valid():
+        raise _Negative({**files.certificate_to_dict(cert), "feasible": False})
+    return cert
 
 
 def cmd_solve(args) -> int:
-    text = _load_text(args)
-    try:
-        cert, result = _solve_dispatch(text, args)
-    except EnscribeError as exc:
-        log.info("solver reported: %s", exc)
-        _emit({"feasible": False, "reason": str(exc)}, args.output)
-        return 2
-    if cert is None:
-        report = {
-            "feasible": False,
-            # no floor at all (no start ran, or none reached a proper tablet) is null
-            "best_residual": result.best_residual if np.isfinite(result.best_residual) else None,
-            "verdict": result.verdict,
-        }
-        _emit(report, args.output)
-        return 2
-    report = files.certificate_to_dict(cert)
-    report["feasible"] = cert.is_valid()
-    _emit(report, args.output)
-    return 0 if cert.is_valid() else 2
+    _emit({**files.certificate_to_dict(_certificate(args, _load_text(args))), "feasible": True}, args.output)
+    return 0
 
 
 def cmd_qrange(args) -> int:
@@ -98,19 +96,9 @@ def cmd_qrange(args) -> int:
     return 2 if rng_result.empty else 0
 
 
-def _certificate_for(args, text):
-    paths = _inputs(args)
-    if len(paths) > 1:
-        return files.load_certificate(paths[1], text)
-    cert, _ = _solve_dispatch(text, args)
-    if cert is None:
-        raise EnscribeError("no certificate found for the input text")
-    return cert
-
-
 def cmd_build_procedure(args) -> int:
     text = _load_text(args)
-    cert = _certificate_for(args, text)
+    cert = _certificate(args, text)
     u = procedures.build_procedure(text, cert)
     defect = procedures.verify_procedure(u, text, cert)
     report = files.procedure_to_dict(u)
@@ -121,7 +109,7 @@ def cmd_build_procedure(args) -> int:
 
 def cmd_clone(args) -> int:
     text = _load_text(args)
-    cert = _certificate_for(args, text)
+    cert = _certificate(args, text)
     u = procedures.build_procedure(text, cert)
     rows = []
     for i in range(text.n_states):
@@ -143,7 +131,9 @@ def cmd_clone(args) -> int:
 
 def cmd_verify_theorems(args) -> int:
     results = verification.run_checks(only=args.only, seed=args.seed)
-    report = {"checks": results, "all_passed": bool(results) and all(r.passed for r in results)}
+    if not results:
+        raise EnscribeError(f"no check matches {args.only!r}")
+    report = {"checks": results, "all_passed": all(r.passed for r in results)}
     _emit(report, args.output)
     for r in results:
         print(("PASS " if r.passed else "FAIL ") + r.name, file=sys.stderr)
@@ -209,7 +199,11 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:  # a bad seed or start count fails up front, by the rule of SearchOptions
             SearchOptions(seed=args.seed, starts=getattr(args, "starts", SearchOptions.starts))
-        return args.func(args)
+        try:
+            return args.func(args)
+        except _Negative as negative:
+            _emit(negative.args[0], args.output)
+            return 2
     except (EnscribeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ import numpy as np
 from . import linalg, texts
 from .certificates import (
     ACCEPT_TOL,
+    CANONICAL_Q_TOL,
     EnscriptionCertificate,
     EnscriptionParams,
     certificate,
@@ -97,7 +98,7 @@ def solve_two_text(text: texts.QuantumText) -> EnscriptionCertificate:
     """Central-tablet enscription of a 2-text (always exists), built by _solve_gauged."""
     if text.n_states != 2:
         raise SizeMismatch("solver only applies to 2-texts")
-    return _solve_gauged(text, *_phase_gauge(text))
+    return _solve_gauged(text, *_closed_form(text))
 
 
 def q_range_two_text(z_modulus: float) -> QRangeResult:
@@ -205,23 +206,30 @@ def _thin_interval(iv: QInterval) -> QInterval:
     return iv
 
 
-def closed_form_q_range(text: texts.QuantumText) -> QRangeResult:
-    """The closed-form Q range of a 2-text, a one-state text or a real uniform text up to phases (_phase_gauge).
+def _closed_form(text: texts.QuantumText) -> tuple[np.ndarray, float, QRangeResult] | None:
+    """The gauge (beta, z) and thick-text Q range of a 2-text, a one-state text or a real uniform text, else None.
 
-    Widened for a thin text (N < d). Any other text raises EnscribeError; a
-    uniform z <= -1/(N-1), a dependent text, gets the empty range.
+    A 2-text's range reads |G_01| from texts.gram (the gauge's |z| can differ in the last bit); a
+    dependent uniform text, z <= -1/(N-1), gets the empty range.
     """
-    if text.n_states == 2:
-        result = q_range_two_text(abs(complex(texts.gram(text)[0, 1])))
-    else:
-        uniform_z = _phase_gauge(text)[1]
-        if uniform_z is None:
-            raise EnscribeError("no closed-form Q range for this text (need a 2-text or a real uniform text)")
-        dependent = text.n_states > 1 and uniform_z <= -1.0 / (text.n_states - 1)
-        result = QRangeResult(intervals=()) if dependent else q_range_real_uniform(text.n_states, uniform_z)
-    if text.n_states < text.dimension:
-        result = QRangeResult(tuple(_thin_interval(iv) for iv in result.intervals))
-    return result
+    beta, z = _phase_gauge(text)
+    n = text.n_states
+    if z is None:
+        return None
+    if n == 2:
+        return beta, z, q_range_two_text(abs(complex(texts.gram(text)[0, 1])))
+    dependent = n > 1 and z <= -1.0 / (n - 1)
+    return beta, z, QRangeResult(intervals=()) if dependent else q_range_real_uniform(n, z)
+
+
+def closed_form_q_range(text: texts.QuantumText) -> QRangeResult:
+    """The Q range of _closed_form, widened for a thin text (N < d); any other text raises EnscribeError."""
+    closed = _closed_form(text)
+    if closed is None:
+        raise EnscribeError("no closed-form Q range for this text (need a 2-text or a real uniform text)")
+    if text.n_states >= text.dimension:
+        return closed[2]
+    return QRangeResult(tuple(_thin_interval(iv) for iv in closed[2].intervals))
 
 
 def _quasi_central_uniform(states: np.ndarray, beta: np.ndarray, z: float, big_q: float) -> EnscriptionParams:
@@ -263,22 +271,22 @@ def _quasi_central_uniform(states: np.ndarray, beta: np.ndarray, z: float, big_q
     return EnscriptionParams.from_Q(big_q, tablet, phases=phases)
 
 
-def _solve_gauged(text: texts.QuantumText, beta: np.ndarray, z: float) -> EnscriptionCertificate:
-    """Enscription of a text whose gauged states beta_i psi_i (_phase_gauge) have the common real overlap z.
+def _solve_gauged(text: texts.QuantumText, beta: np.ndarray, z: float, q_range: QRangeResult) -> EnscriptionCertificate:
+    """Enscription of a text whose gauged states beta_i psi_i have the common real overlap z (_closed_form).
 
     The normalized sum of the gauged states is the central tablet, with output phases beta, while its
-    Q = -Nz/((1+z)(1+(N-1)z)) lies in [-1, 1] (up to canonical_q's 1e-12), as it does for a 2-text; in
-    the narrow negative-z band beyond, the certificate is quasi-central. Raises IllegibleText when none exists.
+    Q = -Nz/((1+z)(1+(N-1)z)) lies in [-1, 1] (up to CANONICAL_Q_TOL), as it does for a 2-text; beyond, the
+    certificate is quasi-central at the midpoint of the thick range q_range. An empty one raises IllegibleText.
     """
     n = text.n_states
-    if n > 2 and q_range_real_uniform(n, z).empty:
+    if q_range.empty:
         raise IllegibleText(f"real uniform N={n} text with z={z} admits no enscription")
     states = text.states * beta
     q2 = 0.0 if z == 0.0 else _uniform_q2(n, z)
-    if abs(q2) <= 1.0 + 1e-12:
+    if abs(q2) <= 1.0 + CANONICAL_Q_TOL:
         params = EnscriptionParams.from_Q(q2, linalg.unit(states.sum(axis=1)), phases=beta)
     else:
-        interval = q_range_real_uniform(n, z).intervals[0]
+        interval = q_range.intervals[0]
         params = _quasi_central_uniform(states, beta, z, 0.5 * (interval.lower + interval.upper))
     return certificate(text, params)
 
@@ -295,14 +303,12 @@ def solve_closed_form(text: texts.QuantumText) -> EnscriptionCertificate | None:
 
     An illegible uniform text raises the EnscribeError of _solve_gauged. A one-state text is left to the search.
     """
-    if text.n_states == 2:
-        log.info("dispatching to the 2-text central solver")
-        return solve_two_text(text)
-    beta, uniform_z = _phase_gauge(text)
-    if text.n_states == 1 or uniform_z is None:
+    closed = _closed_form(text)
+    if text.n_states == 1 or closed is None:
         return None
-    log.info("dispatching to the real-uniform central solver (z=%g)", uniform_z)
-    return _solve_gauged(text, beta, uniform_z)
+    log.info("dispatching to the 2-text central solver" if text.n_states == 2 else
+             "dispatching to the real-uniform central solver (z=%g)" % closed[1])
+    return _solve_gauged(text, *closed)
 
 
 def direct_sum_enscribe(
@@ -416,7 +422,7 @@ def _phase_gauge(text: texts.QuantumText) -> tuple[np.ndarray, float | None]:
     upper = ~np.tri(n, dtype=bool)  # i < j in row order, as np.triu_indices(n, 1) but cheaper
     row, real = g[0, 1:], np.abs(g[0, 1:].imag) <= texts.DEFAULT_TOL
     if n == 2:
-        s = -1.0 if real[0] and row[0].real < 0.0 and _uniform_q2(2, -abs(row[0])) <= 1.0 + 1e-12 else 1.0
+        s = -1.0 if real[0] and row[0].real < 0.0 and _uniform_q2(2, -abs(row[0])) <= 1.0 + CANONICAL_Q_TOL else 1.0
     else:
         s = 1.0 if (g[0, 1] * g[1, 2] * g[2, 0]).real >= 0.0 else -1.0
     # only an overlap with state 0 that is complex or of sign -s gets a phase; a real one keeps exactly 1
@@ -435,7 +441,7 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
     or more states the entrywise-reciprocal Gram matrix must be nonsingular
     with all but one eigenvalue of a single sign (which pins the sign of any
     feasible entanglement parameter); and a real uniform text must have a
-    nonempty closed_form_q_range, the rule that qrange and solve apply. Which
+    nonempty _closed_form range, the rule that qrange and solve apply. Which
     states overlap comes from texts.overlap_graph.
     """
     cls = texts.classify(text)
@@ -463,9 +469,8 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
             else:
                 eigen_ok = False
 
-    uniform_ok: bool | None = None
-    if not cls.classical and text.n_states >= 3 and _phase_gauge(text)[1] is not None:
-        uniform_ok = not closed_form_q_range(text).empty
+    closed = None if cls.classical or text.n_states < 3 else _closed_form(text)
+    uniform_ok = None if closed is None else not closed[2].empty
 
     reason = None
     if not cls.efficient:

@@ -169,12 +169,12 @@ def failure_state_symmetry_check(
 ) -> FailureSymmetryReport:
     """Check the failure state is the (anti)symmetrization of state i with the tablet.
 
-    Defined for real q only, by the rule of real_q_success_probability (|Im q| below
-    1e-12): the failure state has swap parity +1 when Q < 0 and -1 when Q > 0.
+    Defined for real q only, where real_q_success_probability is not None: the
+    failure state has swap parity +1 when Q < 0 and -1 when Q > 0.
     """
-    q = complex(cert.params.q)
-    if abs(q.imag) >= 1e-12:
+    if real_q_success_probability(text, cert.params, i) is None:
         raise ComplexQ("failure-state parity is only defined for real q")
+    q = complex(cert.params.q)
     prob = success_probability(text, cert.params, i)  # raises QZero at q = 0
     if 1.0 - prob <= 1e-12:
         return FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)

@@ -265,7 +265,8 @@ class _Objective:
         return np.ascontiguousarray(cols.T).view(np.float64).T
 
 
-def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool) -> list:
+def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool):
+    """Yield the search's start vectors in order, each drawn only when the search reaches it."""
     # States first: from their normalized sum the solve can stall in a
     # nonzero local minimum, so a search's cost depended on which start won.
     # State i sits at conj(L[i, :]), their normalized sum at L^dag 1 / |L^dag 1|.
@@ -275,14 +276,15 @@ def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool) -> list:
     if norm > 1e-6:
         coords.append(total / norm)
     rest = np.zeros(obj.size - 2 * obj.k + joint_q)
-    xs = [np.concatenate([c.real, c.imag, rest]) for c in coords]
+    coords = coords[: options.starts]
+    for c in coords:
+        yield np.concatenate([c.real, c.imag, rest])
     rng = np.random.default_rng(options.seed)
-    while len(xs) < options.starts:
+    for _ in range(options.starts - len(coords)):
         vec = rng.standard_normal(obj.size)
         if joint_q:
             vec = np.concatenate([vec, np.arcsin(rng.uniform(-0.95, 0.95, 1))])
-        xs.append(vec)
-    return xs[: options.starts]
+        yield vec
 
 
 def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):

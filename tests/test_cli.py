@@ -478,3 +478,80 @@ def test_main_leaves_other_loggers_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == f"{logging.WARNING} {logging.WARNING}\n"
     assert out.stderr == "PASS z0-threshold\napp warning\n"
+
+
+def _invalid_certificate_file(tmp_path, text):
+    # the tablet of the central certificate moved onto one state: well formed, residual far above ACCEPT_TOL
+    params = EnscriptionParams.from_Q(-4.0 / 9.0, text.state(0), phases=[1.0, -1.0])
+    cert = certificate(text, params)
+    assert not cert.is_valid()
+    path = tmp_path / "invalid-cert.json"
+    files.save_certificate(cert, str(path))
+    return str(path)
+
+
+NO_CERTIFICATE_CASES = {
+    "illegible-uniform": (make_real_uniform(3, -0.3), []),
+    "dependent-uniform": (make_real_uniform(3, -0.5), []),
+    "search-at-fixed-q": (make_real_uniform(2, 0.3), ["--q", "0.2"]),
+    "search-joint": (random_text(np.random.default_rng(2), 3, 3), []),
+    "out-of-range-q": (make_real_uniform(2, 0.3), ["--q", "2"]),
+    "invalid-certificate-file": (make_real_uniform(2, -0.5), None),
+}
+
+
+@pytest.mark.parametrize("case", NO_CERTIFICATE_CASES)
+def test_commands_without_a_valid_certificate_write_solves_negative_report(tmp_path, capsys, case):
+    text, flags = NO_CERTIFICATE_CASES[case]
+    path = _write_text(tmp_path, "t.json", text)
+    if flags is None:
+        flags = ["--input", _invalid_certificate_file(tmp_path, text)]
+    outputs = {}
+    for command in ("solve", "build-procedure", "clone"):
+        code = main([command, "--input", path, *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, ""), command
+        outputs[command] = captured.out
+    assert outputs["build-procedure"] == outputs["solve"] == outputs["clone"]
+    assert json.loads(outputs["solve"])["feasible"] is False
+
+
+def test_solve_certifies_a_given_certificate(tmp_path, capsys):
+    # the saturating certificate (Q = 0.8), not the closed form's (Q = -4/9), is reported
+    text = make_real_uniform(2, -0.5)
+    tablet = text.state(0) + text.state(1)
+    params = EnscriptionParams.from_Q(0.8, tablet / np.linalg.norm(tablet), phases=[1.0, -1.0])
+    cpath = tmp_path / "sat.json"
+    files.save_certificate(certificate(text, params), str(cpath))
+    tpath = _write_text(tmp_path, "t.json", text)
+    code, report = _run(capsys, ["solve", "--input", tpath, "--input", str(cpath)])
+    assert code == 0
+    assert report == {**files.certificate_to_dict(certificate(text, params)), "feasible": True}
+    code, report = _run(capsys, ["solve", "--input", tpath, "--input", _invalid_certificate_file(tmp_path, text)])
+    assert (code, report["feasible"]) == (2, False)
+
+
+@pytest.mark.parametrize("command", ["solve", "build-procedure", "clone"])
+def test_malformed_certificate_file_is_an_error(tmp_path, capsys, command):
+    tpath = _write_text(tmp_path, "t.json", make_real_uniform(2, -0.5))
+    cpath = tmp_path / "cert.json"
+    cpath.write_text("{broken")
+    code = main([command, "--input", tpath, "--input", str(cpath)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ")
+
+
+def test_dependent_uniform_text_gets_the_empty_range_reason(tmp_path, capsys):
+    path = _write_text(tmp_path, "t.json", make_real_uniform(3, -0.5))
+    assert [_run(capsys, [command, "--input", path])[0] for command in ("classify", "qrange")] == [2, 2]
+    code, report = _run(capsys, ["solve", "--input", path])
+    assert code == 2
+    assert report == {"feasible": False, "reason": "real uniform N=3 text with z=-0.5 admits no enscription"}
+
+
+def test_verify_theorems_with_no_matching_check_is_an_error(capsys):
+    code = main(["verify-theorems", "--only", "no-such-check"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: no check matches 'no-such-check'\n"

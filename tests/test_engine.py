@@ -647,3 +647,32 @@ def test_overlap_at_the_line_gets_one_verdict_everywhere(scale, overlapping):
     else:
         assert direct_sum_enscribe(text, cert, (1, 2)).is_valid()
     assert [edge[:2] for edge in search._Objective(text).forest] == ([(0, 1)] if overlapping else [])
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (illegibility_screen, make_real_uniform(3, 0.3)),
+        (illegibility_screen, make_real_uniform(3, -0.3)),
+        (closed_form_q_range, make_real_uniform(3, 0.3)),
+        (closed_form_q_range, make_real_uniform(2, 0.5)),
+        (solve_closed_form, make_real_uniform(3, 0.3)),
+        (solve_closed_form, make_real_uniform(2, -0.5)),
+        (solve_two_text, make_real_uniform(2, 0.5)),
+    ],
+    ids=["screen-legible", "screen-illegible", "qrange-uniform", "qrange-two", "solve-uniform", "solve-two",
+         "two-text"],
+)
+def test_each_verdict_derives_the_gauge_once(monkeypatch, call, text):
+    from enscribe import engine
+
+    calls = []
+    gauge = engine._phase_gauge
+
+    def counting_gauge(text):
+        calls.append(text)
+        return gauge(text)
+
+    monkeypatch.setattr(engine, "_phase_gauge", counting_gauge)
+    call(text)
+    assert len(calls) == 1

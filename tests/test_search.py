@@ -405,3 +405,28 @@ def test_fixed_q_search_on_uniform_and_block_texts_raises_only_enscribe_errors(d
         feasibility_search(text, big_q, SearchOptions(seed=0, starts=8))
     except EnscribeError:
         pass
+
+
+def test_starts_are_drawn_only_when_the_search_reaches_them():
+    # this input certifies at start 0, so a large start count must cost nothing up front
+    import tracemalloc
+
+    text = make_real_uniform(2, 0.3)
+    tracemalloc.start()
+    try:
+        result = feasibility_search(text, 0.8, SearchOptions(seed=0, starts=200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.feasible, result.start_index) == (True, 0)
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_a_shorter_search_runs_a_prefix_of_a_longer_ones_starts(joint):
+    obj = search._Objective(make_real_uniform(3, 0.3))
+    # the states and their sum come first, then seeded random vectors from one stream
+    short = list(search._starts_for(obj, SearchOptions(seed=5, starts=7), joint))
+    long = list(search._starts_for(obj, SearchOptions(seed=5, starts=12), joint))
+    assert (len(short), len(long)) == (7, 12)
+    assert all(np.array_equal(a, b) for a, b in zip(short, long))

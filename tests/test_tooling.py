@@ -166,10 +166,22 @@ def test_cli_and_files_hold_no_numeric_rule():
     # I/O layers need neither linalg nor, in cli, certificates
     assert {"cli", "files"} & _importers("linalg") == set()
     assert "cli" not in _importers("certificates")
-    # which closed form applies is decided once, by engine.solve_closed_form and closed_form_q_range
+    # which closed form applies is decided once, by engine._closed_form
     closed_forms = {"solve_two_text", "solve_real_uniform_central", "_phase_gauge", "q_range_two_text",
                     "q_range_real_uniform"}
     assert [where for where in _functions_where(_loads(closed_forms)) if where[0] == "cli"] == []
+
+
+def test_one_function_decides_each_closed_form_and_each_certificate():
+    # engine derives the gauge and the thick range of a text once, in _closed_form, for the
+    # screen, qrange and both solvers; cli reaches a certificate (or solve's negative report)
+    # through _certificate alone, for solve, build-procedure and clone
+    assert {where for where in _functions_where(_loads({"_phase_gauge"})) if where[0] == "engine"} == {
+        ("engine", "_closed_form")
+    }
+    solvers = {where for where in _functions_where(_loads({"solve_closed_form", "feasibility_search"}))
+               if where[0] == "cli" and where[1] is not None}
+    assert solvers == {("cli", "_certificate")}
 
 
 def test_only_the_acceptance_checks_read_z0_threshold():
