@@ -98,7 +98,8 @@ def procedure_to_dict(procedure) -> dict:
 def _encode(obj):
     """JSON form of numpy arrays and scalars, complex values ([re, im]) and dataclasses."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        # one tolist for a complex array, not a callback per entry; .real and .imag keep each -0.0
+        return np.stack([obj.real, obj.imag], axis=-1).tolist() if np.iscomplexobj(obj) else obj.tolist()
     if isinstance(obj, (complex, np.complexfloating)):
         return _pair(obj)
     if isinstance(obj, np.generic):

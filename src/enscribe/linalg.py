@@ -67,18 +67,20 @@ def numerical_rank(values: np.ndarray) -> int:
     return int(np.sum(values > RANK_TOL * max(float(np.max(values)), 1e-300)))
 
 
-def dialect_frame(vectors: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+def dialect_frame(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal dialect frame U of the columns of ``vectors``.
 
-    ``g`` is their Gram matrix (computed when omitted). Of g = E diag(w) E^dag
-    the eigenvalues numerical_rank counts are kept, and
-    U = polar(vectors E_r / sqrt(w_r)), so vectors ~ U (E_r sqrt(w_r))^dag:
-    two families with the same Gram matrix get frames with the same
-    coefficients.
+    Of their Gram matrix g = E diag(w) E^dag the eigenvalues numerical_rank
+    counts are kept, and U = polar(vectors E_r / sqrt(w_r)), so
+    vectors ~ U (E_r sqrt(w_r))^dag: two families with the same Gram matrix
+    get frames with the same coefficients.
     """
-    if g is None:
-        g = dagger(vectors) @ vectors
-    w, e = np.linalg.eigh(g)
+    return _polar_frame(vectors, *np.linalg.eigh(dagger(vectors) @ vectors))
+
+
+def _polar_frame(vectors: np.ndarray, w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The dialect_frame of ``vectors`` from a given eigendecomposition (w, e) of a Gram matrix, which two
+    Gram-matched families can share."""
     # eigh sorts ascending, so the kept eigenvalues are the last ones
     keep = w.size - numerical_rank(w)
     # the polar factor: nearest matrix with orthonormal columns
@@ -154,9 +156,9 @@ def unitary_from_correspondence(
     if not gap <= gram_tol:
         raise GramMismatch(f"Gram matrices differ by {gap:.3e} (> {gram_tol:.1e})")
 
-    g = 0.5 * (ga + gb)
-    a_frame = dialect_frame(a, g)
-    b_frame = dialect_frame(b, g)
+    eig = np.linalg.eigh(0.5 * (ga + gb))
+    a_frame = _polar_frame(a, *eig)
+    b_frame = _polar_frame(b, *eig)
     # Householder QR keeps v orthonormal also when the two frames overlap
     v, _ = np.linalg.qr(np.column_stack([a_frame, b_frame]))
     a_in, b_in = dagger(v) @ a_frame, dagger(v) @ b_frame

@@ -208,9 +208,19 @@ def equivalent(text_a: QuantumText, text_b: QuantumText):
     """Witness that text_a and text_b agree up to permutation, phases, and a unitary.
 
     Returns an EquivalenceWitness or None. Below, tol is EQUIVALENCE_TOL. The
-    states of text_a are assigned one at a time, in spanning_forest order of
-    the |z_a| > tol graph, so every state but the first of its component has
-    an earlier neighbour; state i goes to an unused state k
+    ascending Gram spectra are compared first, and the texts are inequivalent
+    when they differ by more than n tol, plus n^2 eps for the eigensolver's
+    rounding on a Gram matrix of norm at most n. That gate is sound by Weyl's
+    inequality: a pairing the search accepts keeps every off-diagonal entry of
+    E = G_a - P D G_b D^dag P^T within tol (the diagonal agrees to rounding),
+    so each eigenvalue moves by at most ||E||_2 <= ||E||_F <= sqrt(n(n-1)) tol,
+    which leaves more than tol / 2 below n tol for rounding. So the gate never
+    refuses a pair the search would accept, and past it the search runs
+    unchanged and returns the same witness.
+
+    The states of text_a are then assigned one at a time, in spanning_forest
+    order of the |z_a| > tol graph, so every state but the first of its
+    component has an earlier neighbour; state i goes to an unused state k
     of text_b in ascending order. The phase beta_i follows from the first
     earlier state j whose overlaps with i and with k both exceed tol
     (beta_i = 1 when there is none, a free phase of a new component), and the
@@ -225,8 +235,17 @@ def equivalent(text_a: QuantumText, text_b: QuantumText):
     """
     if text_a.dimension != text_b.dimension or text_a.n_states != text_b.n_states:
         raise SizeMismatch("texts must share the state count and language dimension")
-    n, tol = text_a.n_states, EQUIVALENCE_TOL
+    n = text_a.n_states
     za, zb = gram(text_a), gram(text_b)
+    gap = np.max(np.abs(np.linalg.eigvalsh(za) - np.linalg.eigvalsh(zb)))
+    if not gap <= n * (EQUIVALENCE_TOL + n * np.finfo(float).eps):
+        return None
+    return _pairing(text_a, text_b, za, zb)
+
+
+def _pairing(text_a: QuantumText, text_b: QuantumText, za: np.ndarray, zb: np.ndarray):
+    """The witness search of equivalent without its spectrum gate; za and zb are the texts' Gram matrices."""
+    n, tol = text_a.n_states, EQUIVALENCE_TOL
     rows_a, rows_b = np.sort(np.abs(za), axis=1), np.sort(np.abs(zb), axis=1)
     allowed = np.max(np.abs(rows_a[:, None, :] - rows_b[None, :, :]), axis=2) <= tol
     order = [i for i, _ in spanning_forest(np.abs(za) > tol)]

@@ -676,3 +676,52 @@ def test_each_verdict_derives_the_gauge_once(monkeypatch, call, text):
     monkeypatch.setattr(engine, "_phase_gauge", counting_gauge)
     call(text)
     assert len(calls) == 1
+
+
+def _gram_wide_gauge(text):
+    """_phase_gauge's Gram-wide path run on a 2-text: the reference for its N = 2 path."""
+    from enscribe.certificates import CANONICAL_Q_TOL
+    from enscribe.engine import _uniform_q2
+
+    n = text.n_states
+    beta = np.ones(n, dtype=complex)
+    if not texts.overlap_graph(text).any():
+        return beta, 0.0
+    g = gram(text)
+    upper = ~np.tri(n, dtype=bool)
+    row, real = g[0, 1:], np.abs(g[0, 1:].imag) <= texts.DEFAULT_TOL
+    s = -1.0 if real[0] and row[0].real < 0.0 and _uniform_q2(2, -abs(row[0])) <= 1.0 + CANONICAL_Q_TOL else 1.0
+    np.divide(s * np.conj(row), np.abs(row), out=beta[1:], where=~real | (s * row.real < 0.0))
+    gauged = (np.conj(beta)[:, None] * g * beta)[upper]
+    uniform = np.abs(gauged.imag).max() <= texts.DEFAULT_TOL and np.ptp(gauged.real) <= texts.DEFAULT_TOL
+    return beta, (s * float(np.abs(g[upper]).mean()) if uniform else None)
+
+
+def _seeded_two_texts(kind, count=150):
+    rng = np.random.default_rng({"phased": 1, "negative-real": 2, "orthogonal": 3}[kind])
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        if kind == "phased":
+            base = random_text(rng, 2, d) if rng.random() < 0.5 else make_real_uniform(2, rng.uniform(-0.95, 0.95))
+            yield make_text(base.dimension, (base.states * np.exp(2j * np.pi * rng.random(2))).T)
+        elif kind == "negative-real":
+            z = rng.choice([Z_QUBIT, rng.uniform(-0.95, -1e-6)])
+            yield _rotated_uniform(rng, 2, z, d) if rng.random() < 0.5 else make_real_uniform(2, z)
+        else:
+            yield _rotated_uniform(rng, 2, 0.0, d)
+
+
+@pytest.mark.parametrize("kind", ["phased", "negative-real", "orthogonal"])
+def test_two_text_gauge_reads_one_overlap_and_keeps_the_gram_wide_bits(kind, monkeypatch):
+    cases = [(text, _gram_wide_gauge(text)) for text in _seeded_two_texts(kind)]
+
+    def no_graph(text):
+        raise AssertionError("the 2-text gauge built the overlap graph")
+
+    monkeypatch.setattr(texts, "overlap_graph", no_graph)
+    for text, (beta, z) in cases:
+        got_beta, got_z = _phase_gauge(text)
+        assert got_beta.tobytes() == beta.tobytes()
+        assert (got_z is None) == (z is None)
+        if z is not None:
+            assert np.float64(got_z).tobytes() == np.float64(z).tobytes()

@@ -156,6 +156,47 @@ def test_dump_json_refuses_non_finite_numbers(value):
         files.dump_json({"x": value})
 
 
+def _per_entry_encode(obj):
+    """The reference encoding: tolist, then one [re, im] callback per complex entry."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [complex(obj).real, complex(obj).imag]
+    return files._encode(obj)
+
+
+def _reference_dump(obj):
+    return json.dumps(obj, sort_keys=True, indent=1, default=_per_entry_encode, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[1 + 2j, -0.0 - 0.0j], [complex(-0.0, 3.5), 1e-300 - 1e300j]]),
+    np.array(-0.0 + 2j),
+    np.array([], dtype=complex),
+    np.array([0.1 + 0.2j, -1j], dtype=np.complex64),
+    np.random.default_rng(7).standard_normal((3, 4, 2)) @ np.array([1, 1j]),
+    np.array([1.5, -0.0]),
+], ids=["matrix-with-negative-zeros", "zero-d", "empty", "complex64", "seeded-3x4", "real"])
+def test_complex_arrays_encode_as_per_entry_pairs(array, monkeypatch):
+    report = {"a": array, "b": [array, {"c": array}]}
+    expected = _reference_dump(report)
+
+    def no_pair(x):
+        raise AssertionError("an array entry was encoded on its own")
+
+    monkeypatch.setattr(files, "_pair", no_pair)
+    assert files.dump_json(report) == expected
+
+
+@pytest.mark.parametrize("entry", [complex("nan"), complex(0.0, float("inf")), complex(float("-inf"), 1.0)])
+def test_complex_arrays_with_non_finite_entries_are_refused(entry):
+    array = np.array([1.0 + 0j, entry])
+    with pytest.raises(ValueError):
+        _reference_dump({"a": array})
+    with pytest.raises(ValueError):
+        files.dump_json({"a": array})
+
+
 @st.composite
 def saved_objects(draw, kinds=("text", "certificate")):
     """A text, or a certificate of random parameters on a text, with that text.

@@ -57,3 +57,25 @@ def test_swap_operators_equal_their_literal_definitions():
         assert swap_operator(d).dtype == controlled_swap(d).dtype == complex
         assert np.array_equal(swap_operator(d), swap)
         assert np.array_equal(controlled_swap(d), cswap)
+
+
+def test_a_correspondence_decomposes_its_gram_matrix_once(monkeypatch):
+    # both dialect frames come from one eigh of the common Gram matrix, with the bits of dialect_frame
+    from enscribe import linalg
+
+    rng = np.random.default_rng(4)
+    u = random_unitary(rng, 5)
+    inputs = [random_unitary(rng, 5)[:, i] for i in range(3)]
+    outputs = [u @ v for v in inputs]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(g):
+        calls.append(g)
+        return eigh(g)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    linalg.unitary_from_correspondence(inputs, outputs, 5)
+    assert len(calls) == 1
+    a = np.column_stack(inputs)
+    assert np.array_equal(linalg._polar_frame(a, *eigh(a.conj().T @ a)), linalg.dialect_frame(a))

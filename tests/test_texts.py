@@ -234,9 +234,17 @@ def test_equivalent_matches_images_at_a_rounding_boundary():
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_equivalent_rejects_uniform_sign_partner(n):
-    # same |Gram| entries, but the Bargmann invariant z^3 changes sign
-    assert equivalent(make_real_uniform(n, 0.1), make_real_uniform(n, -0.1)) is None
+def test_equivalent_rejects_uniform_sign_partner(n, monkeypatch):
+    # same |Gram| entries, but the Bargmann invariant z^3 changes sign, and with it the
+    # Gram spectrum: the gate rejects the pair before the pairing search starts
+    def no_search(graph):
+        raise AssertionError("the pairing search ran")
+
+    monkeypatch.setattr(texts, "spanning_forest", no_search)
+    rng = np.random.default_rng(n)
+    for z in (0.1, -0.1, 0.5 / (n - 1)):
+        partner, _, _, _ = _random_image(rng, make_real_uniform(n, -z))
+        assert equivalent(make_real_uniform(n, z), partner) is None
 
 
 def test_equivalent_phases_two_overlap_components_joined_later():
@@ -283,6 +291,32 @@ def test_equivalent_witnesses_images_and_rejects_conjugates(n, extra, seed):
         assume(_conjugate_is_distinguishable(text))
         conjugate, _, _, _ = _random_image(rng, make_text(text.dimension, text.states.conj().T))
         assert equivalent(conjugate, text) is None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(1, 6), st.integers(0, 1), st.sampled_from(["image", "perturbed", "conjugate", "unrelated"]),
+       st.floats(-10.0, -7.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_spectrum_gate_refuses_only_pairs_the_search_refuses(n, extra, kind, exponent, uniform, seed):
+    # Weyl: a pairing the search accepts moves the Gram spectrum by less than n EQUIVALENCE_TOL
+    rng = np.random.default_rng(seed)
+    d = n + extra
+    text = make_real_uniform(n, rng.uniform(-0.9 / max(n - 1, 1), 0.9)) if uniform and n > 1 else random_text(rng, n, d)
+    if kind == "unrelated":
+        other = random_text(rng, text.n_states, text.dimension)
+    else:
+        source = make_text(text.dimension, text.states.conj().T) if kind == "conjugate" else text
+        other, _, _, _ = _random_image(rng, source)
+    if kind == "perturbed":
+        noise = rng.standard_normal(other.states.shape) + 1j * rng.standard_normal(other.states.shape)
+        moved = other.states + 10.0 ** exponent * noise / np.linalg.norm(noise, axis=0)
+        other = make_text(other.dimension, (moved / np.linalg.norm(moved, axis=0)).T)
+    gated = equivalent(text, other)
+    searched = texts._pairing(text, other, gram(text), gram(other))
+    assert (gated is None) == (searched is None)
+    if gated is not None:
+        assert gated.permutation == searched.permutation
+        assert np.array_equal(gated.phases, searched.phases)
+        assert np.array_equal(gated.unitary, searched.unitary)
 
 
 def test_equivalent_size_mismatch():
