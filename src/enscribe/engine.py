@@ -277,13 +277,17 @@ def _solve_gauged(text: texts.QuantumText, beta: np.ndarray, z: float, q_range: 
     The normalized sum of the gauged states is the central tablet, with output phases beta, while its
     Q = -Nz/((1+z)(1+(N-1)z)) lies in [-1, 1] (up to CANONICAL_Q_TOL), as it does for a 2-text; beyond, the
     certificate is quasi-central at the midpoint of the thick range q_range. An empty one raises IllegibleText.
+    At z = 0 the central Q is 0, where the cloning machine is undefined, so the tablet is gauged state 0 at
+    Q = 1 instead: its residual is 0, and Q = 1 lies in every z = 0 range, a one-state text's included.
     """
     n = text.n_states
     if q_range.empty:
         raise IllegibleText(f"real uniform N={n} text with z={z} admits no enscription")
     states = text.states * beta
-    q2 = 0.0 if z == 0.0 else _uniform_q2(n, z)
-    if abs(q2) <= 1.0 + CANONICAL_Q_TOL:
+    q2 = _uniform_q2(n, z)
+    if z == 0.0:
+        params = EnscriptionParams.from_Q(1.0, states[:, 0], phases=beta)
+    elif abs(q2) <= 1.0 + CANONICAL_Q_TOL:
         params = EnscriptionParams.from_Q(q2, linalg.unit(states.sum(axis=1)), phases=beta)
     else:
         interval = q_range.intervals[0]
@@ -299,12 +303,12 @@ def solve_real_uniform_central(n_states: int, z: float) -> EnscriptionCertificat
 
 
 def solve_closed_form(text: texts.QuantumText) -> EnscriptionCertificate | None:
-    """The closed-form certificate of a 2-text or a real uniform text; None for any other text.
+    """The closed-form certificate of a 2-text, a one-state text or a real uniform text; None for any other text.
 
-    An illegible uniform text raises the EnscribeError of _solve_gauged. A one-state text is left to the search.
+    An illegible uniform text raises the EnscribeError of _solve_gauged.
     """
     closed = _closed_form(text)
-    if text.n_states == 1 or closed is None:
+    if closed is None:
         return None
     log.info("dispatching to the 2-text central solver" if text.n_states == 2 else
              "dispatching to the real-uniform central solver (z=%g)" % closed[1])

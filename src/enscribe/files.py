@@ -25,8 +25,13 @@ def _pair(x: complex) -> list:
     return [x.real, x.imag]
 
 
-def _vector(v: np.ndarray) -> list:
-    return [_pair(x) for x in np.asarray(v, dtype=complex)]
+def _vector(v) -> list:
+    """[re, im] pairs of a complex array, nested as its shape.
+
+    One tolist for the whole array, not a _pair per entry; .real and .imag keep each -0.0.
+    """
+    a = np.asarray(v, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _unvector(pairs) -> np.ndarray:
@@ -49,7 +54,7 @@ def _integer(value) -> int:
 def text_to_dict(text: texts.QuantumText) -> dict:
     return {
         "dimension": text.dimension,
-        "states": [_vector(text.state(i)) for i in range(text.n_states)],
+        "states": _vector(text.states.T),
     }
 
 
@@ -92,14 +97,13 @@ def certificate_from_dict(data: dict, text: texts.QuantumText) -> EnscriptionCer
 def procedure_to_dict(procedure) -> dict:
     """The report of build-procedure: the dense matrix of a built procedure (a linalg.SpanUnitary), by rows."""
     m = procedure.matrix()
-    return {"dim": m.shape[0], "matrix": [_vector(row) for row in m]}
+    return {"dim": m.shape[0], "matrix": _vector(m)}
 
 
 def _encode(obj):
     """JSON form of numpy arrays and scalars, complex values ([re, im]) and dataclasses."""
     if isinstance(obj, np.ndarray):
-        # one tolist for a complex array, not a callback per entry; .real and .imag keep each -0.0
-        return np.stack([obj.real, obj.imag], axis=-1).tolist() if np.iscomplexobj(obj) else obj.tolist()
+        return _vector(obj) if np.iscomplexobj(obj) else obj.tolist()
     if isinstance(obj, (complex, np.complexfloating)):
         return _pair(obj)
     if isinstance(obj, np.generic):

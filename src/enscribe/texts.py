@@ -15,7 +15,6 @@ from . import linalg
 from .errors import (
     ColinearPair,
     DimensionMismatch,
-    GramMismatch,
     NonUnitState,
     SizeMismatch,
     ZOutOfRange,
@@ -207,31 +206,23 @@ def make_real_uniform(n_states: int, z: float) -> QuantumText:
 def equivalent(text_a: QuantumText, text_b: QuantumText):
     """Witness that text_a and text_b agree up to permutation, phases, and a unitary.
 
-    Returns an EquivalenceWitness or None. Below, tol is EQUIVALENCE_TOL. The
-    ascending Gram spectra are compared first, and the texts are inequivalent
-    when they differ by more than n tol, plus n^2 eps for the eigensolver's
-    rounding on a Gram matrix of norm at most n. That gate is sound by Weyl's
-    inequality: a pairing the search accepts keeps every off-diagonal entry of
-    E = G_a - P D G_b D^dag P^T within tol (the diagonal agrees to rounding),
-    so each eigenvalue moves by at most ||E||_2 <= ||E||_F <= sqrt(n(n-1)) tol,
-    which leaves more than tol / 2 below n tol for rounding. So the gate never
-    refuses a pair the search would accept, and past it the search runs
-    unchanged and returns the same witness.
+    Returns an EquivalenceWitness or None; tol is EQUIVALENCE_TOL. Texts whose
+    ascending Gram spectra differ by more than n tol (plus n^2 eps of
+    eigensolver rounding) are inequivalent: by Weyl's inequality a pairing the
+    search accepts, whose Gram entries agree within tol, moves each eigenvalue
+    by at most sqrt(n(n-1)) tol, so the gate refuses no pair the search would
+    accept.
 
-    The states of text_a are then assigned one at a time, in spanning_forest
-    order of the |z_a| > tol graph, so every state but the first of its
-    component has an earlier neighbour; state i goes to an unused state k
-    of text_b in ascending order. The phase beta_i follows from the first
-    earlier state j whose overlaps with i and with k both exceed tol
-    (beta_i = 1 when there is none, a free phase of a new component), and the
-    pair is kept only if |z_a[j, i] - conj(beta_j) beta_i z_b[perm j, k]| <= tol
-    for every earlier j. Pairs whose sorted row moduli differ by more than tol
-    are never tried: sorting is 1-Lipschitz in the max norm, so no accepted
-    pair fails that test. A complete assignment yields the rotation from the
-    state correspondence and is returned if it rebuilds text_a within 10 tol;
-    otherwise the search backtracks. For generic texts (no overlap within tol
-    of zero) the order is 0..N-1 and the first witness in lexicographic order
-    is returned.
+    The search assigns the states of text_a in spanning_forest order of the
+    |z_a| > tol graph, each to an unused state k of text_b in ascending order,
+    with its phase beta_i fixed by its first earlier neighbour (1 for the first
+    state of a component); a pair is kept only if every earlier overlap agrees
+    within tol. Pairs whose sorted row moduli differ by more than tol are never
+    tried, since sorting is 1-Lipschitz in the max norm. A complete assignment
+    gives V, the orthogonal Procrustes rotation of the paired states of text_b
+    onto the unphased states of text_a, returned if it rebuilds text_a within
+    10 tol; otherwise the search backtracks. For generic texts the order is
+    0..N-1 and the first witness in lexicographic order is returned.
     """
     if text_a.dimension != text_b.dimension or text_a.n_states != text_b.n_states:
         raise SizeMismatch("texts must share the state count and language dimension")
@@ -253,15 +244,12 @@ def _pairing(text_a: QuantumText, text_b: QuantumText, za: np.ndarray, zb: np.nd
     beta = np.ones(n, dtype=complex)
 
     def witness():
-        # candidate relation: text_a.state(i) == beta_i * V @ text_b.state(perm[i])
-        sources = [text_b.state(k) for k in perm]
-        targets = [np.conj(beta[i]) * text_a.state(i) for i in range(n)]
-        try:
-            v = linalg.unitary_from_correspondence(sources, targets, text_a.dimension, gram_tol=tol).matrix()
-        except GramMismatch:
-            return None
-        err = max(float(np.linalg.norm(text_a.state(i) - beta[i] * v @ text_b.state(k)))
-                  for i, k in enumerate(perm))
+        # candidate relation: text_a.state(i) == beta_i * V @ text_b.state(perm[i]), with V the
+        # Procrustes rotation of the paired states; the full SVD pairs any null directions itself
+        paired = text_b.states[:, perm]
+        u, _, vh = np.linalg.svd((text_a.states * np.conj(beta)) @ linalg.dagger(paired))
+        v = u @ vh
+        err = np.linalg.norm(text_a.states - beta * (v @ paired), axis=0).max()
         return EquivalenceWitness(tuple(perm), beta, v) if err < tol * 10 else None
 
     def extend(depth):

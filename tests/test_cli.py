@@ -395,8 +395,25 @@ def test_one_state_text_has_a_closed_form_range(tmp_path, capsys, dimension):
                                     "lower_flavor": "closed" if dimension > 1 else "open",
                                     "upper": 1.0, "upper_closed": True, "upper_flavor": "closed"}]
     code, report = _run(capsys, ["solve", "--input", path])
-    assert (code, report["Q"]) == (0, 0.0)
+    assert (code, report["Q"]) == (0, 1.0)
     assert _run(capsys, ["classify", "--input", path])[0] == 0
+
+
+@pytest.mark.parametrize("text", [
+    make_real_uniform(4, 0.0),
+    make_real_uniform(2, 0.0),
+    make_text(3, list(random_unitary(np.random.default_rng(3), 3).T)),
+    make_text(1, [[1.0]]),
+    make_text(2, [[0.6, 0.8j]]),
+], ids=["uniform-4", "uniform-2", "rotated-orthonormal", "one-state-d1", "one-state-d2"])
+def test_clone_runs_on_texts_with_no_overlapping_pair(tmp_path, capsys, text):
+    # at z = 0 the closed form puts the tablet on state 0 at Q = 1, where the machine is defined
+    path = _write_text(tmp_path, "t.json", text)
+    code, report = _run(capsys, ["clone", "--input", path])
+    assert (code, report["Q"]) == (0, 1.0)
+    p = [row["p_success"] for row in report["results"]]
+    assert np.max(np.abs(np.subtract(p, [1.0] + [0.5] * (text.n_states - 1)))) < 1e-12
+    assert all(abs(row["fidelity"] - 1.0) < 1e-12 for row in report["results"])
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

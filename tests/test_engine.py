@@ -51,7 +51,7 @@ Z_QUBIT = np.sqrt(3.0) - 2.0
 
 def test_solve_two_text_orthogonal_pair():
     cert = solve_two_text(make_real_uniform(2, 0.0))
-    assert cert.params.Q == 0.0
+    assert cert.params.Q == 1.0
     assert cert.residual < 1e-12
 
 
@@ -191,7 +191,7 @@ def test_solve_real_uniform_central_basic():
 
 def test_solve_real_uniform_central_orthogonal():
     cert = solve_real_uniform_central(3, 0.0)
-    assert cert.params.Q == 0.0
+    assert cert.params.Q == 1.0
     assert cert.residual < 1e-12
 
 
@@ -370,7 +370,7 @@ def test_rotated_orthonormal_text_has_overlap_zero(n):
     text = _rotated_uniform(np.random.default_rng(n), n, 0.0, n)
     assert _phase_gauge(text)[1] == 0.0
     assert closed_form_q_range(text) == closed_form_q_range(make_real_uniform(n, 0.0))
-    assert solve_closed_form(text).params.Q == 0.0
+    assert solve_closed_form(text).params.Q == 1.0
 
 
 def test_solve_closed_form_leaves_other_texts_to_the_search():

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from enscribe import (
     EnscriptionParams,
     QInterval,
+    build_procedure,
     canonical_q,
     certificate,
     files,
     make_real_uniform,
     make_text,
+    solve_real_uniform_central,
     solve_two_text,
 )
 from enscribe.errors import EnscribeError, ParseError, QOutOfRange
@@ -186,6 +188,23 @@ def test_complex_arrays_encode_as_per_entry_pairs(array, monkeypatch):
 
     monkeypatch.setattr(files, "_pair", no_pair)
     assert files.dump_json(report) == expected
+
+
+def test_dict_writers_match_the_per_entry_pairs(monkeypatch):
+    # text_to_dict and procedure_to_dict write a whole array at once; a _pair per entry is the reference
+    text = make_text(2, [[complex(1.0, -0.0), complex(-0.0, -0.0)], [0.6, complex(-0.0, 0.8)]])
+    procedure = build_procedure(make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3))
+    expected = [
+        {"dimension": 2, "states": [[files._pair(x) for x in text.state(i)] for i in range(2)]},
+        {"dim": 9, "matrix": [[files._pair(x) for x in row] for row in procedure.matrix()]},
+    ]
+
+    def no_pair(x):
+        raise AssertionError("an array entry was encoded on its own")
+
+    monkeypatch.setattr(files, "_pair", no_pair)
+    written = [files.text_to_dict(text), files.procedure_to_dict(procedure)]
+    assert json.dumps(written) == json.dumps(expected)
 
 
 @pytest.mark.parametrize("entry", [complex("nan"), complex(0.0, float("inf")), complex(float("-inf"), 1.0)])

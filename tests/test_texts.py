@@ -11,8 +11,9 @@ from enscribe import (
     make_real_uniform,
     make_text,
     texts,
+    unitary_from_correspondence,
 )
-from enscribe.errors import ColinearPair, DimensionMismatch, NonUnitState, SizeMismatch, ZOutOfRange
+from enscribe.errors import ColinearPair, DimensionMismatch, GramMismatch, NonUnitState, SizeMismatch, ZOutOfRange
 
 from helpers import random_classical_text, random_text, random_unitary
 
@@ -317,6 +318,79 @@ def test_the_spectrum_gate_refuses_only_pairs_the_search_refuses(n, extra, kind,
         assert gated.permutation == searched.permutation
         assert np.array_equal(gated.phases, searched.phases)
         assert np.array_equal(gated.unitary, searched.unitary)
+
+
+def _correspondence_pairing(text_a, text_b):
+    """The witness search of equivalent with the rotation of linalg.unitary_from_correspondence, its earlier rule."""
+    n, tol = text_a.n_states, texts.EQUIVALENCE_TOL
+    za, zb = gram(text_a), gram(text_b)
+    rows_a, rows_b = np.sort(np.abs(za), axis=1), np.sort(np.abs(zb), axis=1)
+    allowed = np.max(np.abs(rows_a[:, None, :] - rows_b[None, :, :]), axis=2) <= tol
+    order = [i for i, _ in texts.spanning_forest(np.abs(za) > tol)]
+    perm, beta = [-1] * n, np.ones(n, dtype=complex)
+
+    def witness():
+        sources = [text_b.state(k) for k in perm]
+        targets = [np.conj(beta[i]) * text_a.state(i) for i in range(n)]
+        try:
+            v = unitary_from_correspondence(sources, targets, text_a.dimension, gram_tol=tol).matrix()
+        except GramMismatch:
+            return None
+        err = max(np.linalg.norm(text_a.state(i) - beta[i] * v @ text_b.state(k)) for i, k in enumerate(perm))
+        return (tuple(perm), beta.copy()) if err < tol * 10 else None
+
+    def extend(depth):
+        if depth == n:
+            return witness()
+        i, earlier = order[depth], order[:depth]
+        for k in range(n):
+            if k in perm or not allowed[i, k]:
+                continue
+            b = next((beta[j] * za[j, i] / zb[perm[j], k] for j in earlier
+                      if abs(za[j, i]) > tol and abs(zb[perm[j], k]) > tol), 1.0 + 0j)
+            beta[i] = b / abs(b)
+            if all(abs(za[j, i] - np.conj(beta[j]) * beta[i] * zb[perm[j], k]) <= tol for j in earlier):
+                perm[i] = k
+                found = extend(depth + 1)
+                if found is not None:
+                    return found
+                perm[i] = -1
+        return None
+
+    return extend(0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 6), st.integers(-1, 1), st.sampled_from(["image", "perturbed", "conjugate", "unrelated"]),
+       st.floats(-10.0, -7.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_procrustes_witness_agrees_with_the_correspondence_witness(n, extra, kind, exponent, near_dependent,
+                                                                      seed):
+    # thin texts (extra = 1) and more states than dimensions (extra = -1) included
+    rng = np.random.default_rng(seed)
+    d = max(n + extra, min(n, 2))
+    text = random_text(rng, n, d)
+    if near_dependent and 3 <= n <= d:
+        # the last state within 10^exponent of the span of the others
+        mix = text.states[:, :-1] @ (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+        last = mix / np.linalg.norm(mix) + 10.0 ** exponent * random_text(rng, 1, d).states[:, 0]
+        text = make_text(d, list(text.states[:, :-1].T) + [last / np.linalg.norm(last)])
+    if kind == "unrelated":
+        other = random_text(rng, n, d)
+    else:
+        source = make_text(d, text.states.conj().T) if kind == "conjugate" else text
+        other, _, _, _ = _random_image(rng, source)
+    if kind == "perturbed":
+        noise = rng.standard_normal(other.states.shape) + 1j * rng.standard_normal(other.states.shape)
+        moved = other.states + 10.0 ** exponent * noise / np.linalg.norm(noise, axis=0)
+        other = make_text(d, (moved / np.linalg.norm(moved, axis=0)).T)
+    witness = equivalent(text, other)
+    earlier = _correspondence_pairing(text, other)
+    assert (witness is None) == (earlier is None)
+    if witness is not None:
+        assert witness.permutation == earlier[0]
+        assert np.array_equal(witness.phases, earlier[1])
+        rebuilt = witness.phases * (witness.unitary @ other.states[:, list(witness.permutation)])
+        assert np.linalg.norm(text.states - rebuilt, axis=0).max() < 10 * texts.EQUIVALENCE_TOL
 
 
 def test_equivalent_size_mismatch():

@@ -203,17 +203,22 @@ def test_clone_path_builds_product_vectors_without_kron():
 
 
 def test_only_the_reports_form_a_dense_procedure():
-    # a procedure is built, verified and run on its factors; only the build-procedure report,
-    # the check whose subject is the qubit example's explicit matrix, and the d x d witness of
-    # texts.equivalent (its nested witness function) form a matrix
+    # a procedure is built, verified and run on its factors; only the build-procedure report
+    # and the check whose subject is the qubit example's explicit matrix form a matrix
     def forms(node):
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "matrix"
 
     assert set(_functions_where(forms)) == {
         ("files", "procedure_to_dict"),
         ("verification", "check_qubit_example"),
-        ("texts", "witness"),
     }
+
+
+def test_only_procedures_builds_a_unitary_from_a_correspondence():
+    # the doubled-space builder serves build_procedure alone; the d x d witness of
+    # texts.equivalent is a Procrustes rotation, not a procedure
+    callers = {where for where in _functions_where(_loads({"unitary_from_correspondence"})) if where[1] is not None}
+    assert callers == {("procedures", "build_procedure")}
 
 
 def test_verdict_inputs_have_no_default():
