@@ -104,9 +104,44 @@ class EnscriptionCertificate:
 
 def input_normalizer(text: texts.QuantumText, i: int, q: complex, tablet: np.ndarray) -> float:
     """A_i = 1 + |q|^2 + 2 Re(q) |<psi_i|psi_0>|^2."""
-    q = complex(q)
-    ov = np.vdot(text.state(i), tablet)
-    return 1.0 + abs(q) ** 2 + 2.0 * q.real * abs(ov) ** 2
+    return _normalizer(complex(q), abs(np.vdot(text.state(i), tablet)) ** 2)
+
+
+def _normalizer(q: complex, overlap_sq):
+    """A = 1 + |q|^2 + 2 Re(q) |<psi|psi_0>|^2 from |<psi|psi_0>|^2.
+
+    Callers square Python's abs of the overlap: np.abs of a complex array
+    rounds differently, and A would not keep its bits.
+    """
+    return 1.0 + abs(q) ** 2 + 2.0 * q.real * overlap_sq
+
+
+def _nonvanishing(a, i: int):
+    """The normalizer A of entangled input i, after DegenerateNormalizer if A is at or below DEGENERATE_TOL."""
+    if a <= DEGENERATE_TOL:
+        raise DegenerateNormalizer(f"entangled input {i} has vanishing norm (A={a:.3e})")
+    return a
+
+
+def _entangled(product: np.ndarray, swapped: np.ndarray, q: complex, a) -> np.ndarray:
+    """(psi (x) psi_0 + q psi_0 (x) psi) / sqrt(A): the one home of the entangled-input formula.
+
+    ``product`` is psi (x) psi_0 and ``swapped`` psi_0 (x) psi, for one state
+    with its normalizer A, or as the rows of N x d^2 arrays with an N x 1
+    array of normalizers.
+    """
+    # in place: product + q swapped, as a sum, has the same bits in either order
+    omega = q * swapped
+    omega += product
+    omega /= np.sqrt(a)
+    return omega
+
+
+def _tablet(text: texts.QuantumText, tablet) -> np.ndarray:
+    tab = np.asarray(tablet, dtype=complex).reshape(-1)
+    if tab.shape[0] != text.dimension:
+        raise DimensionMismatch("tablet length does not match the language dimension")
+    return tab
 
 
 def entangled_input(text: texts.QuantumText, i: int, q: complex, tablet) -> np.ndarray:
@@ -115,14 +150,25 @@ def entangled_input(text: texts.QuantumText, i: int, q: complex, tablet) -> np.n
     Kronecker ordering: component index = a * d + b for the product of the
     a-th and b-th basis vectors.
     """
-    tab = np.asarray(tablet, dtype=complex).reshape(-1)
-    if tab.shape[0] != text.dimension:
-        raise DimensionMismatch("tablet length does not match the language dimension")
-    a = input_normalizer(text, i, q, tab)
-    if a <= DEGENERATE_TOL:
-        raise DegenerateNormalizer(f"entangled input {i} has vanishing norm (A={a:.3e})")
+    tab = _tablet(text, tablet)
+    q = complex(q)
     psi = text.state(i)
-    return (np.outer(psi, tab).ravel() + complex(q) * np.outer(tab, psi).ravel()) / np.sqrt(a)
+    a = _nonvanishing(_normalizer(q, abs(np.vdot(psi, tab)) ** 2), i)
+    return _entangled(np.outer(psi, tab).ravel(), np.outer(tab, psi).ravel(), q, a)
+
+
+def entangled_inputs(text: texts.QuantumText, q: complex, tablet) -> np.ndarray:
+    """The entangled inputs of every state at once, as the rows of an N x d^2 array.
+
+    Row i is entangled_input(text, i, q, tablet), bit for bit: each product
+    and normalizer is formed the same way, broadcast over the states.
+    """
+    tab = _tablet(text, tablet)
+    q = complex(q)
+    # one np.vdot per state, as input_normalizer: a matrix-vector product rounds differently
+    a = [_nonvanishing(_normalizer(q, abs(np.vdot(text.state(i), tab)) ** 2), i) for i in range(text.n_states)]
+    states, row = text.states.T, tab[None, :]
+    return _entangled(linalg.kron_rows(states, row), linalg.kron_rows(row, states), q, np.array(a)[:, None])
 
 
 def _pair_mismatch(text: texts.QuantumText, params: EnscriptionParams) -> np.ndarray:
@@ -158,7 +204,7 @@ def residual_via_states(text: texts.QuantumText, params: EnscriptionParams) -> f
     n = text.n_states
     if n < 2:
         return 0.0
-    omegas = [entangled_input(text, i, params.q, params.tablet) for i in range(n)]
+    omegas = entangled_inputs(text, params.q, params.tablet)
     g = texts.gram(text)
     ov = linalg.dagger(text.states) @ params.tablet
     b = np.clip(1.0 + params.Q * np.abs(ov) ** 2, 0.0, None)

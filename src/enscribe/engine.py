@@ -15,7 +15,7 @@ from .certificates import (
     EnscriptionParams,
     certificate,
     enscription_residual,
-    entangled_input,
+    entangled_inputs,
 )
 from .errors import (
     DimensionMismatch,
@@ -400,10 +400,8 @@ def q_minus_one_dependence_check(text: texts.QuantumText, tablet) -> bool:
     For a thick text this always holds, which is what rules out enscriptions
     at entanglement parameter -1.
     """
-    tab = np.asarray(tablet, dtype=complex).reshape(-1)
-    omegas = np.column_stack(
-        [entangled_input(text, i, -1.0, tab) for i in range(text.n_states)]
-    )
+    # the inputs as columns, the matrix the SVD read when they were stacked one by one
+    omegas = entangled_inputs(text, -1.0, tablet).T
     return linalg.numerical_rank(np.linalg.svd(omegas, compute_uv=False)) < text.n_states
 
 

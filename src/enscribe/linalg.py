@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,20 @@ def swap_factors(v: np.ndarray, dim: int) -> np.ndarray:
     this equals swap_operator(dim) @ v exactly, without building the operator.
     """
     return v.reshape(dim, dim, *v.shape[1:]).swapaxes(0, 1).reshape(v.shape)
+
+
+def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i is np.kron(a[i], b[i]), for n x d arrays a and b; a 1 x d array stands for n equal rows.
+
+    Each row has the bits of np.outer(a[i], b[i]).ravel(). Both operands are
+    given all three axes: at d = 1 numpy multiplies an operand broadcast
+    across a missing axis in another loop, whose complex product rounds
+    differently. They are made C-ordered first, since numpy lays out a
+    product like its operands, and a product of strided rows would have
+    strided rows, which BLAS sums in another order.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[:, :, None] * b[:, None, :]).reshape(max(a.shape[0], b.shape[0]), -1)
 
 
 def swap_operator(dim: int) -> np.ndarray:
@@ -95,7 +110,8 @@ class SpanUnitary:
     ``frame`` is V, dim x k with orthonormal columns, and ``block`` is M, a
     k x k unitary: W is M on span V and the identity outside it. apply costs
     O(dim k) per vector, against O(dim^2) for the dense matrix, which only
-    matrix() forms.
+    matrix() forms. M - I and V^dag are formed on first use and held
+    (block_offset, frame_adjoint), so later calls copy nothing.
     """
 
     frame: np.ndarray
@@ -105,15 +121,23 @@ class SpanUnitary:
     def nbytes(self) -> int:
         return self.frame.nbytes + self.block.nbytes
 
+    @cached_property
+    def block_offset(self) -> np.ndarray:
+        """M - I, formed on first use and held."""
+        return self.block - np.eye(self.block.shape[0])
+
+    @cached_property
+    def frame_adjoint(self) -> np.ndarray:
+        """V^dag, formed on first use and held: a k x dim conjugate copy of the frame."""
+        return dagger(self.frame)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """W x for a vector or a column stack x."""
-        rotation = self.block - np.eye(self.block.shape[0])
-        return x + self.frame @ (rotation @ (dagger(self.frame) @ x))
+        """W x for a vector or a column stack x, from the held M - I and V^dag."""
+        return x + self.frame @ (self.block_offset @ (self.frame_adjoint @ x))
 
     def matrix(self) -> np.ndarray:
         """W as a dense dim x dim matrix."""
-        eye = np.eye(self.block.shape[0])
-        w = self.frame @ (self.block - eye) @ dagger(self.frame)
+        w = self.frame @ self.block_offset @ self.frame_adjoint
         w += np.eye(self.frame.shape[0])
         return w
 

@@ -7,17 +7,17 @@ import logging
 import numpy as np
 
 from . import linalg, texts
-from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, certificate, entangled_input
+from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, certificate, entangled_inputs
 from .errors import DimensionMismatch, InvalidCertificate
 
 log = logging.getLogger("enscribe")
 
 
-def _inputs_and_clones(text: texts.QuantumText, p: EnscriptionParams) -> tuple:
-    """Entangled inputs omega_i and their phased clones alpha_i psi_i (x) psi_i."""
-    inputs = [entangled_input(text, i, p.q, p.tablet) for i in range(text.n_states)]
-    clones = [p.phases[i] * np.outer(text.state(i), text.state(i)).ravel() for i in range(text.n_states)]
-    return inputs, clones
+def _inputs_and_clones(text: texts.QuantumText, p: EnscriptionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Entangled inputs omega_i and their phased clones alpha_i psi_i (x) psi_i, as the rows of two
+    N x d^2 arrays, each built in one broadcast."""
+    states = text.states.T
+    return entangled_inputs(text, p.q, p.tablet), p.phases[:, None] * linalg.kron_rows(states, states)
 
 
 def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> linalg.SpanUnitary:
@@ -87,13 +87,13 @@ def verify_procedure(u: linalg.SpanUnitary, text: texts.QuantumText, cert: Enscr
     (apply_procedure).
     """
     n = text.n_states
-    inputs, clones = _inputs_and_clones(text, cert.params)
-    families = np.column_stack(inputs + clones)
+    # columns of one C-ordered array, as stacking the vectors gave: BLAS rounds another layout differently
+    families = np.ascontiguousarray(np.concatenate(_inputs_and_clones(text, cert.params)).T)
     action = float(np.linalg.norm(apply_procedure(u, families[:, :n]) - families[:, n:], axis=0).max())
     eye = np.eye(u.block.shape[0])
     delta = float(np.linalg.norm(linalg.dagger(u.block) @ u.block - eye))
-    eps = float(np.linalg.norm(linalg.dagger(u.frame) @ u.frame - eye))
-    span = (1.0 + eps) * (delta + float(np.linalg.norm(u.block - eye, 2)) ** 2 * eps)
+    eps = float(np.linalg.norm(u.frame_adjoint @ u.frame - eye))
+    span = (1.0 + eps) * (delta + float(np.linalg.norm(u.block_offset, 2)) ** 2 * eps)
     log.debug("verify_procedure: action error %.3e, span defect %.3e, frame defect %.3e", action, delta, eps)
     return action + span
 

@@ -17,6 +17,8 @@ from enscribe import (
     residual_via_states,
     tablet_flavor,
 )
+from enscribe.certificates import entangled_inputs
+from enscribe.engine import q_minus_one_dependence_check
 from enscribe.errors import DegenerateNormalizer, DimensionMismatch, EnscribeError, QOutOfRange
 from enscribe.verification import random_equivalence_image
 
@@ -267,3 +269,45 @@ def test_rebuilding_a_text_or_parameters_keeps_their_bits(d, n, seed, stretch):
     again = EnscriptionParams.from_q(p.q, p.tablet, p.phases)
     assert (again.q, again.Q) == (p.q, p.Q)
     assert (again.tablet.tobytes(), again.phases.tobytes()) == (p.tablet.tobytes(), p.phases.tobytes())
+
+
+def _residual_via_states_per_state(text, params):
+    """residual_via_states as it was, with the inputs built one state at a time."""
+    n = text.n_states
+    omegas = [entangled_input(text, i, params.q, params.tablet) for i in range(n)]
+    g = gram(text)
+    ov = text.states.conj().T @ params.tablet
+    b = np.clip(1.0 + params.Q * np.abs(ov) ** 2, 0.0, None)
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            mism = np.vdot(omegas[i], omegas[j]) - np.conj(params.phases[i]) * params.phases[j] * g[i, j] ** 2
+            worst = max(worst, abs(mism) * np.sqrt(b[i] * b[j]))
+    return float(worst)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(2, 6), st.integers(0, 3), st.integers(0, 2**32 - 1), st.floats(-0.999, 0.999))
+def test_residual_via_states_keeps_its_bits(n, extra, seed, big_q):
+    rng = np.random.default_rng(seed)
+    text = random_text(rng, n, n + extra)
+    params = EnscriptionParams.from_Q(big_q, random_state(rng, n + extra), phases=np.exp(2j * np.pi * rng.random(n)))
+    assert residual_via_states(text, params) == _residual_via_states_per_state(text, params)
+
+
+@pytest.mark.parametrize("route", ["entangled_inputs", "residual_via_states", "q_minus_one_dependence_check"])
+def test_the_first_degenerate_state_is_named(route):
+    # at q = -1 the input of the state the tablet lies on vanishes; here that is state 1 of 3
+    text = make_text(3, [[1, 0, 0], [0, 1, 0], [0.6, 0, 0.8]])
+    tablet = text.state(1)
+    call = {
+        "entangled_inputs": lambda: entangled_inputs(text, -1.0, tablet),
+        "residual_via_states": lambda: residual_via_states(text, EnscriptionParams.from_q(-1.0, tablet, n_states=3)),
+        "q_minus_one_dependence_check": lambda: q_minus_one_dependence_check(text, tablet),
+    }[route]
+    with pytest.raises(DegenerateNormalizer) as single:
+        entangled_input(text, 1, -1.0, tablet)
+    assert str(single.value) == "entangled input 1 has vanishing norm (A=0.000e+00)"
+    with pytest.raises(DegenerateNormalizer) as family:
+        call()
+    assert str(family.value) == str(single.value)

@@ -17,10 +17,10 @@ from enscribe import (
     success_probability,
     swap_operator,
 )
-from enscribe import input_normalizer, machine
+from enscribe import certificates, entangled_input, input_normalizer, linalg, machine, procedures, solve_real_uniform_central
 from enscribe.errors import ComplexQ, DimensionMismatch, InvalidCertificate, QZero, ZOutOfRange
 
-from helpers import random_classical_text, random_state, random_text
+from helpers import random_classical_text, random_state, random_text, random_unitary
 
 
 def test_ancilla_pointer_states_orthogonal():
@@ -246,3 +246,152 @@ def test_measurement_observable_spectrum():
     obs = np.kron(proj, np.eye(4))
     eigs = np.linalg.eigvalsh(obs)
     assert np.all((np.abs(eigs) < 1e-12) | (np.abs(eigs - 1.0) < 1e-12))
+
+
+# The machine as it formed every product and normalizer once per use: entangled_input twice per
+# state and the normalizer a third time inside success_probability. It is the oracle the shared
+# formula must match bit for bit.
+def _oracle_normalizer(text, i, q, tablet):
+    q = complex(q)
+    ov = np.vdot(text.state(i), tablet)
+    return 1.0 + abs(q) ** 2 + 2.0 * q.real * abs(ov) ** 2
+
+
+def _oracle_entangled_input(text, i, q, tablet):
+    tab = np.asarray(tablet, dtype=complex).reshape(-1)
+    a = _oracle_normalizer(text, i, q, tab)
+    psi = text.state(i)
+    return (np.outer(psi, tab).ravel() + complex(q) * np.outer(tab, psi).ravel()) / np.sqrt(a)
+
+
+def _oracle_success_probability(text, params, i):
+    q = complex(params.q)
+    a = _oracle_normalizer(text, i, q, params.tablet)
+    p = a / (1.0 + abs(q)) ** 2
+    p_real = machine.real_q_success_probability(text, params, i)
+    if p_real is not None and not abs(p - p_real) < 1e-10:
+        raise InvalidCertificate("real-q probability forms disagree")
+    return float(p)
+
+
+def _oracle_run_clone(text, cert, i, procedure):
+    p = cert.params
+    q = complex(p.q)
+    d = text.dimension
+    anc = ancilla_states(q)
+    product = np.outer(text.state(i), p.tablet).ravel()
+    out = np.concatenate([anc.xi[0] * product, anc.xi[1] * linalg.swap_factors(product, d)])
+    prob = _oracle_success_probability(text, p, i)
+    omega_q = _oracle_entangled_input(text, i, q, p.tablet)
+    success_state = np.outer(anc.eta, omega_q).ravel()
+    failure_state = None
+    recon = np.sqrt(prob) * success_state
+    if 1.0 - prob > 1e-12:
+        omega_fail = _oracle_entangled_input(text, i, -q / abs(q), p.tablet)
+        failure_state = np.outer(anc.chi, omega_fail).ravel()
+        recon = recon + np.sqrt(1.0 - prob) * failure_state
+    assert np.linalg.norm(out - recon) <= 1e-10
+    final_clone = procedures.apply_procedure(procedure, omega_q)
+    target = np.outer(text.state(i), text.state(i)).ravel()
+    fidelity = float(abs(np.vdot(target, final_clone)))
+    return machine.CloneOutcome(i, prob, success_state, failure_state, final_clone, fidelity)
+
+
+def _oracle_failure_state_symmetry_check(text, cert, i):
+    if machine.real_q_success_probability(text, cert.params, i) is None:
+        raise ComplexQ("failure-state parity is only defined for real q")
+    q = complex(cert.params.q)
+    prob = _oracle_success_probability(text, cert.params, i)
+    if 1.0 - prob <= 1e-12:
+        return machine.FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)
+    omega_fail = _oracle_entangled_input(text, i, -q / abs(q), cert.params.tablet)
+    parity = 1 if cert.params.Q < 0 else -1
+    swapped = linalg.swap_factors(omega_fail, text.dimension)
+    deviation = float(np.linalg.norm(swapped - parity * omega_fail))
+    return machine.FailureSymmetryReport(expected_parity=parity, parity_ok=deviation < 1e-10, deviation=deviation)
+
+
+def _same_bits(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and a == b
+
+
+def _two_text(d, z, seed):
+    v = random_unitary(np.random.default_rng(seed), d)
+    return make_text(d, [v[:, 0], z * v[:, 0] + np.sqrt(1.0 - z * z) * v[:, 1]])
+
+
+def _machine_case(kind):
+    if kind.startswith("uniform"):  # central, z > 0: Q < 0
+        d, z = {"uniform-d3": (3, 0.3), "uniform-d8": (8, 0.2), "uniform-d20": (20, 0.1)}[kind]
+        return make_real_uniform(d, z), solve_real_uniform_central(d, z)
+    if kind.startswith("two"):  # closed form, z < 0: Q > 0
+        d, z = {"two-d2": (2, -0.4), "two-d16": (16, -0.2)}[kind]
+        text = _two_text(d, z, 5)
+        return text, solve_two_text(text)
+    if kind == "certain":  # tablet on state 0 of an orthonormal text, Q > 0: p_0 = 1 and no failure state
+        text = make_text(3, np.eye(3))
+        return text, certificate(text, EnscriptionParams.from_q(0.6, text.state(0), n_states=3))
+    if kind == "complex-q":
+        text = make_text(2, np.eye(2))
+        return text, certificate(text, EnscriptionParams.from_q(0.5 + 0.5j, text.state(0), n_states=2))
+    return qubit_example()[:2]
+
+
+MACHINE_CASES = ["uniform-d3", "uniform-d8", "uniform-d20", "two-d2", "two-d16", "certain", "complex-q", "qubit"]
+
+
+@pytest.mark.parametrize("kind", MACHINE_CASES)
+def test_machine_keeps_the_bits_of_the_per_use_oracle(kind):
+    text, cert = _machine_case(kind)
+    assert cert.is_valid()
+    u = build_procedure(text, cert)
+    certain = 0
+    for i in range(text.n_states):
+        new, old = run_clone(text, cert, i, procedure=u), _oracle_run_clone(text, cert, i, u)
+        for field in ("index", "p_success", "success_state", "failure_state", "final_clone", "fidelity"):
+            assert _same_bits(getattr(new, field), getattr(old, field)), field
+        certain += new.failure_state is None
+        if kind == "complex-q":
+            for check in (failure_state_symmetry_check, _oracle_failure_state_symmetry_check):
+                with pytest.raises(ComplexQ):
+                    check(text, cert, i)
+            continue
+        new, old = failure_state_symmetry_check(text, cert, i), _oracle_failure_state_symmetry_check(text, cert, i)
+        assert (new.expected_parity, new.parity_ok) == (old.expected_parity, old.parity_ok)
+        assert _same_bits(new.deviation, old.deviation)
+    assert certain == (kind == "certain")
+
+
+def test_run_clone_forms_at_most_two_normalizers_per_state(monkeypatch):
+    text, cert = _machine_case("uniform-d8")
+    u = build_procedure(text, cert)
+    calls = []
+
+    def counting(function):
+        def wrapped(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return wrapped
+
+    # every way the machine reaches A: the public normalizer in both namespaces and the shared form
+    monkeypatch.setattr(certificates, "input_normalizer", counting(certificates.input_normalizer))
+    monkeypatch.setattr(machine, "input_normalizer", counting(machine.input_normalizer))
+    monkeypatch.setattr(machine, "_normalizer", counting(machine._normalizer))
+    for i in range(text.n_states):
+        assert run_clone(text, cert, i, procedure=u).failure_state is not None
+    assert len(calls) <= 2 * text.n_states
+
+
+def test_a_procedure_forms_its_adjoint_frame_once(monkeypatch):
+    text, cert = _machine_case("uniform-d8")
+    u = build_procedure(text, cert)
+    calls = []
+    dagger = linalg.dagger
+    monkeypatch.setattr(linalg, "dagger", lambda m: calls.append(m.shape) or dagger(m))
+    omega = entangled_input(text, 0, cert.params.q, cert.params.tablet)
+    for _ in range(20):
+        u.apply(omega)
+    assert calls == [u.frame.shape]

@@ -26,6 +26,7 @@ from enscribe import (
     verify_procedure,
 )
 from enscribe.errors import DimensionMismatch, GramMismatch, InvalidCertificate
+from enscribe import procedures
 from enscribe.linalg import SpanUnitary, complete_orthonormal
 from enscribe.search import SearchOptions
 from enscribe.verification import random_equivalence_image
@@ -400,3 +401,29 @@ def test_procedure_of_the_wrong_size_is_a_dimension_mismatch(procedure, call):
     text, cert = make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3)
     with pytest.raises(DimensionMismatch, match="procedure"):
         call(procedure, text, cert)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from(["real", "complex", "unit"]))
+def test_the_broadcast_families_keep_the_bits_of_each_state(n, d, seed, kind):
+    # row i of each family is the vector the per-state formula gives, to the last bit, and
+    # entangled_input is that formula as written out below
+    rng = np.random.default_rng(seed)
+    n = 1 if d == 1 else n  # C^1 holds no two non-colinear states
+    text = random_text(rng, n, d)
+    q = {"real": rng.uniform(-2.0, 2.0), "complex": complex(*rng.uniform(-2.0, 2.0, 2))}.get(kind)
+    if kind == "unit":
+        q = complex(*rng.standard_normal(2))
+        q = -q / abs(q)
+    params = EnscriptionParams.from_q(q, random_state(rng, d), phases=np.exp(2j * np.pi * rng.random(n)))
+    inputs, clones = procedures._inputs_and_clones(text, params)
+    assert inputs.shape == clones.shape == (n, d * d)
+    # C-ordered, as stacked per-state vectors are: BLAS sums strided rows in another order
+    assert inputs.flags.c_contiguous and clones.flags.c_contiguous
+    q, tab = complex(params.q), params.tablet
+    for i in range(n):
+        psi = text.state(i)
+        a = 1.0 + abs(q) ** 2 + 2.0 * q.real * abs(np.vdot(psi, tab)) ** 2
+        literal = (np.outer(psi, tab).ravel() + q * np.outer(tab, psi).ravel()) / np.sqrt(a)
+        assert inputs[i].tobytes() == entangled_input(text, i, q, tab).tobytes() == literal.tobytes()
+        assert clones[i].tobytes() == (params.phases[i] * np.outer(psi, psi).ravel()).tobytes()

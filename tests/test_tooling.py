@@ -92,6 +92,7 @@ UNREAD_PUBLIC_FUNCTIONS = {
     ("files", "save_certificate"),  # file API: the writer of what load_certificate reads
     ("engine", "solve_real_uniform_central"),  # bench setup and screen op: the closed form of a canonical text
     ("machine", "controlled_swap"),  # bench probe: the dense operator's size in procedure-clone
+    ("machine", "success_probability"),  # API: p_i alone; the machine derives it from the A it holds
     ("texts", "equivalent"),  # bench screen op: the equivalence search on rotated texts
 }
 
