@@ -38,7 +38,6 @@ from .machine import (
     duan_guo_saturation,
     failure_state_symmetry_check,
     run_clone,
-    success_probability,
 )
 from .procedures import (
     build_procedure,

@@ -414,28 +414,19 @@ def _phase_gauge(text: texts.QuantumText) -> tuple[np.ndarray, float | None]:
     puts the overlap with state 0 at s |G_0j|, and z = s mean |G_ij|. For
     N >= 3 the sign s is that of the Bargmann invariant G_01 G_12 G_20 = z^3;
     a 2-text keeps a real negative overlap while its central Q stays within
-    [-1, 1], else s = 1. With no edge of texts.overlap_graph, z = 0, beta = 1;
-    a 2-text reads its one overlap G_01 without building the graph.
+    [-1, 1], else s = 1. With no edge of texts.overlap_graph, z = 0, beta = 1.
     """
     n = text.n_states
     beta = np.ones(n, dtype=complex)
-    if n == 2:
-        # G_01 alone; the ufuncs of the general path on its one-entry row keep the bits of beta and z
-        row = texts.gram(text)[0, 1:]
-        g01, modulus = row[0], np.abs(row)
-        if not modulus[0] > texts.DEFAULT_TOL:
-            return beta, 0.0
-        real = abs(g01.imag) <= texts.DEFAULT_TOL
-        s = -1.0 if real and g01.real < 0.0 and _uniform_q2(2, -abs(g01)) <= 1.0 + CANONICAL_Q_TOL else 1.0
-        if not real or s * g01.real < 0.0:
-            np.divide(s * np.conj(row), modulus, out=beta[1:])
-        return beta, (s * float(modulus[0]) if abs((g01 * beta[1]).imag) <= texts.DEFAULT_TOL else None)
     if not texts.overlap_graph(text).any():
         return beta, 0.0
     g = texts.gram(text)
     upper = ~np.tri(n, dtype=bool)  # i < j in row order, as np.triu_indices(n, 1) but cheaper
     row, real = g[0, 1:], np.abs(g[0, 1:].imag) <= texts.DEFAULT_TOL
-    s = 1.0 if (g[0, 1] * g[1, 2] * g[2, 0]).real >= 0.0 else -1.0
+    if n == 2:
+        s = -1.0 if real[0] and row[0].real < 0.0 and _uniform_q2(2, -abs(row[0])) <= 1.0 + CANONICAL_Q_TOL else 1.0
+    else:
+        s = 1.0 if (g[0, 1] * g[1, 2] * g[2, 0]).real >= 0.0 else -1.0
     # only an overlap with state 0 that is complex or of sign -s gets a phase; a real one keeps exactly 1
     np.divide(s * np.conj(row), np.abs(row), out=beta[1:], where=~real | (s * row.real < 0.0))
     gauged = (np.conj(beta)[:, None] * g * beta)[upper]

@@ -22,7 +22,6 @@ from .certificates import (
     _nonvanishing,
     _normalizer,
     certificate,
-    input_normalizer,
 )
 from .errors import ComplexQ, InvalidCertificate, QZero, ZOutOfRange
 
@@ -92,34 +91,43 @@ def real_q_success_probability(text: texts.QuantumText, params: EnscriptionParam
     return (1.0 + params.Q * ov) / (1.0 + abs(params.Q))
 
 
-def success_probability(text: texts.QuantumText, params: EnscriptionParams, i: int) -> float:
-    """p_i = A_i / (1 + |q|)^2; InvalidCertificate if it misses the real-q form by 1e-10."""
-    q = _machine_q(params)
-    a = input_normalizer(text, i, q, params.tablet)
-    return _probability(a, q, i, real_q_success_probability(text, params, i))
+@dataclass(frozen=True)
+class _Split:
+    """State i under the controlled swap: q, psi (x) psi_0, psi_0 (x) psi, A at q, p_i = A / (1 + |q|)^2,
+    its real-q form (None for complex q), and the failure input at -q/|q| (None when p_i = 1)."""
+
+    q: complex
+    psi_tab: np.ndarray
+    tab_psi: np.ndarray
+    a: float
+    prob: float
+    p_real: float | None
+    omega_fail: np.ndarray | None
 
 
-def _machine_q(params: EnscriptionParams) -> complex:
-    """The deformation q as a complex number; QZero at q = 0, where the machine is undefined."""
+def _split(text: texts.QuantumText, params: EnscriptionParams, i: int) -> _Split:
+    """State i's split, derived once for run_clone and the parity check.
+
+    QZero at q = 0, where the machine is undefined; InvalidCertificate if p_i
+    misses the real-q form by 1e-10; DegenerateNormalizer if the failure input
+    vanishes.
+    """
     q = complex(params.q)
     if abs(q) == 0.0:
         raise QZero("the cloning machine is undefined at q = 0")
-    return q
-
-
-def _probability(a: float, q: complex, i: int, p_real: float | None) -> float:
-    """p_i = A_i / (1 + |q|)^2 from a given normalizer A_i, checked against the real-q form p_real (None for
-    complex q)."""
-    p = a / (1.0 + abs(q)) ** 2
-    if p_real is not None and not abs(p - p_real) < 1e-10:
-        raise InvalidCertificate(f"real-q probability forms disagree for state {i}: {p!r} vs {p_real!r}")
-    return float(p)
-
-
-def _failure_input(psi_tab: np.ndarray, tab_psi: np.ndarray, q: complex, overlap_sq: float, i: int) -> np.ndarray:
-    """The entangled input at -q/|q| that the failure branch carries, from psi (x) psi_0 and psi_0 (x) psi."""
-    q_fail = -q / abs(q)
-    return _entangled(psi_tab, tab_psi, q_fail, _nonvanishing(_normalizer(q_fail, overlap_sq), i))
+    psi, tab = text.state(i), params.tablet
+    psi_tab, tab_psi = np.outer(psi, tab).ravel(), np.outer(tab, psi).ravel()
+    overlap_sq = abs(np.vdot(psi, tab)) ** 2
+    a = _normalizer(q, overlap_sq)
+    prob = a / (1.0 + abs(q)) ** 2
+    p_real = real_q_success_probability(text, params, i)
+    if p_real is not None and not abs(prob - p_real) < 1e-10:
+        raise InvalidCertificate(f"real-q probability forms disagree for state {i}: {prob!r} vs {p_real!r}")
+    omega_fail = None
+    if 1.0 - prob > 1e-12:
+        q_fail = -q / abs(q)
+        omega_fail = _entangled(psi_tab, tab_psi, q_fail, _nonvanishing(_normalizer(q_fail, overlap_sq), i))
+    return _Split(q, psi_tab, tab_psi, a, float(prob), p_real, omega_fail)
 
 
 def run_clone(
@@ -135,36 +143,30 @@ def run_clone(
     decomposition, and applies the enscription procedure (from
     procedures.build_procedure, built once per certificate) on the success
     branch in O(d^2 N); the failure branch state is also recorded (None when
-    p_i = 1). psi_i (x) tablet, tablet (x) psi_i and |<psi_i|tablet>|^2 are
-    formed once, and both branches' entangled inputs and p_i are built from
-    them. Raises DimensionMismatch unless the procedure is a SpanUnitary on
-    C^d (x) C^d.
+    p_i = 1). The split, p_i and the failure input come from _split; the
+    success input is built from its products and A. Raises DimensionMismatch
+    unless the procedure is a SpanUnitary on C^d (x) C^d.
     """
     if not cert.is_valid():
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
     p = cert.params
-    q = _machine_q(p)
-    anc = ancilla_states(q)
-    psi = text.state(i)
+    split = _split(text, p, i)
+    anc = ancilla_states(split.q)
     # controlled_swap(d) @ kron(xi, psi (x) tablet): the ancilla-|1> half has its registers swapped
-    psi_tab, tab_psi = np.outer(psi, p.tablet).ravel(), np.outer(p.tablet, psi).ravel()
-    out = np.concatenate([anc.xi[0] * psi_tab, anc.xi[1] * tab_psi])
-
-    overlap_sq = abs(np.vdot(psi, p.tablet)) ** 2
-    a = _normalizer(q, overlap_sq)
-    prob = _probability(a, q, i, real_q_success_probability(text, p, i))
-    omega_q = _entangled(psi_tab, tab_psi, q, _nonvanishing(a, i))
+    out = np.concatenate([anc.xi[0] * split.psi_tab, anc.xi[1] * split.tab_psi])
+    omega_q = _entangled(split.psi_tab, split.tab_psi, split.q, _nonvanishing(split.a, i))
     success_state = np.outer(anc.eta, omega_q).ravel()
     failure_state = None
-    recon = np.sqrt(prob) * success_state
-    if 1.0 - prob > 1e-12:
-        failure_state = np.outer(anc.chi, _failure_input(psi_tab, tab_psi, q, overlap_sq, i)).ravel()
-        recon = recon + np.sqrt(1.0 - prob) * failure_state
+    recon = np.sqrt(split.prob) * success_state
+    if split.omega_fail is not None:
+        failure_state = np.outer(anc.chi, split.omega_fail).ravel()
+        recon = recon + np.sqrt(1.0 - split.prob) * failure_state
     decomp_err = float(np.linalg.norm(out - recon))
     if decomp_err > 1e-10:
         raise InvalidCertificate(f"controlled-swap output decomposition off by {decomp_err:.3e}")
 
     final_clone = procedures.apply_procedure(procedure, omega_q)
+    psi = text.state(i)
     target = np.outer(psi, psi).ravel()
     clone_err = float(np.linalg.norm(final_clone - p.phases[i] * target))
     if clone_err > max(ACCEPT_TOL, 10.0 * cert.residual):
@@ -174,7 +176,7 @@ def run_clone(
     fidelity = float(abs(np.vdot(target, final_clone)))
     return CloneOutcome(
         index=i,
-        p_success=prob,
+        p_success=split.prob,
         success_state=success_state,
         failure_state=failure_state,
         final_clone=final_clone,
@@ -192,20 +194,14 @@ def failure_state_symmetry_check(
     Defined for real q only, where real_q_success_probability is not None: the
     failure state has swap parity +1 when Q < 0 and -1 when Q > 0.
     """
-    p_real = real_q_success_probability(text, cert.params, i)
-    if p_real is None:
+    split = _split(text, cert.params, i)
+    if split.p_real is None:
         raise ComplexQ("failure-state parity is only defined for real q")
-    q = _machine_q(cert.params)
-    tab = cert.params.tablet
-    psi = text.state(i)
-    overlap_sq = abs(np.vdot(psi, tab)) ** 2
-    prob = _probability(_normalizer(q, overlap_sq), q, i, p_real)
-    if 1.0 - prob <= 1e-12:
+    if split.omega_fail is None:
         return FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)
-    omega_fail = _failure_input(np.outer(psi, tab).ravel(), np.outer(tab, psi).ravel(), q, overlap_sq, i)
     parity = 1 if cert.params.Q < 0 else -1
-    swapped = linalg.swap_factors(omega_fail, text.dimension)
-    deviation = float(np.linalg.norm(swapped - parity * omega_fail))
+    swapped = linalg.swap_factors(split.omega_fail, text.dimension)
+    deviation = float(np.linalg.norm(swapped - parity * split.omega_fail))
     return FailureSymmetryReport(expected_parity=parity, parity_ok=deviation < 1e-10, deviation=deviation)
 
 

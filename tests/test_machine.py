@@ -14,7 +14,6 @@ from enscribe import (
     qubit_example,
     run_clone,
     solve_two_text,
-    success_probability,
     swap_operator,
 )
 from enscribe import certificates, entangled_input, input_normalizer, linalg, machine, procedures, solve_real_uniform_central
@@ -72,7 +71,9 @@ def test_controlled_swap_involution():
 def test_success_probability_colinear_tablet_is_certain():
     text = make_text(2, [[1, 0], [0, 1]])
     params = EnscriptionParams.from_q(1.0, text.state(0), n_states=2)
-    assert abs(success_probability(text, params, 0) - 1.0) < 1e-12
+    split = machine._split(text, params, 0)
+    assert abs(split.prob - 1.0) < 1e-12
+    assert split.omega_fail is None
 
 
 def test_success_probability_orthogonal_tablet():
@@ -80,7 +81,7 @@ def test_success_probability_orthogonal_tablet():
     tablet = np.array([0.0, 0.0, 1.0])
     for q in (1.0, 0.5, -0.4):
         params = EnscriptionParams.from_q(q, tablet, n_states=2)
-        p = success_probability(text, params, 0)
+        p = machine._split(text, params, 0).prob
         assert abs(p - 1.0 / (1.0 + abs(params.Q))) < 1e-12
 
 
@@ -93,18 +94,19 @@ def test_success_probability_formulas_agree_randomized():
         q = float(rng.choice([-1, 1]) * rng.uniform(0.05, 1.0))
         params = EnscriptionParams.from_q(q, random_state(rng, d), n_states=n)
         i = int(rng.integers(n))
-        p = success_probability(text, params, i)
+        p = machine._split(text, params, i).prob
         ov = abs(np.vdot(text.state(i), params.tablet)) ** 2
         assert abs(p - (1.0 + params.Q * ov) / (1.0 + abs(params.Q))) < 1e-12
 
 
 def test_success_probability_disagreeing_forms_raise(monkeypatch):
-    # a typed error, not an assert, so the check survives python -O
-    text = make_real_uniform(2, 0.5)
-    params = EnscriptionParams.from_q(0.5, text.state(0), n_states=2)
-    monkeypatch.setattr(machine, "input_normalizer", lambda *args: 0.1)
-    with pytest.raises(InvalidCertificate):
-        success_probability(text, params, 1)
+    # a typed error, not an assert, so the check survives python -O; both machine entry points reach it
+    text, cert, u = qubit_example()
+    monkeypatch.setattr(machine, "_normalizer", lambda *args: 0.1)
+    with pytest.raises(InvalidCertificate, match="real-q probability forms disagree for state 1"):
+        run_clone(text, cert, 1, procedure=u)
+    with pytest.raises(InvalidCertificate, match="real-q probability forms disagree for state 1"):
+        failure_state_symmetry_check(text, cert, 1)
 
 
 def test_run_clone_qubit_example_probability_and_fidelity():
@@ -138,13 +140,11 @@ def test_run_clone_norm_and_decomposition():
     "call",
     [
         lambda text, cert, i: run_clone(text, cert, i, procedure=build_procedure(text, cert)),
-        lambda text, cert, i: success_probability(text, cert.params, i),
         lambda text, cert, i: failure_state_symmetry_check(text, cert, i),
         lambda text, cert, i: machine.real_q_success_probability(text, cert.params, i),
         lambda text, cert, i: input_normalizer(text, i, cert.params.q, cert.params.tablet),
     ],
-    ids=["run_clone", "success_probability", "failure_state_symmetry_check", "real_q_success_probability",
-         "input_normalizer"],
+    ids=["run_clone", "failure_state_symmetry_check", "real_q_success_probability", "input_normalizer"],
 )
 @pytest.mark.parametrize("i", [2, -1])
 def test_state_index_out_of_range_raises_dimension_mismatch(call, i):
@@ -376,9 +376,8 @@ def test_run_clone_forms_at_most_two_normalizers_per_state(monkeypatch):
             return function(*args)
         return wrapped
 
-    # every way the machine reaches A: the public normalizer in both namespaces and the shared form
+    # every way the machine reaches A: the public normalizer and the shared form
     monkeypatch.setattr(certificates, "input_normalizer", counting(certificates.input_normalizer))
-    monkeypatch.setattr(machine, "input_normalizer", counting(machine.input_normalizer))
     monkeypatch.setattr(machine, "_normalizer", counting(machine._normalizer))
     for i in range(text.n_states):
         assert run_clone(text, cert, i, procedure=u).failure_state is not None

@@ -92,7 +92,6 @@ UNREAD_PUBLIC_FUNCTIONS = {
     ("files", "save_certificate"),  # file API: the writer of what load_certificate reads
     ("engine", "solve_real_uniform_central"),  # bench setup and screen op: the closed form of a canonical text
     ("machine", "controlled_swap"),  # bench probe: the dense operator's size in procedure-clone
-    ("machine", "success_probability"),  # API: p_i alone; the machine derives it from the A it holds
     ("texts", "equivalent"),  # bench screen op: the equivalence search on rotated texts
 }
 
@@ -183,6 +182,14 @@ def test_one_function_decides_each_closed_form_and_each_certificate():
     solvers = {where for where in _functions_where(_loads({"solve_closed_form", "feasibility_search"}))
                if where[0] == "cli" and where[1] is not None}
     assert solvers == {("cli", "_certificate")}
+
+
+def test_one_function_splits_a_state_in_the_machine():
+    # run_clone and the parity check read q, A, p_i and the failure input from machine._split,
+    # so no second derivation of a state's split can come back
+    readers = {where for where in _functions_where(_loads({"_normalizer"}))
+               if where[0] == "machine" and where[1] is not None}
+    assert readers == {("machine", "_split")}
 
 
 def test_only_the_acceptance_checks_read_z0_threshold():
