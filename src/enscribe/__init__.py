@@ -46,7 +46,6 @@ from .procedures import (
 )
 from .search import SearchOptions, SearchResult, feasibility_search
 from .texts import (
-    DirectSumSplit,
     EquivalenceWitness,
     QuantumText,
     TextClassification,

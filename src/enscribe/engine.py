@@ -338,10 +338,10 @@ def direct_sum_enscribe(
     idx1 = tuple(i for i in range(n) if i not in idx2)
     if len(set(idx2)) != len(idx2):
         raise NotADirectSum("duplicate indices in the certified subtext")
-    split = texts.DirectSumSplit.of(texts.overlap_graph(combined_text), idx1)
-    if not split.classical_block_ok:
+    graph = texts.overlap_graph(combined_text)
+    if graph[np.ix_(idx1, idx1)].any():
         raise NotADirectSum(f"states {idx1} of the complement are not pairwise orthogonal")
-    if not split.cross_ok:
+    if graph[np.ix_(idx1, idx2)].any():
         raise NotADirectSum(f"states {idx1} overlap the certified subtext {idx2}")
     subtext = combined_text.subtext(idx2)
     if cert.params.n_states != len(idx2):
@@ -437,9 +437,9 @@ def _phase_gauge(text: texts.QuantumText) -> tuple[np.ndarray, float | None]:
 def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
     """Run the necessary conditions for enscribability and report the verdict.
 
-    Checks, in order: linear independence of the states; the zero/nonzero
-    overlap pattern must split into an orthogonal block plus a complete
-    overlapping block with no cross terms; for an overlapping block of three
+    Checks, in order: linear independence of the states; the states that
+    overlap any other must overlap pairwise (the others then form an
+    orthogonal block with no cross terms); for an overlapping block of three
     or more states the entrywise-reciprocal Gram matrix must be nonsingular
     with all but one eigenvalue of a single sign (which pins the sign of any
     feasible entanglement parameter); and a real uniform text must have a
@@ -449,9 +449,8 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
     cls = texts.classify(text)
     g = texts.gram(text)
     graph = texts.overlap_graph(text)
-    split = texts.DirectSumSplit.of(graph, np.flatnonzero(~graph.any(axis=1)))
-    busy = split.quantum_indices
-    lemma2_ok = split.consistent
+    busy = np.flatnonzero(graph.any(axis=1))
+    lemma2_ok = int(graph[np.ix_(busy, busy)].sum()) == busy.size * (busy.size - 1)
 
     eigen_ok = True
     eps: int | None = None

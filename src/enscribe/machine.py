@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg, procedures, texts
 from .certificates import (
     ACCEPT_TOL,
+    DEGENERATE_TOL,
     EnscriptionCertificate,
     EnscriptionParams,
     _entangled,
@@ -94,7 +95,8 @@ def real_q_success_probability(text: texts.QuantumText, params: EnscriptionParam
 @dataclass(frozen=True)
 class _Split:
     """State i under the controlled swap: q, psi (x) psi_0, psi_0 (x) psi, A at q, p_i = A / (1 + |q|)^2,
-    its real-q form (None for complex q), and the failure input at -q/|q| (None when p_i = 1)."""
+    its real-q form (None for complex q), and the failure input at -q/|q| (None when its normalizer is at
+    or below DEGENERATE_TOL, the line of every entangled input)."""
 
     q: complex
     psi_tab: np.ndarray
@@ -109,8 +111,7 @@ def _split(text: texts.QuantumText, params: EnscriptionParams, i: int) -> _Split
     """State i's split, derived once for run_clone and the parity check.
 
     QZero at q = 0, where the machine is undefined; InvalidCertificate if p_i
-    misses the real-q form by 1e-10; DegenerateNormalizer if the failure input
-    vanishes.
+    misses the real-q form by 1e-10.
     """
     q = complex(params.q)
     if abs(q) == 0.0:
@@ -123,10 +124,9 @@ def _split(text: texts.QuantumText, params: EnscriptionParams, i: int) -> _Split
     p_real = real_q_success_probability(text, params, i)
     if p_real is not None and not abs(prob - p_real) < 1e-10:
         raise InvalidCertificate(f"real-q probability forms disagree for state {i}: {prob!r} vs {p_real!r}")
-    omega_fail = None
-    if 1.0 - prob > 1e-12:
-        q_fail = -q / abs(q)
-        omega_fail = _entangled(psi_tab, tab_psi, q_fail, _nonvanishing(_normalizer(q_fail, overlap_sq), i))
+    q_fail = -q / abs(q)
+    a_fail = _normalizer(q_fail, overlap_sq)
+    omega_fail = _entangled(psi_tab, tab_psi, q_fail, a_fail) if a_fail > DEGENERATE_TOL else None
     return _Split(q, psi_tab, tab_psi, a, float(prob), p_real, omega_fail)
 
 
@@ -143,7 +143,7 @@ def run_clone(
     decomposition, and applies the enscription procedure (from
     procedures.build_procedure, built once per certificate) on the success
     branch in O(d^2 N); the failure branch state is also recorded (None when
-    p_i = 1). The split, p_i and the failure input come from _split; the
+    _split has no failure input). The split, p_i and the failure input come from _split; the
     success input is built from its products and A. Raises DimensionMismatch
     unless the procedure is a SpanUnitary on C^d (x) C^d.
     """
@@ -156,11 +156,11 @@ def run_clone(
     out = np.concatenate([anc.xi[0] * split.psi_tab, anc.xi[1] * split.tab_psi])
     omega_q = _entangled(split.psi_tab, split.tab_psi, split.q, _nonvanishing(split.a, i))
     success_state = np.outer(anc.eta, omega_q).ravel()
-    failure_state = None
-    recon = np.sqrt(split.prob) * success_state
-    if split.omega_fail is not None:
-        failure_state = np.outer(anc.chi, split.omega_fail).ravel()
-        recon = recon + np.sqrt(1.0 - split.prob) * failure_state
+    failure_state = None if split.omega_fail is None else np.outer(anc.chi, split.omega_fail).ravel()
+    # sqrt(1 - p) chi (x) Omega(-q/|q|) held unnormalized: no 1 - p, no normalizer that can vanish
+    mod = abs(split.q)
+    failure_branch = np.outer(np.sqrt(mod) / (1.0 + mod) * anc.chi, split.psi_tab - split.q / mod * split.tab_psi)
+    recon = np.sqrt(split.prob) * success_state + failure_branch.ravel()
     decomp_err = float(np.linalg.norm(out - recon))
     if decomp_err > 1e-10:
         raise InvalidCertificate(f"controlled-swap output decomposition off by {decomp_err:.3e}")

@@ -75,33 +75,6 @@ class EquivalenceWitness:
     unitary: np.ndarray
 
 
-@dataclass(frozen=True)
-class DirectSumSplit:
-    """Split of a text into an orthogonal and an overlapping part, with the block test."""
-
-    quantum_indices: tuple
-    classical_block_ok: bool
-    quantum_block_ok: bool
-    cross_ok: bool
-
-    @classmethod
-    def of(cls, graph: np.ndarray, classical_indices) -> "DirectSumSplit":
-        """The block test on an overlap graph: the given states pairwise
-        orthogonal, the rest pairwise overlapping, and no edge between the two."""
-        t1 = tuple(int(i) for i in classical_indices)
-        t2 = tuple(i for i in range(len(graph)) if i not in t1)
-        return cls(
-            t2,
-            classical_block_ok=not graph[np.ix_(t1, t1)].any(),
-            quantum_block_ok=int(graph[np.ix_(t2, t2)].sum()) == len(t2) * (len(t2) - 1),
-            cross_ok=not graph[np.ix_(t1, t2)].any(),
-        )
-
-    @property
-    def consistent(self) -> bool:
-        return self.classical_block_ok and self.quantum_block_ok and self.cross_ok
-
-
 def make_text(dimension: int, raw_states) -> QuantumText:
     """Validate raw vectors into a QuantumText.
 

@@ -416,6 +416,20 @@ def test_clone_runs_on_texts_with_no_overlapping_pair(tmp_path, capsys, text):
     assert all(abs(row["fidelity"] - 1.0) < 1e-12 for row in report["results"])
 
 
+@pytest.mark.parametrize("eps", [1e-5, 1e-7])
+def test_clone_runs_near_certain_success(tmp_path, capsys, eps):
+    # the tablet leans eps off state 0 at q = 0.5: state 0 succeeds with 1 - p_0 = 4.4e-11 or 4.4e-15,
+    # too little failure branch to normalize, so it has no failure parity
+    text = make_text(4, np.eye(4)[:3])
+    cert = certificate(text, EnscriptionParams.from_q(0.5, [np.cos(eps), 0.0, 0.0, np.sin(eps)], n_states=3))
+    cpath = tmp_path / "cert.json"
+    files.save_certificate(cert, str(cpath))
+    code, report = _run(capsys, ["clone", "--input", _write_text(tmp_path, "t.json", text), "--input", str(cpath)])
+    assert code == 0
+    assert [row["failure_symmetry"] for row in report["results"]] == ["n/a", "-1", "-1"]
+    assert report["results"][0]["p_success"] > 1.0 - 1e-10
+
+
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
     built = []

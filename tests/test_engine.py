@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from enscribe import (
@@ -20,6 +20,7 @@ from enscribe import (
     q_minus_one_dependence_check,
     q_range_real_uniform,
     q_range_two_text,
+    qubit_example,
     search,
     solve_closed_form,
     solve_real_uniform_central,
@@ -501,6 +502,63 @@ def test_direct_sum_enscribe_rejects_overlapping_complement():
         direct_sum_enscribe(text, cert, (0, 1))
 
 
+@st.composite
+def overlap_patterns(draw):
+    """An overlap pattern on N = 2..6 states, as its upper-triangle edges in row order, and a phase seed."""
+    n = draw(st.integers(2, 6))
+    pairs = n * (n - 1) // 2
+    return n, tuple(draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))), draw(st.integers(0, 2**32 - 1))
+
+
+def _pattern_text(n, edges, seed):
+    """A text realizing the pattern A: the Cholesky rows of G = I + (0.15/N) A, with random phases on the edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu_indices(n, 1)] = edges
+    adj |= adj.T
+    upper = np.triu(adj * np.exp(2j * np.pi * np.random.default_rng(seed).random((n, n))), 1)
+    g = np.eye(n) + 0.15 / n * (upper + upper.conj().T)
+    return adj, make_text(n, np.linalg.cholesky(g).conj())
+
+
+def _some_orthogonal_block_fits(adj):
+    """Lemma 2's pattern by brute force: some choice of orthogonal block among all 2^N, pairwise
+    orthogonal, with the rest pairwise overlapping and no edge between the two."""
+    n = len(adj)
+    for mask in range(2**n):
+        orth = [i for i in range(n) if mask >> i & 1]
+        rest = [i for i in range(n) if not mask >> i & 1]
+        if (not adj[np.ix_(orth, orth)].any() and not adj[np.ix_(orth, rest)].any()
+                and (adj[np.ix_(rest, rest)] | np.eye(len(rest), dtype=bool)).all()):
+            return True
+    return False
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(overlap_patterns())
+@example((3, (False, False, False), 0))  # orthonormal: every state in the orthogonal block
+@example((3, (True, True, True), 0))  # fully quantum: every state in the overlapping block
+@example((3, (True, False, True), 0))  # one zero overlap: 0 and 2 both overlap 1, no block fits
+@example((4, (True, False, False, False, False, False), 0))  # one overlapping pair beside two orthogonal states
+def test_lemma2_block_rules_read_the_overlap_graph(pattern):
+    adj, text = _pattern_text(*pattern)
+    assert np.array_equal(texts.overlap_graph(text), adj)
+    assert illegibility_screen(text).lemma2_pattern_ok == _some_orthogonal_block_fits(adj)
+    n = len(adj)
+    for mask in range(1, 2**n):
+        sub = tuple(i for i in range(n) if mask >> i & 1)
+        rest = [i for i in range(n) if not mask >> i & 1]
+        cert = certificate(text.subtext(sub), EnscriptionParams.from_q(0.5, text.state(0), n_states=len(sub)))
+        not_a_direct_sum = adj[np.ix_(rest, rest)].any() or adj[np.ix_(rest, sub)].any()
+        try:
+            direct_sum_enscribe(text, cert, sub)
+            raised = False
+        except NotADirectSum:
+            raised = True
+        except InvalidInputCertificate:  # a direct sum, but the certificate does not hold on the subtext
+            raised = False
+        assert raised == not_a_direct_sum, sub
+
+
 @pytest.mark.parametrize("indices", [(2, 7), (-2, -1)], ids=["past-the-end", "negative"])
 def test_direct_sum_enscribe_indices_outside_the_text_are_typed(indices):
     combined = _classical_pair_plus_two_text()
@@ -664,7 +722,6 @@ def test_overlap_at_the_line_gets_one_verdict_everywhere(scale, overlapping):
     assert not cls.fully_quantum
     # an orthogonal text or one overlapping pair: the Lemma 2 pattern holds either way
     assert illegibility_screen(text).verdict == "possibly_enscribable"
-    assert texts.DirectSumSplit.of(texts.overlap_graph(text), (0, 1)).consistent is not overlapping
     cert = solve_two_text(text.subtext((1, 2)))
     if overlapping:
         with pytest.raises(NotADirectSum):
@@ -703,25 +760,6 @@ def test_each_verdict_derives_the_gauge_once(monkeypatch, call, text):
     assert len(calls) == 1
 
 
-def _gram_wide_gauge(text):
-    """_phase_gauge's Gram-wide path run on a 2-text: the reference for its N = 2 path."""
-    from enscribe.certificates import CANONICAL_Q_TOL
-    from enscribe.engine import _uniform_q2
-
-    n = text.n_states
-    beta = np.ones(n, dtype=complex)
-    if not texts.overlap_graph(text).any():
-        return beta, 0.0
-    g = gram(text)
-    upper = ~np.tri(n, dtype=bool)
-    row, real = g[0, 1:], np.abs(g[0, 1:].imag) <= texts.DEFAULT_TOL
-    s = -1.0 if real[0] and row[0].real < 0.0 and _uniform_q2(2, -abs(row[0])) <= 1.0 + CANONICAL_Q_TOL else 1.0
-    np.divide(s * np.conj(row), np.abs(row), out=beta[1:], where=~real | (s * row.real < 0.0))
-    gauged = (np.conj(beta)[:, None] * g * beta)[upper]
-    uniform = np.abs(gauged.imag).max() <= texts.DEFAULT_TOL and np.ptp(gauged.real) <= texts.DEFAULT_TOL
-    return beta, (s * float(np.abs(g[upper]).mean()) if uniform else None)
-
-
 def _seeded_two_texts(kind, count=150):
     rng = np.random.default_rng({"phased": 1, "negative-real": 2, "orthogonal": 3}[kind])
     for _ in range(count):
@@ -737,11 +775,24 @@ def _seeded_two_texts(kind, count=150):
 
 
 @pytest.mark.parametrize("kind", ["phased", "negative-real", "orthogonal"])
-def test_two_text_gauge_reads_one_overlap_and_keeps_the_gram_wide_bits(kind):
+def test_two_text_gauge_keeps_a_negative_overlap_where_the_central_q_is_at_most_one(kind):
+    # a 2-text keeps a real negative z iff its central Q, 2|z| / (1 - |z|)^2, is at most one (within
+    # CANONICAL_Q_TOL), that is iff |z| <= 2 - sqrt(3); otherwise the gauge turns z positive
+    from enscribe.certificates import CANONICAL_Q_TOL
+
     for text in _seeded_two_texts(kind):
-        beta, z = _gram_wide_gauge(text)
-        got_beta, got_z = _phase_gauge(text)
-        assert got_beta.tobytes() == beta.tobytes()
-        assert (got_z is None) == (z is None)
-        if z is not None:
-            assert np.float64(got_z).tobytes() == np.float64(z).tobytes()
+        beta, z = _phase_gauge(text)
+        g01 = gram(text)[0, 1]
+        if not texts.overlap_graph(text).any():
+            assert z == 0.0 and beta.tolist() == [1.0, 1.0]
+            continue
+        assert abs(abs(z) - abs(g01)) < 1e-15
+        assert abs(np.conj(beta[0]) * beta[1] * g01 - z) < 1e-15
+        x = abs(g01)
+        negative = abs(g01.imag) <= texts.DEFAULT_TOL and g01.real < 0.0 and 2 * x / (1 - x) ** 2 <= 1 + CANONICAL_Q_TOL
+        assert (z < 0.0) == negative
+
+
+def test_the_qubit_example_sits_on_the_two_text_sign_line():
+    assert _phase_gauge(qubit_example()[0])[1] == pytest.approx(Z_QUBIT, abs=1e-15)
+    assert _phase_gauge(make_real_uniform(2, Z_QUBIT - 1e-9))[1] == pytest.approx(2.0 - np.sqrt(3.0) + 1e-9, abs=1e-15)

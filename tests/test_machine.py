@@ -76,6 +76,33 @@ def test_success_probability_colinear_tablet_is_certain():
     assert split.omega_fail is None
 
 
+NEAR_CERTAIN_SUCCESS = [
+    (q, eps) for q in (0.5, 1.0, -0.7, 0.3 + 0.4j, 1e-4) for eps in (1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 1e-9)
+] + [(1e-6, 1e-4), (1e-8, 1e-4)]
+
+
+@pytest.mark.parametrize("q, eps", NEAR_CERTAIN_SUCCESS)
+def test_machine_runs_on_valid_certificates_near_certain_success(q, eps):
+    # the tablet leans eps off state 0, so the failure input of state 0 has normalizer 2 - 2 Re(q/|q|) cos^2 eps:
+    # for real q > 0 and eps <= 1e-5 it is at most 2e-10, below DEGENERATE_TOL, while 1 - p_0 is up to 1e-10;
+    # at eps = 1e-4 it is 2e-8 and stays, while 1 - p_0 = |q| 2e-8 / (1 + |q|)^2 sinks to the rounding of p_0
+    text = make_text(4, np.eye(4)[:3])
+    cert = certificate(text, EnscriptionParams.from_q(q, [np.cos(eps), 0.0, 0.0, np.sin(eps)], n_states=3))
+    assert cert.residual == 0.0
+    u = build_procedure(text, cert)
+    for i in range(3):
+        outcome = run_clone(text, cert, i, procedure=u)
+        assert abs(outcome.fidelity - 1.0) < 1e-12
+        assert (outcome.failure_state is None) == (i == 0 and eps < 1e-4 and q in (0.5, 1.0, 1e-4))
+        if complex(q).imag:
+            with pytest.raises(ComplexQ):
+                failure_state_symmetry_check(text, cert, i)
+            continue
+        report = failure_state_symmetry_check(text, cert, i)
+        assert report.parity_ok
+        assert (report.expected_parity is None) == (outcome.failure_state is None)
+
+
 def test_success_probability_orthogonal_tablet():
     text = make_text(3, [[1, 0, 0], [0, 1, 0]])
     tablet = np.array([0.0, 0.0, 1.0])

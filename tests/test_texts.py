@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enscribe import (
-    DirectSumSplit,
     classify,
     equivalent,
     gram,
@@ -396,31 +395,6 @@ def test_the_procrustes_witness_agrees_with_the_correspondence_witness(n, extra,
 def test_equivalent_size_mismatch():
     with pytest.raises(SizeMismatch):
         equivalent(make_real_uniform(2, 0.3), make_real_uniform(3, 0.3))
-
-
-def test_direct_sum_split_of_a_classical_text():
-    rng = np.random.default_rng(17)
-    text = random_classical_text(rng, 3, 3)
-    split = DirectSumSplit.of(texts.overlap_graph(text), (1, 2))
-    assert split.quantum_indices == (0,)
-    assert split.consistent
-
-
-def test_direct_sum_split_one_zero_overlap_never_consistent():
-    # states 0 and 2 are orthogonal, both overlap state 1: no split into blocks fits
-    a, b = 0.4, np.sqrt(1 - 0.16)
-    text = make_text(3, [[1, 0, 0], [a, b, 0], [0, a, b]])
-    graph = texts.overlap_graph(text)
-    for mask in range(8):
-        orthogonal = [i for i in range(3) if mask >> i & 1]
-        assert not DirectSumSplit.of(graph, orthogonal).consistent
-
-
-def test_direct_sum_split_fully_quantum_all_overlapping():
-    text = make_real_uniform(3, 0.4)
-    split = DirectSumSplit.of(texts.overlap_graph(text), ())
-    assert split.quantum_indices == (0, 1, 2)
-    assert split.consistent
 
 
 @pytest.mark.parametrize(
