@@ -142,6 +142,18 @@ class SpanUnitary:
         return w
 
 
+def _family(vectors, dim: int) -> np.ndarray:
+    """One side of a correspondence as the rows of a complex array; a complex array of such rows is not copied.
+
+    Raises DimensionMismatch unless it holds at least one vector and every entry is a vector of length dim.
+    """
+    shapes = {np.shape(v) for v in vectors}
+    if shapes != {(dim,)}:
+        found = ", ".join(map(str, sorted(shapes))) or "no vectors"
+        raise DimensionMismatch(f"a correspondence needs vectors of shape ({dim},) on each side, got {found}")
+    return np.asarray(vectors, dtype=complex)
+
+
 def unitary_from_correspondence(
     inputs,
     outputs,
@@ -150,42 +162,43 @@ def unitary_from_correspondence(
 ) -> SpanUnitary:
     """Unitary W with W @ inputs[k] = outputs[k] for Gram-matched vector families.
 
-    Both families are mixed with the same coefficients into their dialect
-    frames A and B over the common Gram matrix, whose rank r sets the frame
-    size. W is a unitary with W A = B nearest the identity: the identity
-    outside span(inputs, outputs) and a rotation inside. With V the
-    orthonormal Q of the QR of [A, B] (k = min(dim, 2r) columns) and
-    a = V^dag A, b = V^dag B, W = I + V (m - I) V^dag, where m is the polar
-    factor of b a^dag + (I - b b^dag)(I - a a^dag) in C^k: it maps a to b,
-    and the complement of span(a) to that of span(b) as close to the
-    identity as a unitary can, so it fixes every direction orthogonal to
-    both, including columns of V outside their span. W is returned as the
-    factors V and m (SpanUnitary).
+    One Householder QR of the dim x 2N stack [inputs | outputs] gives the
+    frame V (k = min(dim, 2N) orthonormal columns) and, in R, both families'
+    coordinates on it: R_a for the inputs, R_b for the outputs. The Gram gate
+    and the one eigendecomposition of the mean Gram matrix read R_a^dag R_a
+    and R_b^dag R_b, whose rank r sets the dialect frame size. Both families
+    are mixed with the same coefficients into their dialect frames, taken on
+    the k x r coordinate blocks: a = polar frame of R_a, b = that of R_b, so
+    V a and V b are the dialect frames A and B (polar(V X) = V polar(X)).
+    W is a unitary with W A = B nearest the identity: the identity outside
+    span(inputs, outputs) and a rotation inside, W = I + V (m - I) V^dag,
+    where m is the polar factor of b a^dag + (I - b b^dag)(I - a a^dag) in
+    C^k: it maps a to b, and the complement of span(a) to that of span(b) as
+    close to the identity as a unitary can, so it fixes every direction
+    orthogonal to both, including columns of V outside their span. W is
+    returned as the factors V and m (SpanUnitary).
 
-    Raises GramMismatch when the two Gram matrices differ by more than
-    ``gram_tol`` entrywise, DimensionMismatch on empty families or
-    inconsistent shapes.
+    Each family is a sequence of vectors of length dim or an N x dim array
+    of them. Raises GramMismatch when the two
+    Gram matrices differ by more than ``gram_tol`` entrywise,
+    DimensionMismatch on empty or ragged families, on an entry that is not a
+    vector of length dim, or on families of different sizes.
     """
-    if not len(inputs) or not len(outputs):
-        raise DimensionMismatch("a correspondence needs at least one vector on each side")
-    a = np.column_stack([np.asarray(v, dtype=complex) for v in inputs])
-    b = np.column_stack([np.asarray(v, dtype=complex) for v in outputs])
-    if a.shape != b.shape:
-        raise DimensionMismatch("input and output families must have matching shapes")
-    if a.shape[0] != dim:
-        raise DimensionMismatch(f"vectors have length {a.shape[0]}, expected {dim}")
-    ga = dagger(a) @ a
-    gb = dagger(b) @ b
+    a, b = _family(inputs, dim), _family(outputs, dim)
+    n = a.shape[0]
+    if b.shape[0] != n:
+        raise DimensionMismatch(f"input and output families must have matching sizes, got {n} and {b.shape[0]}")
+    # Householder QR keeps v orthonormal also when the two families overlap
+    v, r = np.linalg.qr(np.concatenate([a, b]).T)
+    r_a, r_b = r[:, :n], r[:, n:]
+    ga = dagger(r_a) @ r_a
+    gb = dagger(r_b) @ r_b
     gap = float(np.max(np.abs(ga - gb)))
     if not gap <= gram_tol:
         raise GramMismatch(f"Gram matrices differ by {gap:.3e} (> {gram_tol:.1e})")
 
     eig = np.linalg.eigh(0.5 * (ga + gb))
-    a_frame = _polar_frame(a, *eig)
-    b_frame = _polar_frame(b, *eig)
-    # Householder QR keeps v orthonormal also when the two frames overlap
-    v, _ = np.linalg.qr(np.column_stack([a_frame, b_frame]))
-    a_in, b_in = dagger(v) @ a_frame, dagger(v) @ b_frame
+    a_in, b_in = _polar_frame(r_a, *eig), _polar_frame(r_b, *eig)
     eye = np.eye(v.shape[1])
     # the polar factor of b a^dag + (I - b b^dag)(I - a a^dag) maps a to b and,
     # needing no completion convention, fixes every direction orthogonal to both

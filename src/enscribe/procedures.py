@@ -27,7 +27,11 @@ def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> li
     procedure is the identity outside span(inputs, clones) and a rotation
     inside (linalg.unitary_from_correspondence). It is returned as those
     factors, a frame of at most 2N columns and a rotation on it, so building,
-    verifying and applying it never forms a d^2 x d^2 matrix. At q = 1 the
+    verifying and applying it never forms a d^2 x d^2 matrix. The two N x d^2
+    families are handed over as they are built: one Householder QR of their
+    d^2 x 2N stack gives the frame and both families' coordinates on it, the
+    Gram gate reads those coordinates, and the polar frames are taken on
+    blocks of at most 2N rows, so no SVD runs on a d^2-row array. At q = 1 the
     inputs and the clones are all swap-symmetric, so the procedure commutes
     with the swap of the two copies. The Gram-match gate is widened with the certificate
     residual, since a residual r allows the two families' Gram matrices to

@@ -191,15 +191,15 @@ def test_build_procedure_command(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, digest",
     [
-        (make_real_uniform(2, 0.5), "dd415a161cdf6ff4583f321ba3a1fb51162734d05fb97170b25bada5b2afd8a6"),
-        (make_real_uniform(3, 0.3), "5b3b30e7ec13ec18e1a73904436785bb188fd93bb8b42ae180471a040b8b83a9"),
-        (random_text(np.random.default_rng(11), 2, 3), "519272615a9b995f458d05fefcd08455f941c6ae0e0bfc0d534d11c533d64989"),
+        (make_real_uniform(2, 0.5), "39bb39bb6642d06918b13786044df4072c7dda540653187a0f94f4ef2b8bf855"),
+        (make_real_uniform(3, 0.3), "7a06de9c083599747962efe91584aeb3af302978b8e13aaee965161a63b99ef2"),
+        (random_text(np.random.default_rng(11), 2, 3), "1d948ec1a8da58013c896c944f482ecbf4bb3acc506509c78734de62110aa273"),
     ],
     ids=["uniform-2", "uniform-3", "complex-2-text"],
 )
 def test_build_procedure_matrix_keeps_its_bits(tmp_path, capsys, text, digest):
-    # the report forms the dense matrix of the factored procedure; these digests were
-    # taken when build_procedure returned that dense matrix itself
+    # the report forms the dense matrix of the factored procedure; these digests pin the
+    # procedure whose frame and coordinates come from one QR of [inputs | clones]
     path = _write_text(tmp_path, "t.json", text)
     code, report = _run(capsys, ["build-procedure", "--input", path])
     assert code == 0

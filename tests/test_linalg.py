@@ -79,3 +79,33 @@ def test_a_correspondence_decomposes_its_gram_matrix_once(monkeypatch):
     assert len(calls) == 1
     a = np.column_stack(inputs)
     assert np.array_equal(linalg._polar_frame(a, *eigh(a.conj().T @ a)), linalg.dialect_frame(a))
+
+
+def test_a_correspondence_factors_its_families_once(monkeypatch):
+    # one QR of the dim x 2N stack gives the frame and both families' coordinates,
+    # so every SVD acts on a block of at most 2N rows, never on a dim-row array
+    from enscribe import linalg
+
+    rng = np.random.default_rng(5)
+    dim, n = 36, 3
+    u = random_unitary(rng, dim)
+    inputs = [random_unitary(rng, dim)[:, i] for i in range(n)]
+    outputs = [u @ v for v in inputs]
+    qr_shapes, svd_shapes = [], []
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def counting_qr(a, *args, **kwargs):
+        qr_shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    w = linalg.unitary_from_correspondence(inputs, outputs, dim)
+    assert qr_shapes == [(dim, 2 * n)]
+    assert svd_shapes and max(rows for rows, _ in svd_shapes) <= 2 * n
+    assert w.frame.shape == (dim, 2 * n)
+    assert max(np.linalg.norm(w.apply(a) - b) for a, b in zip(inputs, outputs)) < 1e-12

@@ -147,6 +147,24 @@ def test_correspondence_of_an_empty_family_is_a_dimension_mismatch(ins, outs):
         unitary_from_correspondence(ins, outs, 2)
 
 
+@pytest.mark.parametrize(
+    "ins, outs",
+    [
+        ([np.ones(2), np.ones(3)], [np.ones(2), np.ones(3)]),
+        ([np.eye(2)[0]], [np.ones(3) / np.sqrt(3)]),
+        ([np.eye(2)], [np.eye(2)]),
+        ([np.eye(2)[0], np.eye(2)], [np.eye(2)[0], np.eye(2)]),
+        (np.eye(2)[0], np.eye(2)[0]),
+        ([np.eye(2)[0]], [np.eye(2)[0], np.eye(2)[1]]),
+    ],
+    ids=["ragged", "wrong-length", "matrix-entry", "ragged-matrix-entry", "bare-vector", "sizes"],
+)
+def test_correspondence_of_malformed_families_is_a_dimension_mismatch(ins, outs):
+    # a matrix entry is not read as its columns, and ragged families do not escape as a bare ValueError
+    with pytest.raises(DimensionMismatch):
+        unitary_from_correspondence(ins, outs, 2)
+
+
 def test_correspondence_rejects_nan_vectors():
     ins = [np.array([1.0, 0.0], dtype=complex)]
     outs = [np.array([np.nan, 0.0], dtype=complex)]

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import inspect
 import os
 import re
@@ -264,19 +265,20 @@ def test_no_unset_tolerance_parameters():
 
 def test_readme_tables_name_what_their_modules_define():
     # rows of the form | `enscribe.module` | ... |: every `name` in a row
-    # resolves in that module, a dotted `module.name` in the package
-    import enscribe
-
+    # resolves in that module, a dotted `module.name` in that module of the
+    # package; modules are imported here, so the test does not depend on which
+    # submodules earlier tests imported
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     listed = set()
     missing = []
     for module, cell in re.findall(r"^\| `enscribe\.(\w+)` \|(.*)\|$", readme, re.M):
         for name in re.findall(r"`([A-Za-z_][\w.]*)`", cell):
             listed.add((module, name))
-            obj = getattr(enscribe, module)
-            if "." in name and not hasattr(obj, name.split(".")[0]):
-                obj = enscribe
-            for part in name.split("."):
+            obj = importlib.import_module(f"enscribe.{module}")
+            parts = name.split(".")
+            if len(parts) > 1 and not hasattr(obj, parts[0]):
+                obj = importlib.import_module(f"enscribe.{parts.pop(0)}")
+            for part in parts:
                 obj = getattr(obj, part, None)
             if obj is None:
                 missing.append(f"{module}: {name}")
