@@ -18,6 +18,7 @@ parameter set is the largest violation of that condition.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class EnscriptionParams:
     phases: np.ndarray
 
     def __post_init__(self):
+        if not cmath.isfinite(self.q):
+            raise QOutOfRange(f"q must be finite, got {self.q}")
         # written as not (... <= tol) so that a NaN fails each check
         if not abs(q_to_Q(self.q) - self.Q) <= 1e-12:
             raise QOutOfRange("Q does not match 2 Re(q)/(1+|q|^2)")

@@ -9,6 +9,7 @@ ancilla (x) copy-1 (x) copy-2.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .certificates import (
     _normalizer,
     certificate,
 )
-from .errors import ComplexQ, InvalidCertificate, QZero, ZOutOfRange
+from .errors import ComplexQ, InvalidCertificate, QOutOfRange, QZero, ZOutOfRange
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ class SaturationReport:
 
 def ancilla_states(q: complex) -> AncillaStates:
     q = complex(q)
+    if not cmath.isfinite(q):
+        raise QOutOfRange(f"ancilla states need a finite q, got {q}")
     if abs(q) == 0.0:
         raise QZero("ancilla states are undefined at q = 0")
     mod = abs(q)

@@ -21,14 +21,19 @@ Starts run in a fixed, seeded order and the first whose largest residual
 beats certificates.ACCEPT_TOL wins, so the search stops there. When no start
 certifies, every start runs and the result records the earliest start whose
 residual is within FLOOR_TIE (relative) of the smallest: a floor over the
-starts, not a proof of infeasibility. The starts are coordinate vectors:
+starts, not a proof of infeasibility. FLOOR_TIE is also the precision to
+which a start polishes its floor: it stops once a step gains less than that
+share of its squared residual. At a fixed Q = 0 the residual does not depend
+on the tablet, so start 0 alone runs. The starts are coordinate vectors:
 the text's states, their normalized sum, then seeded random vectors. The
 tablet is built once, for the winning start.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from itertools import islice
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -45,8 +50,10 @@ from .certificates import (
 )
 from .errors import EnscribeError
 
+log = logging.getLogger("enscribe")
+
 FLOOR_TOL = 1e-4
-FLOOR_TIE = 1e-12
+FLOOR_TIE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,11 @@ class SearchResult:
     Without a certificate, ``best_residual`` is the search's floor: the
     largest pair mismatch at the winning start's end point, within FLOOR_TIE
     of its minimum over the starts. Each start minimizes the sum of squares,
-    not the largest mismatch, so the floor moves with the stop rules of
-    _minimize_start; it is evidence of infeasibility, not a lower bound.
+    not the largest mismatch, and stops once a step gains less than FLOOR_TIE
+    of it, so the floor moves with the stop rules of _minimize_start; it is
+    evidence of infeasibility, not a lower bound. ``evaluations`` counts the
+    objective evaluations of every start run: 1 at a fixed Q = 0, where
+    start 0 alone runs and makes no step.
     A floor whose winning start ran into the 100-evaluation cap near |Q| = 1,
     where a joint Q coordinate barely moves, carries rounding noise of up to
     1e-4 relative: a 1e-15 relative change of the Jacobian moves it there.
@@ -295,37 +305,41 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
     follows Nielsen's gain-ratio rule, floored at 1e-12 of J^T J's largest
     diagonal entry. A trial with a larger or non-finite residual is rejected.
     The solve stops when the gradient vanishes, an accepted step gains less
-    than 1e-12 of the squared residual, a rejected step has shrunk to
-    nothing, or 100 residuals have been evaluated.
+    than FLOOR_TIE of the squared residual (the precision to which the search
+    ties floors), a rejected step has shrunk to nothing, or 100 residuals have
+    been evaluated. The scalar bookkeeping runs on Python floats.
     """
     x = np.array(x0, dtype=float)
     r = obj.residual_vector(x, fixed_q)
-    cost, evals = r @ r, 1
+    cost, evals = float(r @ r), 1
     jac = obj.jacobian(x, fixed_q)
     grad, normal = jac.T @ r, jac.T @ jac
-    mu, nu = 1e-3 * np.max(np.diagonal(normal), initial=0.0), 2.0
+    mu, nu = 1e-3 * float(np.max(np.diagonal(normal), initial=0.0)), 2.0
     eye = np.eye(len(x))
     while evals < 100 and abs(grad).max() > 1e-15:
         step = np.linalg.solve(normal + mu * eye, -grad)
         trial = x + step
         r_trial = obj.residual_vector(trial, fixed_q)
         evals += 1
-        cost_trial = r_trial @ r_trial
+        cost_trial = float(r_trial @ r_trial)
         if cost_trial < cost:
-            gain = (cost - cost_trial) / (step @ (mu * step - grad))
+            predicted = float(step @ (mu * step - grad))
+            # every gain ratio from 1 up gives the factor 1/3, so the cap keeps the cube finite;
+            # a prediction rounded to zero or below counts as a full gain
+            gain = min((cost - cost_trial) / predicted, 1.0) if predicted > 0.0 else 1.0
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
-            small = cost - cost_trial <= 1e-12 * cost
+            small = cost - cost_trial <= FLOOR_TIE * cost
             x, r, cost = trial, r_trial, cost_trial
             if small:
                 break
             jac = obj.jacobian(x, fixed_q)
             grad, normal = jac.T @ r, jac.T @ jac
             # the tablet's radial direction leaves J^T J singular, so mu has a floor
-            mu = max(mu, 1e-12 * normal.diagonal().max())
+            mu = max(mu, 1e-12 * float(normal.diagonal().max()))
         else:
             mu, nu = mu * nu, nu * 2.0
-            if not np.linalg.norm(step) > 1e-15 * np.linalg.norm(x):
+            if not sqrt(float(step @ step)) > 1e-15 * sqrt(float(x @ x)):
                 break
     return x, evals
 
@@ -341,40 +355,53 @@ def feasibility_search(
     tablet. A fixed value outside [-1, 1] raises ``QOutOfRange`` before any
     start runs. At Q = -1 a thick text is infeasible in closed form (its
     entangled inputs are dependent, see engine.q_minus_one_dependence_check),
-    so no start runs and the floor is infinite.
+    so no start runs and the floor is infinite. At Q = 0 start 0 alone runs:
+    there the residual does not depend on the tablet.
 
     The first start, in start order, whose residual beats ACCEPT_TOL
     ends the search and yields the certificate. Otherwise every start runs
     and the result records the earliest start whose floor is within FLOOR_TIE
     (relative) of the smallest, with that start's floor and Q, and verdict
     "infeasible" (above the floor tolerance) or "inconclusive" (in between).
+    Each search logs one debug line on the ``enscribe`` logger: the starts
+    run, the evaluations, the verdict and the best residual.
     """
     options = options or SearchOptions()
     joint = big_q is None
     fixed_q = None if joint else float(big_q)
     if not joint:
         canonical_q(fixed_q)  # raises QOutOfRange outside [-1, 1], NaN included
-        if fixed_q == -1.0 and texts.classify(text).thick:
-            return SearchResult(None, np.inf, "infeasible", fixed_q, -1, 0)
     obj = _Objective(text)
+    starts = _starts_for(obj, options, joint)
+    if fixed_q == 0.0:
+        # w = z and every s_i = 1, so the residual does not see the tablet and
+        # every start would end on start 0's floor
+        starts = islice(starts, 1)
+    elif fixed_q == -1.0 and texts.classify(text).thick:
+        starts = ()
     ends, evals = [], 0
-    for x0 in _starts_for(obj, options, joint):
+    for x0 in starts:
         x, used = _minimize_start(obj, x0, fixed_q)
         evals += used
         ends.append((*obj.max_residual(x, fixed_q), x))
         if ends[-1][0] < ACCEPT_TOL:
             break
-    floor = min(res for res, _, _ in ends)
+    floor = min((res for res, _, _ in ends), default=np.inf)
     if floor == np.inf:
-        return SearchResult(None, np.inf, "infeasible", fixed_q, -1, evals)
-    best_idx = len(ends) - 1
-    if floor >= ACCEPT_TOL:
-        # many starts end on one floor up to rounding, so a tie goes to the earliest
-        best_idx = next(i for i, (res, _, _) in enumerate(ends) if res - floor <= FLOOR_TIE * floor)
-    best_res, best_phases, best_x = ends[best_idx]
-    qv = obj.q_of(best_x, fixed_q)
-    if best_res < ACCEPT_TOL:
-        params = EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases)
-        return SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
-    verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
-    return SearchResult(None, best_res, verdict, qv, best_idx, evals)
+        result = SearchResult(None, np.inf, "infeasible", fixed_q, -1, evals)
+    else:
+        best_idx = len(ends) - 1
+        if floor >= ACCEPT_TOL:
+            # many starts end on one floor up to rounding, so a tie goes to the earliest
+            best_idx = next(i for i, (res, _, _) in enumerate(ends) if res - floor <= FLOOR_TIE * floor)
+        best_res, best_phases, best_x = ends[best_idx]
+        qv = obj.q_of(best_x, fixed_q)
+        if best_res < ACCEPT_TOL:
+            params = EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases)
+            result = SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
+        else:
+            verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
+            result = SearchResult(None, best_res, verdict, qv, best_idx, evals)
+    log.debug("feasibility_search: starts run %d, evaluations %d, verdict %s, best_residual %.3e",
+              len(ends), evals, result.verdict, result.best_residual)
+    return result

@@ -168,10 +168,12 @@ def test_params_validation():
     [
         (float("nan"), [1.0, 0.0], [1.0, 1.0], QOutOfRange),
         (complex(float("inf"), 0.0), [1.0, 0.0], [1.0, 1.0], QOutOfRange),
+        # 2 Re(q) / (1 + |q|^2) reads 0 here, so only a finiteness check rejects it
+        (complex(0.0, float("inf")), [1.0, 0.0], [1.0, 1.0], QOutOfRange),
         (0.5, [float("nan"), 0.0], [1.0, 1.0], DimensionMismatch),
         (0.5, [1.0, 0.0], [1.0, float("nan")], DimensionMismatch),
     ],
-    ids=["nan-q", "infinite-q", "nan-tablet", "nan-phase"],
+    ids=["nan-q", "infinite-q", "imaginary-infinite-q", "nan-tablet", "nan-phase"],
 )
 def test_params_reject_non_finite_values(q, tablet, phases, error):
     # every comparison with NaN is False, so a check of the form abs(...) > tol let these through

@@ -17,7 +17,7 @@ from enscribe import (
     swap_operator,
 )
 from enscribe import certificates, entangled_input, input_normalizer, linalg, machine, procedures, solve_real_uniform_central
-from enscribe.errors import ComplexQ, DimensionMismatch, InvalidCertificate, QZero, ZOutOfRange
+from enscribe.errors import ComplexQ, DimensionMismatch, InvalidCertificate, QOutOfRange, QZero, ZOutOfRange
 
 from helpers import random_classical_text, random_state, random_text, random_unitary
 
@@ -40,6 +40,16 @@ def test_ancilla_preparation_balanced_at_unit_modulus():
 def test_ancilla_rejects_zero():
     with pytest.raises(QZero):
         ancilla_states(0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), complex(0.0, float("inf"))], ids=["nan", "inf", "inf-j"])
+def test_ancilla_rejects_non_finite_q(q):
+    # as EnscriptionParams does: no NaN pointer state and no numpy warning
+    with pytest.raises(QOutOfRange):
+        ancilla_states(q)
+    with pytest.raises(QOutOfRange):
+        EnscriptionParams.from_q(q, [1.0, 0.0], n_states=1)
 
 
 def test_controlled_swap_dimension_one():

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -125,6 +126,58 @@ def test_infeasible_search_runs_every_start(monkeypatch):
     result = feasibility_search(make_real_uniform(2, 0.5), 0.3, SearchOptions(seed=0, starts=32))
     assert result.verdict == "infeasible"
     assert len(calls) == 32
+
+
+@pytest.mark.parametrize("seed, n, d", [(0, 2, 2), (1, 2, 3), (2, 3, 3), (3, 4, 3)])
+def test_search_at_q_zero_runs_start_zero_alone(monkeypatch, seed, n, d):
+    # at Q = 0 the residual does not see the tablet: every start ends on start 0's floor, bit for bit
+    text = verification.random_nonclassical_text(np.random.default_rng(seed), n, d)
+    options = SearchOptions(seed=seed, starts=64)
+    obj = search._Objective(text)
+    floors = [obj.max_residual(search._minimize_start(obj, x0, 0.0)[0], 0.0)[0]
+              for x0 in search._starts_for(obj, options, False)]
+    assert len(floors) == 64 and len(set(floors)) == 1
+    calls = _count_starts(monkeypatch)
+    result = feasibility_search(text, 0.0, options)
+    assert len(calls) == 1
+    assert result.verdict == "infeasible"
+    assert (result.best_residual, result.Q, result.start_index) == (min(floors), 0.0, floors.index(min(floors)))
+    assert result.evaluations == 1
+
+
+@pytest.mark.parametrize(
+    "text, big_q, floor, rel",
+    [
+        # Q = 0.3 lies in the gap (-0.444, 0.8) of this 2-text
+        (make_real_uniform(2, 0.5), 0.3, 0.15625000000000022, 1e-10),
+        # a joint floor whose winning start runs into the cap near Q = -1 carries rounding noise
+        (make_real_uniform(3, -0.35), None, 0.3066990948838057, 1e-4),
+        (verification.random_nonclassical_text(np.random.default_rng(5), 3, 3), 0.0, 0.5128078274224358, 0.0),
+    ],
+    ids=["gap", "joint", "q0"],
+)
+def test_infeasible_floors_stay_flat(text, big_q, floor, rel):
+    # floors of a 64-start search before the LM stop was raised to FLOOR_TIE; a stop rule may
+    # move them by its rounding noise only
+    result = feasibility_search(text, big_q, SearchOptions(seed=0, starts=64))
+    assert result.verdict == "infeasible"
+    assert abs(result.best_residual - floor) <= rel * floor
+
+
+def test_search_logs_one_debug_line(caplog, monkeypatch):
+    # cli.main stops the enscribe logger from propagating to the root, where caplog listens
+    monkeypatch.setattr(logging.getLogger("enscribe"), "propagate", True)
+    text = verification.random_nonclassical_text(np.random.default_rng(0), 3, 3)
+    caplog.set_level(logging.NOTSET, logger="enscribe")
+    feasibility_search(text, 0.0, SearchOptions(seed=0, starts=64))
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="enscribe")
+    result = feasibility_search(text, 0.0, SearchOptions(seed=0, starts=64))
+    (record,) = caplog.records
+    assert record.name == "enscribe" and record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        f"feasibility_search: starts run 1, evaluations 1, verdict infeasible, best_residual {result.best_residual:.3e}"
+    )
 
 
 def test_feasible_search_stops_at_first_certifying_start(monkeypatch):
@@ -368,10 +421,10 @@ def _padded_uniform(n, z, extra):
     "text, big_q, verdict, winner",
     [
         # the tablet's radial direction makes J^T J singular; an undamped solve raised LinAlgError
-        (make_real_uniform(3, 0.3), -0.5, "feasible", (4, 230)),
+        (make_real_uniform(3, 0.3), -0.5, "feasible", (4, 197)),
         # Q = 0.3 lies outside the closed-form interval [0.1643, 0.1754]
         (make_real_uniform(3, -0.05), 0.3, "infeasible", None),
-        (_padded_uniform(3, 0.3, 2), -0.5, "feasible", (5, 238)),
+        (_padded_uniform(3, 0.3, 2), -0.5, "feasible", (5, 204)),
     ],
     ids=["uniform-feasible", "uniform-infeasible", "block-feasible"],
 )

@@ -246,6 +246,26 @@ def test_verdict_inputs_have_no_default():
         assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty, function.__name__
 
 
+def test_one_precision_stops_a_start_and_ties_the_floors():
+    # an infeasible start polishes its floor to the precision at which the search ties floors, so
+    # FLOOR_TIE alone sets both, and no numeric literal is left in a comparison with the cost
+    assert set(_functions_where(_loads({"FLOOR_TIE"}))) == {
+        ("search", "_minimize_start"),
+        ("search", "feasibility_search"),
+    }
+    from enscribe import search
+
+    tree = ast.parse(inspect.getsource(search._minimize_start))
+    literals = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and "cost" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        and any(isinstance(n, ast.Constant) and isinstance(n.value, (int, float)) for n in ast.walk(node))
+    ]
+    assert literals == []
+
+
 # the tolerance and start-count parameters some caller sets; every other
 # threshold, certificates.ACCEPT_TOL included, is a named module constant
 SETTABLE = {("linalg", "unitary_from_correspondence", "gram_tol")}
