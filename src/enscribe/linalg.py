@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -9,10 +10,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, GramMismatch
 
+log = logging.getLogger("enscribe")
+
 GRAM_TOL = 1e-10
 RANK_TOL = 1e-8
 # How far v / |v| may move an entry of a vector that unit keeps as it is.
 UNIT_TOL = 16 * np.finfo(float).eps
+# How far the frame defect ||V^dag V - I|| of a frame taken from a Gram matrix may exceed a QR
+# frame's (unitary_from_correspondence): that route runs only where its predicted excess is below it.
+FRAME_TOL = 1e-12
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -162,9 +168,25 @@ def unitary_from_correspondence(
 ) -> SpanUnitary:
     """Unitary W with W @ inputs[k] = outputs[k] for Gram-matched vector families.
 
-    One Householder QR of the dim x 2N stack [inputs | outputs] gives the
-    frame V (k = min(dim, 2N) orthonormal columns) and, in R, both families'
-    coordinates on it: R_a for the inputs, R_b for the outputs. The Gram gate
+    The dim x 2N stack X = [inputs | outputs] is factored as X = V R: the
+    frame V has k = min(dim, 2N) orthonormal columns, and R holds both
+    families' coordinates on it, R_a for the inputs and R_b for the outputs.
+    The factors come from the 2N x 2N Gram matrix K = X^dag X, formed in one
+    product, when its eigenvalues allow, and from a Householder QR otherwise:
+
+    - Gram route: one eigh K = E diag(w) E^dag gives V = X E w^-1/2 and
+      R = w^1/2 E^dag. The rounding of K and of its eigh, magnified by the
+      smallest eigenvalue, adds to the frame defect ||V^dag V - I|| of a QR
+      frame a term that grows like 2N u w_max / w_min (u = eps / 2, the unit
+      roundoff; at most 0.88 of it over 590 uniform texts and 2-texts with
+      dim up to 48^2). So this route runs only while that prediction is
+      below FRAME_TOL, and its defect stays within FRAME_TOL of the QR's.
+    - QR route: below the line, on rank-deficient and nearly parallel
+      stacks, one Householder QR of X gives V and R, orthonormal to rounding
+      whatever the conditioning.
+
+    One debug line on the enscribe logger names the route, w_min / w_max and
+    k. The Gram gate
     and the one eigendecomposition of the mean Gram matrix read R_a^dag R_a
     and R_b^dag R_b, whose rank r sets the dialect frame size. Both families
     are mixed with the same coefficients into their dialect frames, taken on
@@ -188,8 +210,22 @@ def unitary_from_correspondence(
     n = a.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatch(f"input and output families must have matching sizes, got {n} and {b.shape[0]}")
-    # Householder QR keeps v orthonormal also when the two families overlap
-    v, r = np.linalg.qr(np.concatenate([a, b]).T)
+    x = np.concatenate([a, b])
+    # K = X^dag X for the dim x 2N stack X = x.T, in one product; its eigenvalues pick the route. A
+    # non-finite K, which eigh need not take, goes the QR way, whose Gram gate rejects it
+    k = x.conj() @ x.T
+    w, e = np.linalg.eigh(k) if np.isfinite(k).all() else (np.zeros(1), None)
+    ratio = float(w[0] / w[-1]) if w[-1] > 0 else 0.0
+    # the Gram frame's predicted excess defect, 2N u w_max / w_min with u = eps / 2, against FRAME_TOL
+    if n * np.finfo(float).eps < FRAME_TOL * ratio:
+        route = "gram"
+        v, r = x.T @ (e / np.sqrt(w)), np.sqrt(w)[:, None] * dagger(e)
+    else:
+        route = "qr"
+        # Householder QR keeps v orthonormal also when the two families overlap
+        v, r = np.linalg.qr(x.T)
+    log.debug("unitary_from_correspondence: %s route, lambda_min/lambda_max %.3e, %d frame columns",
+              route, ratio, v.shape[1])
     r_a, r_b = r[:, :n], r[:, n:]
     ga = dagger(r_a) @ r_a
     gb = dagger(r_b) @ r_b

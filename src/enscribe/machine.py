@@ -10,7 +10,9 @@ ancilla (x) copy-1 (x) copy-2.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +28,10 @@ from .certificates import (
     certificate,
 )
 from .errors import ComplexQ, InvalidCertificate, QOutOfRange, QZero, ZOutOfRange
+
+# The line of the machine's own checks: the agreement of the two p_i forms in _split, the
+# decomposition check of run_clone, the parity check and duan_guo_saturation's saturation.
+CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,13 @@ class AncillaStates:
 
 @dataclass(frozen=True)
 class CloneOutcome:
+    """The machine's run on state i: p_i, the success branch eta (x) omega_q and the failure branch
+    chi (x) Omega(-q/|q|) as vectors of length 2 d^2 (failure_state None when the state has no failure
+    input), the procedure's output W omega_q, and its fidelity with psi_i (x) psi_i.
+
+    An outcome of run_clone forms the two branch states on first read.
+    """
+
     index: int
     p_success: float
     success_state: np.ndarray
@@ -89,48 +102,123 @@ def controlled_swap(dim: int) -> np.ndarray:
 
 def real_q_success_probability(text: texts.QuantumText, params: EnscriptionParams, i: int) -> float | None:
     """(1 + Q|<psi_i|psi_0>|^2) / (1 + |Q|), the form of p_i for real q; None for complex q."""
+    return _real_q_form(params, abs(np.vdot(text.state(i), params.tablet)) ** 2)
+
+
+def _real_q_form(params: EnscriptionParams, overlap_sq) -> float | None:
+    """real_q_success_probability from |<psi_i|psi_0>|^2."""
     if abs(complex(params.q).imag) >= 1e-12:
         return None
-    ov = abs(np.vdot(text.state(i), params.tablet)) ** 2
-    return (1.0 + params.Q * ov) / (1.0 + abs(params.Q))
+    return (1.0 + params.Q * overlap_sq) / (1.0 + abs(params.Q))
 
 
 @dataclass(frozen=True)
 class _Split:
-    """State i under the controlled swap: q, psi (x) psi_0, psi_0 (x) psi, A at q, p_i = A / (1 + |q|)^2,
-    its real-q form (None for complex q), and the failure input at -q/|q| (None when its normalizer is at
-    or below DEGENERATE_TOL, the line of every entangled input)."""
+    """State i under the controlled swap, in scalars: q, |<psi|psi_0>|^2, A at q, p_i = A / (1 + |q|)^2,
+    its real-q form (None for complex q), and q_f = -q/|q| with the normalizer A_f of the failure input
+    at q_f. The state has a failure input exactly when A_f is above DEGENERATE_TOL, the line of every
+    entangled input."""
 
     q: complex
-    psi_tab: np.ndarray
-    tab_psi: np.ndarray
+    overlap_sq: float
     a: float
     prob: float
     p_real: float | None
-    omega_fail: np.ndarray | None
+    q_fail: complex
+    a_fail: float
+
+    @property
+    def has_failure(self) -> bool:
+        """Whether the state has a failure input; a NaN A_f has none."""
+        return self.a_fail > DEGENERATE_TOL
 
 
 def _split(text: texts.QuantumText, params: EnscriptionParams, i: int) -> _Split:
-    """State i's split, derived once for run_clone and the parity check.
+    """State i's split, derived once for run_clone and the parity check; it forms no vector.
 
     QZero at q = 0, where the machine is undefined; InvalidCertificate if p_i
-    misses the real-q form by 1e-10.
+    misses the real-q form by CHECK_TOL.
     """
     q = complex(params.q)
     if abs(q) == 0.0:
         raise QZero("the cloning machine is undefined at q = 0")
-    psi, tab = text.state(i), params.tablet
-    psi_tab, tab_psi = np.outer(psi, tab).ravel(), np.outer(tab, psi).ravel()
-    overlap_sq = abs(np.vdot(psi, tab)) ** 2
+    overlap_sq = float(abs(np.vdot(text.state(i), params.tablet)) ** 2)
     a = _normalizer(q, overlap_sq)
     prob = a / (1.0 + abs(q)) ** 2
-    p_real = real_q_success_probability(text, params, i)
-    if p_real is not None and not abs(prob - p_real) < 1e-10:
+    p_real = _real_q_form(params, overlap_sq)
+    if p_real is not None and not abs(prob - p_real) < CHECK_TOL:
         raise InvalidCertificate(f"real-q probability forms disagree for state {i}: {prob!r} vs {p_real!r}")
     q_fail = -q / abs(q)
-    a_fail = _normalizer(q_fail, overlap_sq)
-    omega_fail = _entangled(psi_tab, tab_psi, q_fail, a_fail) if a_fail > DEGENERATE_TOL else None
-    return _Split(q, psi_tab, tab_psi, a, float(prob), p_real, omega_fail)
+    return _Split(q, overlap_sq, a, float(prob), p_real, q_fail, _normalizer(q_fail, overlap_sq))
+
+
+def _norm_sq(cu, cs, overlap_sq) -> float:
+    """||cu psi (x) t + cs t (x) psi||^2 for unit psi and t, from <psi (x) t|t (x) psi> = |<psi|t>|^2.
+
+    The metric [[1, |<psi|t>|^2], [|<psi|t>|^2, 1]] is positive semidefinite, so only rounding
+    makes the form negative; it is clipped at 0.
+    """
+    return max(abs(cu) ** 2 + abs(cs) ** 2 + 2.0 * overlap_sq * (cu.conjugate() * cs).real, 0.0)
+
+
+def _decomposition_error(split: _Split, anc: AncillaStates) -> float:
+    """||controlled-swap output - sqrt(p) eta (x) omega_q - failure branch||, on coefficients.
+
+    With u = psi (x) t and s = t (x) psi every term lies in span |k> (x) {u, s}: the output
+    xi_0 |0> u + xi_1 |1> s, omega_q = (u + q s) / sqrt(A), and the failure branch
+    sqrt(1 - p) chi (x) Omega(-q/|q|), held unnormalized as sqrt(|q|) / (1 + |q|) chi (x) (u - q/|q| s):
+    no 1 - p, no normalizer that can vanish. So the norm is the I_2 (x) metric form of _norm_sq on the
+    2 x 2 array of coefficients, and no 2 d^2-vector is formed.
+    """
+    q, mod = split.q, abs(split.q)
+    success = math.sqrt(split.prob) / math.sqrt(split.a)
+    failure = math.sqrt(mod) / (1.0 + mod)
+    # Python scalars: on two coefficients numpy's per-call cost is all there is
+    xi = anc.xi.tolist()
+    output = ((xi[0], 0.0), (0.0, xi[1]))
+    total = 0.0
+    for (out_u, out_s), eta, chi in zip(output, anc.eta.tolist(), anc.chi.tolist()):
+        total += _norm_sq(out_u - success * eta - failure * chi,
+                          out_s - success * q * eta + failure * q / mod * chi, split.overlap_sq)
+    return math.sqrt(total)
+
+
+def _products(psi: np.ndarray, tablet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi (x) t and t (x) psi, the two vectors every input and branch of state psi is built from."""
+    return np.outer(psi, tablet).ravel(), np.outer(tablet, psi).ravel()
+
+
+def _failure_input(products: tuple[np.ndarray, np.ndarray], split: _Split) -> np.ndarray:
+    """Omega(q_f), the failure input, from _products; callers first check split.has_failure."""
+    return _entangled(*products, split.q_fail, split.a_fail)
+
+
+class _Run(CloneOutcome):
+    """run_clone's CloneOutcome: success_state and failure_state are formed on first read, from the
+    held ancilla states, omega_q and _products, with the bits of forming them at once.
+
+    Built by _Run.deferred. Its own constructor is CloneOutcome's, which stores given branch states
+    in the instance dict, where they shadow the cached properties; so dataclasses.replace on a run
+    still works and returns a _Run with both states formed.
+    """
+
+    @classmethod
+    def deferred(cls, index, p_success, final_clone, fidelity, anc, omega_q, products, split) -> _Run:
+        run = object.__new__(cls)
+        # straight into the instance dict: the class is frozen, and each branch state lands there on first read
+        vars(run).update(index=index, p_success=p_success, final_clone=final_clone, fidelity=fidelity,
+                         _anc=anc, _omega_q=omega_q, _products=products, _split=split)
+        return run
+
+    @cached_property
+    def success_state(self) -> np.ndarray:
+        return np.outer(self._anc.eta, self._omega_q).ravel()
+
+    @cached_property
+    def failure_state(self) -> np.ndarray | None:
+        if not self._split.has_failure:
+            return None
+        return np.outer(self._anc.chi, _failure_input(self._products, self._split)).ravel()
 
 
 def run_clone(
@@ -139,37 +227,34 @@ def run_clone(
     i: int,
     procedure: linalg.SpanUnitary,
 ) -> CloneOutcome:
-    """Exact state-vector run of the machine on state i, post-selected on success.
+    """Exact run of the machine on state i, post-selected on success.
 
-    Prepares the ancilla, applies the controlled swap to
-    xi (x) psi_i (x) tablet, verifies the orthogonal success/failure
-    decomposition, and applies the enscription procedure (from
+    Prepares the ancilla, applies the controlled swap to xi (x) psi_i (x) tablet,
+    checks that its output splits into sqrt(p) eta (x) omega_q and the failure
+    branch, and applies the enscription procedure (from
     procedures.build_procedure, built once per certificate) on the success
-    branch in O(d^2 N); the failure branch state is also recorded (None when
-    _split has no failure input). The split, p_i and the failure input come from _split; the
-    success input is built from its products and A. Raises DimensionMismatch
-    unless the procedure is a SpanUnitary on C^d (x) C^d.
+    branch in O(d^2 N). The split, p_i and the failure input's q_f and A_f come
+    from _split. The decomposition check runs on the 2 x 2 coefficients of the
+    output in |k> (x) {psi (x) t, t (x) psi} (_decomposition_error), so the only
+    d^2-vectors formed are the two products, omega_q, W omega_q and psi (x) psi;
+    the procedure is the caller's, so its clone check and the fidelity stay in
+    C^d (x) C^d. The returned outcome forms success_state and failure_state
+    (None when the state has no failure input) on first read. Raises
+    DimensionMismatch unless the procedure is a SpanUnitary on C^d (x) C^d.
     """
     if not cert.is_valid():
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
     p = cert.params
     split = _split(text, p, i)
     anc = ancilla_states(split.q)
-    # controlled_swap(d) @ kron(xi, psi (x) tablet): the ancilla-|1> half has its registers swapped
-    out = np.concatenate([anc.xi[0] * split.psi_tab, anc.xi[1] * split.tab_psi])
-    omega_q = _entangled(split.psi_tab, split.tab_psi, split.q, _nonvanishing(split.a, i))
-    success_state = np.outer(anc.eta, omega_q).ravel()
-    failure_state = None if split.omega_fail is None else np.outer(anc.chi, split.omega_fail).ravel()
-    # sqrt(1 - p) chi (x) Omega(-q/|q|) held unnormalized: no 1 - p, no normalizer that can vanish
-    mod = abs(split.q)
-    failure_branch = np.outer(np.sqrt(mod) / (1.0 + mod) * anc.chi, split.psi_tab - split.q / mod * split.tab_psi)
-    recon = np.sqrt(split.prob) * success_state + failure_branch.ravel()
-    decomp_err = float(np.linalg.norm(out - recon))
-    if decomp_err > 1e-10:
+    psi = text.state(i)
+    products = _products(psi, p.tablet)
+    omega_q = _entangled(*products, split.q, _nonvanishing(split.a, i))
+    decomp_err = _decomposition_error(split, anc)
+    if decomp_err > CHECK_TOL:
         raise InvalidCertificate(f"controlled-swap output decomposition off by {decomp_err:.3e}")
 
     final_clone = procedures.apply_procedure(procedure, omega_q)
-    psi = text.state(i)
     target = np.outer(psi, psi).ravel()
     clone_err = float(np.linalg.norm(final_clone - p.phases[i] * target))
     if clone_err > max(ACCEPT_TOL, 10.0 * cert.residual):
@@ -177,14 +262,7 @@ def run_clone(
             f"procedure misses the phased clone of state {i} by {clone_err:.3e}"
         )
     fidelity = float(abs(np.vdot(target, final_clone)))
-    return CloneOutcome(
-        index=i,
-        p_success=split.prob,
-        success_state=success_state,
-        failure_state=failure_state,
-        final_clone=final_clone,
-        fidelity=fidelity,
-    )
+    return _Run.deferred(i, split.prob, final_clone, fidelity, anc, omega_q, products, split)
 
 
 def failure_state_symmetry_check(
@@ -195,17 +273,23 @@ def failure_state_symmetry_check(
     """Check the failure state is the (anti)symmetrization of state i with the tablet.
 
     Defined for real q only, where real_q_success_probability is not None: the
-    failure state has swap parity +1 when Q < 0 and -1 when Q > 0.
+    failure state has swap parity +1 when Q < 0 and -1 when Q > 0. The check
+    forms the failure input Omega(-q/|q|) in C^d (x) C^d and swaps its factors
+    (linalg.swap_factors). It stays there on purpose: for real q, -q/|q| is the
+    parity exactly, so the same identity read off the two coefficients of
+    psi (x) t and t (x) psi would vanish by construction and test nothing, while
+    the formed vector shows a layout fault in the input or in the swap.
     """
     split = _split(text, cert.params, i)
     if split.p_real is None:
         raise ComplexQ("failure-state parity is only defined for real q")
-    if split.omega_fail is None:
+    if not split.has_failure:
         return FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)
     parity = 1 if cert.params.Q < 0 else -1
-    swapped = linalg.swap_factors(split.omega_fail, text.dimension)
-    deviation = float(np.linalg.norm(swapped - parity * split.omega_fail))
-    return FailureSymmetryReport(expected_parity=parity, parity_ok=deviation < 1e-10, deviation=deviation)
+    omega_fail = _failure_input(_products(text.state(i), cert.params.tablet), split)
+    swapped = linalg.swap_factors(omega_fail, text.dimension)
+    deviation = float(np.linalg.norm(swapped - parity * omega_fail))
+    return FailureSymmetryReport(expected_parity=parity, parity_ok=deviation < CHECK_TOL, deviation=deviation)
 
 
 def duan_guo_saturation(z: float) -> SaturationReport:
@@ -228,5 +312,5 @@ def duan_guo_saturation(z: float) -> SaturationReport:
     u = procedures.build_procedure(text, cert)
     probs = tuple(run_clone(text, cert, i, procedure=u).p_success for i in range(2))
     bound = 1.0 / (1.0 + abs(z))
-    saturated = all(abs(p - bound) < 1e-10 for p in probs)
+    saturated = all(abs(p - bound) < CHECK_TOL for p in probs)
     return SaturationReport(overlap=z, bound=bound, probabilities=probs, saturated=saturated)

@@ -28,10 +28,14 @@ def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> li
     inside (linalg.unitary_from_correspondence). It is returned as those
     factors, a frame of at most 2N columns and a rotation on it, so building,
     verifying and applying it never forms a d^2 x d^2 matrix. The two N x d^2
-    families are handed over as they are built: one Householder QR of their
-    d^2 x 2N stack gives the frame and both families' coordinates on it, the
-    Gram gate reads those coordinates, and the polar frames are taken on
-    blocks of at most 2N rows, so no SVD runs on a d^2-row array. At q = 1 the
+    families are handed over as they are built. Their d^2 x 2N stack X is
+    factored as X = V R, the frame V and both families' coordinates R on it:
+    from one eigh of the 2N x 2N Gram matrix X^dag X where it is well
+    conditioned (the Gram route), and from one Householder QR of X on
+    rank-deficient and nearly parallel stacks (the QR route, with the bits it
+    always had); linalg.FRAME_TOL draws the line, and the route is logged at
+    debug. The Gram gate reads the coordinates, and the polar frames are
+    taken on blocks of at most 2N rows, so no SVD runs on a d^2-row array. At q = 1 the
     inputs and the clones are all swap-symmetric, so the procedure commutes
     with the swap of the two copies. The Gram-match gate is widened with the certificate
     residual, since a residual r allows the two families' Gram matrices to
@@ -41,8 +45,8 @@ def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> li
     input. Where one is orthogonal to every input (at Q = -1, where the inputs
     are antisymmetric and the clones symmetric, and on an orthonormal text
     with the tablet on a state), several rotations are equally near the
-    identity, and which one is returned depends on the basis the QR and SVD
-    pick; there the procedure of an equivalent text need not be the moved
+    identity, and which one is returned depends on the basis the frame and
+    SVD pick; there the procedure of an equivalent text need not be the moved
     (V (x) V) U (V (x) V)^dag, though both realize the moved certificate.
     """
     if cert.params.n_states != text.n_states:

@@ -296,7 +296,8 @@ def check_q_minus_one_rank(seed: int = 0) -> CheckResult:
 
 
 def check_cloning_machine(seed: int = 0) -> CheckResult:
-    """Success probabilities, end-to-end fidelity, saturation, failure parity."""
+    """Success probabilities, end-to-end fidelity, saturation, and the failure parity of both
+    failure_state_symmetry_check and the failure branch of the run."""
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     for _ in range(100):
@@ -327,6 +328,11 @@ def check_cloning_machine(seed: int = 0) -> CheckResult:
                 not report.parity_ok or report.expected_parity != expected
             ):
                 parity_ok = False
+            # the failure branch chi (x) Omega of the run itself, its copies swapped under each ancilla state
+            if outcome.failure_state is not None:
+                branch = outcome.failure_state.reshape(2, -1).T
+                if not np.linalg.norm(linalg.swap_factors(branch, 2) - expected * branch) < machine.CHECK_TOL:
+                    parity_ok = False
 
     worst_saturation = 0.0
     for z in (-0.1, -0.3, -0.5, -0.7):

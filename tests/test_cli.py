@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enscribe import cli, enscription_residual, files, make_real_uniform, make_text, z0_threshold
+from enscribe import cli, enscription_residual, files, make_real_uniform, make_text, qubit_example, z0_threshold
 from enscribe.certificates import EnscriptionParams, certificate
 from enscribe.cli import main
 from enscribe.verification import random_equivalence_image
@@ -191,15 +191,17 @@ def test_build_procedure_command(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, digest",
     [
-        (make_real_uniform(2, 0.5), "39bb39bb6642d06918b13786044df4072c7dda540653187a0f94f4ef2b8bf855"),
-        (make_real_uniform(3, 0.3), "7a06de9c083599747962efe91584aeb3af302978b8e13aaee965161a63b99ef2"),
-        (random_text(np.random.default_rng(11), 2, 3), "1d948ec1a8da58013c896c944f482ecbf4bb3acc506509c78734de62110aa273"),
+        (make_real_uniform(2, 0.5), "bec2fee608ffea9c72487514939a6c54b9a4ade566e16bb0e0e141b63295551c"),
+        (make_real_uniform(3, 0.3), "ebd9c0baee98ca978f3b54a20b6d730bc5d7c587a53dd00994677960d24e9bda"),
+        (random_text(np.random.default_rng(11), 2, 3), "50f72d8d3ba1c2c868e9600aff2e0e61ef4b8e607d3b287474f014d8233352f8"),
+        (qubit_example()[0], "318049e4f8200bed3a155e14c04644ce9947091495bc996bf023cc0bcfd1aa75"),
     ],
-    ids=["uniform-2", "uniform-3", "complex-2-text"],
+    ids=["uniform-2", "uniform-3", "complex-2-text", "qubit-text"],
 )
 def test_build_procedure_matrix_keeps_its_bits(tmp_path, capsys, text, digest):
-    # the report forms the dense matrix of the factored procedure; these digests pin the
-    # procedure whose frame and coordinates come from one QR of [inputs | clones]
+    # the report forms the dense matrix of the factored procedure; the first three digests pin a
+    # frame from one eigh of the Gram matrix of [inputs | clones], and the qubit example's text,
+    # whose stack is rank-deficient, one from the Householder QR of that stack
     path = _write_text(tmp_path, "t.json", text)
     code, report = _run(capsys, ["build-procedure", "--input", path])
     assert code == 0
@@ -491,6 +493,9 @@ def test_build_procedure_logs_the_verification_terms_only_at_debug(tmp_path):
     assert len(lines) == 1
     for term in ("action error", "span defect", "frame defect"):
         assert term in lines[0]
+    # and the builder's one line on its route
+    routes = [line for line in loud.stderr.splitlines() if line.startswith("DEBUG enscribe: unitary_from_correspondence:")]
+    assert len(routes) == 1 and " gram route, " in routes[0] and routes[0].endswith(", 6 frame columns")
 
 
 def test_search_at_q_zero_logs_its_single_start_only_at_debug(tmp_path):

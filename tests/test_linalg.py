@@ -1,7 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enscribe import (
+    EnscriptionParams,
+    certificate,
+    make_real_uniform,
+    make_text,
+    solve_real_uniform_central,
+    solve_two_text,
+)
 from enscribe.linalg import complete_orthonormal, swap_factors, swap_operator
 from enscribe.machine import controlled_swap
 
@@ -59,53 +71,124 @@ def test_swap_operators_equal_their_literal_definitions():
         assert np.array_equal(controlled_swap(d), cswap)
 
 
-def test_a_correspondence_decomposes_its_gram_matrix_once(monkeypatch):
-    # both dialect frames come from one eigh of the common Gram matrix, with the bits of dialect_frame
+def _qr_reference(inputs, outputs):
+    """unitary_from_correspondence as one Householder QR of the stack [inputs | outputs] gives it, the
+    one route it had before the Gram route: the bits its QR route keeps, and the Gram route's yardstick."""
     from enscribe import linalg
 
-    rng = np.random.default_rng(4)
-    u = random_unitary(rng, 5)
-    inputs = [random_unitary(rng, 5)[:, i] for i in range(3)]
-    outputs = [u @ v for v in inputs]
+    a, b = np.asarray(inputs, dtype=complex), np.asarray(outputs, dtype=complex)
+    n = a.shape[0]
+    v, r = np.linalg.qr(np.concatenate([a, b]).T)
+    r_a, r_b = r[:, :n], r[:, n:]
+    ga, gb = r_a.conj().T @ r_a, r_b.conj().T @ r_b
+    eig = np.linalg.eigh(0.5 * (ga + gb))
+    a_in, b_in = linalg._polar_frame(r_a, *eig), linalg._polar_frame(r_b, *eig)
+    eye = np.eye(v.shape[1])
+    off_a, off_b = eye - a_in @ a_in.conj().T, eye - b_in @ b_in.conj().T
+    left, _, right = np.linalg.svd(b_in @ a_in.conj().T + off_b @ off_a)
+    return linalg.SpanUnitary(v, left @ right)
+
+
+def _record(monkeypatch, name):
+    """Every call of np.linalg.<name> from here on, as (shape of its array, the array, its result)."""
     calls = []
-    eigh = np.linalg.eigh
+    original = getattr(np.linalg, name)
 
-    def counting_eigh(g):
-        calls.append(g)
-        return eigh(g)
+    def recorded(a, *args, **kwargs):
+        result = original(a, *args, **kwargs)
+        calls.append((np.shape(a), a, result))
+        return result
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    linalg.unitary_from_correspondence(inputs, outputs, 5)
-    assert len(calls) == 1
-    a = np.column_stack(inputs)
-    assert np.array_equal(linalg._polar_frame(a, *eigh(a.conj().T @ a)), linalg.dialect_frame(a))
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
 
 
-def test_a_correspondence_factors_its_families_once(monkeypatch):
-    # one QR of the dim x 2N stack gives the frame and both families' coordinates,
-    # so every SVD acts on a block of at most 2N rows, never on a dim-row array
+def test_a_well_conditioned_correspondence_takes_its_frame_from_one_eigh_of_its_gram_matrix(monkeypatch):
+    # no QR runs and no SVD has more than 2N rows: the frame is X E Lambda^-1/2 for the one
+    # eigh E Lambda E^dag of the 2N x 2N Gram matrix K = X^dag X of X = [inputs | outputs], and
+    # both dialect frames come from one eigh of the N x N mean Gram matrix, as dialect_frame's would
     from enscribe import linalg
 
     rng = np.random.default_rng(5)
     dim, n = 36, 3
-    u = random_unitary(rng, dim)
-    inputs = [random_unitary(rng, dim)[:, i] for i in range(n)]
-    outputs = [u @ v for v in inputs]
-    qr_shapes, svd_shapes = [], []
-    qr, svd = np.linalg.qr, np.linalg.svd
-
-    def counting_qr(a, *args, **kwargs):
-        qr_shapes.append(np.shape(a))
-        return qr(a, *args, **kwargs)
-
-    def counting_svd(a, *args, **kwargs):
-        svd_shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    inputs = random_unitary(rng, dim)[:, :n].T
+    outputs = inputs @ random_unitary(rng, dim).T
+    qr, svd, eigh = (_record(monkeypatch, name) for name in ("qr", "svd", "eigh"))
     w = linalg.unitary_from_correspondence(inputs, outputs, dim)
-    assert qr_shapes == [(dim, 2 * n)]
-    assert svd_shapes and max(rows for rows, _ in svd_shapes) <= 2 * n
+    assert qr == []
+    assert svd and max(shape[0] for shape, _, _ in svd) <= 2 * n
+    assert sorted(shape for shape, _, _ in eigh) == [(n, n), (2 * n, 2 * n)]
+    ((k, (lam, e)),) = [(a, result) for shape, a, result in eigh if shape == (2 * n, 2 * n)]
+    x = np.concatenate([inputs, outputs]).T
+    assert np.max(np.abs(k - x.conj().T @ x)) < 1e-14
+    assert np.array_equal(w.frame, x @ (e / np.sqrt(lam)))
     assert w.frame.shape == (dim, 2 * n)
     assert max(np.linalg.norm(w.apply(a) - b) for a, b in zip(inputs, outputs)) < 1e-12
+    a = inputs.T
+    assert np.array_equal(linalg._polar_frame(a, *np.linalg.eigh(a.conj().T @ a)), linalg.dialect_frame(a))
+
+
+@pytest.mark.parametrize("case", ["rank-deficient", "near-parallel"])
+def test_an_ill_conditioned_correspondence_keeps_the_bits_of_one_qr(monkeypatch, case):
+    # below the line, where the Gram frame would lose orthonormality, one Householder QR of the
+    # dim x 2N stack runs as it always has, and the factors keep its bits
+    from enscribe import linalg, procedures
+
+    if case == "rank-deficient":  # an orthonormal text with the tablet on state 0: input 0 is parallel to clone 0
+        text = make_text(3, np.eye(3))
+        cert = certificate(text, EnscriptionParams.from_q(0.6, text.state(0), n_states=3))
+    else:  # the near-parallel band: lambda_min / lambda_max of K is at rounding level
+        text, cert = make_real_uniform(2, 1 - 5e-9), solve_real_uniform_central(2, 1 - 5e-9)
+    inputs, clones = procedures._inputs_and_clones(text, cert.params)
+    dim, n = text.dimension ** 2, text.n_states
+    qr = _record(monkeypatch, "qr")
+    w = linalg.unitary_from_correspondence(inputs, clones, dim, gram_tol=max(linalg.GRAM_TOL, 10 * cert.residual))
+    assert [shape for shape, _, _ in qr] == [(dim, 2 * n)]
+    monkeypatch.undo()
+    ref = _qr_reference(inputs, clones)
+    assert np.array_equal(w.frame, ref.frame) and np.array_equal(w.block, ref.block)
+
+
+def _procedure_clone_pool(seed):
+    """The texts and certificates of bench/workloads.py's procedure-clone pool for one seed."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rounds = workloads.ProcedureClone().rounds(np.random.default_rng(seed), 4, None)
+    return [(item["text"], item["cert"]) for items in rounds for item in items]
+
+
+def _uniform_and_two_texts(d):
+    """Central uniform d-texts and rotated 2-texts in C^d, on both sides of the line."""
+    cases = [(make_real_uniform(d, z), solve_real_uniform_central(d, z)) for z in (0.1, 0.3, 0.6, 0.9, 0.99)]
+    v = random_unitary(np.random.default_rng(d), d)
+    for z in (-0.9, -0.4, 0.2, 0.7, 0.999):
+        two = make_text(d, [v[:, 0], z * v[:, 0] + np.sqrt(1.0 - z * z) * v[:, 1]])
+        cases.append((two, solve_two_text(two)))
+    return cases
+
+
+def _defects(w, inputs, clones):
+    """The action error max_i ||W a_i - b_i|| and the frame defect ||V^dag V - I|| of factors W."""
+    action = float(np.linalg.norm(w.apply(inputs.T) - clones.T, axis=0).max())
+    return action, float(np.linalg.norm(w.frame.conj().T @ w.frame - np.eye(w.frame.shape[1])))
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [pytest.param(lambda d=d: _uniform_and_two_texts(d), id=f"d{d}") for d in (2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48)]
+    + [pytest.param(lambda seed=seed: _procedure_clone_pool(seed), id=f"pool-seed{seed}") for seed in range(1, 11)],
+)
+def test_the_gram_route_is_as_accurate_as_the_qr_route(cases):
+    # on either side of the line the action error and the frame defect ||V^dag V - I|| stay within
+    # 1e-12 of the QR reference's, and the procedure verifies far below the acceptance line
+    from enscribe import procedures
+
+    for text, cert in cases():
+        assert cert.is_valid()
+        u = procedures.build_procedure(text, cert)
+        inputs, clones = procedures._inputs_and_clones(text, cert.params)
+        new, ref = _defects(u, inputs, clones), _defects(_qr_reference(inputs, clones), inputs, clones)
+        assert max(abs(a - b) for a, b in zip(new, ref)) <= 1e-12, (text.dimension, text.n_states, new, ref)
+        assert procedures.verify_procedure(u, text, cert) < 1e-8

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ def test_success_probability_colinear_tablet_is_certain():
     params = EnscriptionParams.from_q(1.0, text.state(0), n_states=2)
     split = machine._split(text, params, 0)
     assert abs(split.prob - 1.0) < 1e-12
-    assert split.omega_fail is None
+    assert not split.has_failure
 
 
 NEAR_CERTAIN_SUCCESS = [
@@ -400,6 +402,60 @@ def test_machine_keeps_the_bits_of_the_per_use_oracle(kind):
         assert (new.expected_parity, new.parity_ok) == (old.expected_parity, old.parity_ok)
         assert _same_bits(new.deviation, old.deviation)
     assert certain == (kind == "certain")
+
+
+@pytest.mark.parametrize("q", [0.5 + 9e-13j, -0.7 + 5e-13j, 0.3 - 8e-13j])
+def test_parity_deviation_keeps_the_oracle_bits_at_nearly_real_q(q):
+    # q counts as real below |Im q| = 1e-12, so q_f = -q/|q| misses the parity by about Im q / |q|
+    # and the deviation is nonzero: it still has the bits of the oracle's dense failure input
+    rng = np.random.default_rng(9)
+    text = random_text(rng, 2, 3)
+    cert = certificate(text, EnscriptionParams.from_q(q, random_state(rng, 3), n_states=2))
+    for i in range(2):
+        new, old = failure_state_symmetry_check(text, cert, i), _oracle_failure_state_symmetry_check(text, cert, i)
+        assert new.expected_parity == old.expected_parity and new.parity_ok and old.parity_ok
+        assert 1e-13 < new.deviation and _same_bits(new.deviation, old.deviation)
+
+
+def test_a_run_keeps_its_branch_states_through_replace():
+    # run_clone forms the branch states on first read; dataclasses.replace reads them and hands them on
+    text, cert = _machine_case("two-d16")
+    u = build_procedure(text, cert)
+    run = run_clone(text, cert, 0, procedure=u)
+    copy = dataclasses.replace(run, fidelity=0.5)
+    assert isinstance(copy, machine.CloneOutcome) and copy.fidelity == 0.5
+    for field in ("index", "p_success", "success_state", "failure_state", "final_clone"):
+        assert _same_bits(getattr(copy, field), getattr(run, field)), field
+
+
+def test_verification_reads_the_parity_of_the_runs_failure_branch(monkeypatch):
+    # a failure branch with its copies in one order only, chi (x) psi (x) t, has no swap parity
+    from enscribe import verification
+
+    assert verification.check_cloning_machine(seed=0).details["failure_parity_ok"]
+    monkeypatch.setattr(machine._Run, "failure_state",
+                        property(lambda run: np.outer(run._anc.chi, run._products[0]).ravel()))
+    result = verification.check_cloning_machine(seed=0)
+    assert not result.passed and not result.details["failure_parity_ok"]
+
+
+@pytest.mark.parametrize("corrupt", ["ancilla-weight", "probability"])
+def test_the_decomposition_check_on_coefficients_catches_a_corrupted_weight(monkeypatch, corrupt):
+    # the check reads its two coefficients from the same ancilla states and p the machine uses, so a
+    # relative error of 1e-6 in the preparation weight xi_1 or in p_i fails it
+    text, cert = _machine_case("uniform-d8")
+    u = build_procedure(text, cert)
+    if corrupt == "ancilla-weight":
+        states = machine.ancilla_states
+        bent = lambda q: dataclasses.replace(states(q), xi=states(q).xi * np.array([1.0, 1.0 + 1e-6]))
+        monkeypatch.setattr(machine, "ancilla_states", bent)
+    else:
+        split = machine._split
+        monkeypatch.setattr(machine, "_split", lambda *args: dataclasses.replace(split(*args), prob=split(*args).prob * (1.0 + 1e-6)))
+    with pytest.raises(InvalidCertificate, match="decomposition"):
+        run_clone(text, cert, 0, procedure=u)
+    monkeypatch.undo()
+    assert run_clone(text, cert, 0, procedure=u).fidelity > 1.0 - 1e-12
 
 
 def test_run_clone_forms_at_most_two_normalizers_per_state(monkeypatch):

@@ -382,6 +382,30 @@ def test_verify_procedure_accepts_factors_that_also_rotate_off_the_span():
     assert verify_procedure(uw, text, cert) < 1e-13
 
 
+@pytest.mark.parametrize("route", ["gram", "qr"])
+def test_build_procedure_logs_its_route_at_debug(caplog, monkeypatch, route):
+    # one line on the enscribe logger names the route that built the frame, the ratio
+    # lambda_min / lambda_max of the Gram matrix K that chose it, and the frame's column count
+    monkeypatch.setattr(logging.getLogger("enscribe"), "propagate", True)
+    if route == "gram":
+        text, cert = make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3)
+    else:  # an orthonormal text with the tablet on a state: input 0 is parallel to clone 0
+        text = make_text(3, np.eye(3))
+        cert = certificate(text, EnscriptionParams.from_q(0.6, text.state(0), n_states=3))
+    caplog.set_level(logging.NOTSET, logger="enscribe")
+    build_procedure(text, cert)
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="enscribe")
+    u = build_procedure(text, cert)
+    (record,) = caplog.records
+    assert record.name == "enscribe" and record.levelno == logging.DEBUG
+    prefix, rest = record.getMessage().split(" route, lambda_min/lambda_max ")
+    ratio, columns = rest.split(", ")
+    assert prefix == f"unitary_from_correspondence: {route}"
+    assert columns == f"{u.frame.shape[1]} frame columns"
+    assert (float(ratio) > 1e-3) == (route == "gram")
+
+
 def test_verify_procedure_logs_its_terms_at_debug(caplog, monkeypatch):
     # cli.main stops the enscribe logger from propagating to the root, where caplog listens
     monkeypatch.setattr(logging.getLogger("enscribe"), "propagate", True)
