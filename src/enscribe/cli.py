@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import engine, files, machine, procedures, texts, verification
-from .errors import EnscribeError
+from .errors import EnscribeError, InvalidCertificate
 from .search import SearchOptions, feasibility_search
 
 log = logging.getLogger("enscribe")
@@ -63,8 +63,14 @@ def _certificate(args, text: texts.QuantumText):
     """The valid certificate of a second --input, else of engine's closed form, else of the search.
 
     Else raises _Negative with solve's report: a solver's reason, the search's floor, or the invalid certificate.
+    EnscribeError if a third --input, or --q or --search beside a certificate file, would go unread.
     """
+    if len(args.input) > 2:
+        raise EnscribeError(f"--input takes a text and at most one certificate, got {len(args.input)} files")
     if len(args.input) > 1:
+        for flag, given in (("--q", args.q is not None), ("--search", args.search)):
+            if given:
+                raise EnscribeError(f"{flag} has no effect when a certificate file is given as the second --input")
         cert = files.load_certificate(args.input[1], text)
     else:
         try:
@@ -115,7 +121,12 @@ def cmd_clone(args) -> int:
     for i in range(text.n_states):
         outcome = machine.run_clone(text, cert, i, procedure=u)
         p_real = machine.real_q_success_probability(text, cert.params, i)
-        parity = None if p_real is None else machine.failure_state_symmetry_check(text, cert, i).expected_parity
+        parity = None
+        if p_real is not None:
+            report = machine.failure_state_symmetry_check(text, cert, i)
+            if not report.parity_ok:
+                raise InvalidCertificate(f"failure input of state {i} misses its swap parity by {report.deviation:.3e}")
+            parity = report.expected_parity
         rows.append(
             {
                 "i": i,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,17 +49,11 @@ class AncillaStates:
 
 @dataclass(frozen=True)
 class CloneOutcome:
-    """The machine's run on state i: p_i, the success branch eta (x) omega_q and the failure branch
-    chi (x) Omega(-q/|q|) as vectors of length 2 d^2 (failure_state None when the state has no failure
-    input), the procedure's output W omega_q, and its fidelity with psi_i (x) psi_i.
-
-    An outcome of run_clone forms the two branch states on first read.
-    """
+    """The machine's run on state i: its success probability p_i, the procedure's output W omega_q on
+    success, and that clone's fidelity with psi_i (x) psi_i."""
 
     index: int
     p_success: float
-    success_state: np.ndarray
-    failure_state: np.ndarray | None
     final_clone: np.ndarray
     fidelity: float
 
@@ -184,41 +177,8 @@ def _decomposition_error(split: _Split, anc: AncillaStates) -> float:
 
 
 def _products(psi: np.ndarray, tablet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi (x) t and t (x) psi, the two vectors every input and branch of state psi is built from."""
+    """psi (x) t and t (x) psi, the two vectors every entangled input of state psi is built from."""
     return np.outer(psi, tablet).ravel(), np.outer(tablet, psi).ravel()
-
-
-def _failure_input(products: tuple[np.ndarray, np.ndarray], split: _Split) -> np.ndarray:
-    """Omega(q_f), the failure input, from _products; callers first check split.has_failure."""
-    return _entangled(*products, split.q_fail, split.a_fail)
-
-
-class _Run(CloneOutcome):
-    """run_clone's CloneOutcome: success_state and failure_state are formed on first read, from the
-    held ancilla states, omega_q and _products, with the bits of forming them at once.
-
-    Built by _Run.deferred. Its own constructor is CloneOutcome's, which stores given branch states
-    in the instance dict, where they shadow the cached properties; so dataclasses.replace on a run
-    still works and returns a _Run with both states formed.
-    """
-
-    @classmethod
-    def deferred(cls, index, p_success, final_clone, fidelity, anc, omega_q, products, split) -> _Run:
-        run = object.__new__(cls)
-        # straight into the instance dict: the class is frozen, and each branch state lands there on first read
-        vars(run).update(index=index, p_success=p_success, final_clone=final_clone, fidelity=fidelity,
-                         _anc=anc, _omega_q=omega_q, _products=products, _split=split)
-        return run
-
-    @cached_property
-    def success_state(self) -> np.ndarray:
-        return np.outer(self._anc.eta, self._omega_q).ravel()
-
-    @cached_property
-    def failure_state(self) -> np.ndarray | None:
-        if not self._split.has_failure:
-            return None
-        return np.outer(self._anc.chi, _failure_input(self._products, self._split)).ravel()
 
 
 def run_clone(
@@ -238,9 +198,8 @@ def run_clone(
     output in |k> (x) {psi (x) t, t (x) psi} (_decomposition_error), so the only
     d^2-vectors formed are the two products, omega_q, W omega_q and psi (x) psi;
     the procedure is the caller's, so its clone check and the fidelity stay in
-    C^d (x) C^d. The returned outcome forms success_state and failure_state
-    (None when the state has no failure input) on first read. Raises
-    DimensionMismatch unless the procedure is a SpanUnitary on C^d (x) C^d.
+    C^d (x) C^d. Raises DimensionMismatch unless the procedure is a SpanUnitary
+    on C^d (x) C^d.
     """
     if not cert.is_valid():
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
@@ -248,8 +207,7 @@ def run_clone(
     split = _split(text, p, i)
     anc = ancilla_states(split.q)
     psi = text.state(i)
-    products = _products(psi, p.tablet)
-    omega_q = _entangled(*products, split.q, _nonvanishing(split.a, i))
+    omega_q = _entangled(*_products(psi, p.tablet), split.q, _nonvanishing(split.a, i))
     decomp_err = _decomposition_error(split, anc)
     if decomp_err > CHECK_TOL:
         raise InvalidCertificate(f"controlled-swap output decomposition off by {decomp_err:.3e}")
@@ -262,7 +220,7 @@ def run_clone(
             f"procedure misses the phased clone of state {i} by {clone_err:.3e}"
         )
     fidelity = float(abs(np.vdot(target, final_clone)))
-    return _Run.deferred(i, split.prob, final_clone, fidelity, anc, omega_q, products, split)
+    return CloneOutcome(i, split.prob, final_clone, fidelity)
 
 
 def failure_state_symmetry_check(
@@ -286,7 +244,7 @@ def failure_state_symmetry_check(
     if not split.has_failure:
         return FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)
     parity = 1 if cert.params.Q < 0 else -1
-    omega_fail = _failure_input(_products(text.state(i), cert.params.tablet), split)
+    omega_fail = _entangled(*_products(text.state(i), cert.params.tablet), split.q_fail, split.a_fail)
     swapped = linalg.swap_factors(omega_fail, text.dimension)
     deviation = float(np.linalg.norm(swapped - parity * omega_fail))
     return FailureSymmetryReport(expected_parity=parity, parity_ok=deviation < CHECK_TOL, deviation=deviation)

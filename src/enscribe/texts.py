@@ -50,7 +50,12 @@ class QuantumText:
         return self.states[:, i]
 
     def subtext(self, indices) -> "QuantumText":
-        idx = list(indices)
+        """The states at ``indices``, in that order: a nonempty set of distinct indices in range(N),
+        so the subtext keeps make_text's invariants; any other index set raises DimensionMismatch."""
+        idx = [int(i) for i in indices]
+        n = self.states.shape[1]
+        if not idx or len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
+            raise DimensionMismatch(f"subtext indices {idx} must be distinct and in range({n}), at least one")
         return QuantumText(self.dimension, self.states[:, idx].copy())
 
 

@@ -609,3 +609,43 @@ def test_verify_theorems_with_no_matching_check_is_an_error(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == "error: no check matches 'no-such-check'\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "build-procedure", "clone"])
+@pytest.mark.parametrize(
+    "extra, flag",
+    [(["--q", "0.9"], "--q"), (["--search"], "--search"), (None, "--input")],
+    ids=["q", "search", "third-input"],
+)
+def test_flags_a_certificate_file_would_leave_unread_are_errors(tmp_path, capsys, command, extra, flag):
+    # with a certificate file as the second --input, --q and --search and a third file would be dropped
+    text = make_real_uniform(2, -0.5)
+    tpath = _write_text(tmp_path, "t.json", text)
+    cpath = str(tmp_path / "cert.json")
+    tablet = text.state(0) + text.state(1)
+    params = EnscriptionParams.from_Q(0.8, tablet / np.linalg.norm(tablet), phases=[1.0, -1.0])
+    files.save_certificate(certificate(text, params), cpath)
+    argv = [command, "--input", tpath, "--input", cpath]
+    code = main(argv + (extra if extra is not None else ["--input", cpath]))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ") and flag in captured.err
+
+
+CLONE_Q07_DIGEST = "88e50706317a360aacaba534c47ac01001be1eb41e74919f7b5cc895b92f0026"
+
+
+def test_clone_fails_on_a_failure_input_without_its_parity(tmp_path, capsys, monkeypatch):
+    # a swap that leaves the copies in place breaks the parity -1 of Q = 0.7: clone reports the error, not "-1"
+    path = _write_text(tmp_path, "uniform2_z0.3.json", make_real_uniform(2, 0.3))
+    argv = ["clone", "--input", path, "--q", "0.7"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLONE_Q07_DIGEST
+    from enscribe import machine
+
+    monkeypatch.setattr(machine.linalg, "swap_factors", lambda v, dim: v)
+    report = tmp_path / "report.json"
+    assert main(argv + ["--output", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    assert captured.err.startswith("error: failure input of state 0 misses its swap parity by 2.000e+00")

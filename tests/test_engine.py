@@ -567,6 +567,14 @@ def test_direct_sum_enscribe_indices_outside_the_text_are_typed(indices):
         direct_sum_enscribe(combined, cert, indices)
 
 
+def test_direct_sum_enscribe_of_no_states_is_a_dimension_mismatch():
+    # an orthonormal text passes the block rules for the empty subtext, which QuantumText.subtext rejects
+    text = make_text(3, np.eye(3))
+    cert = certificate(text, EnscriptionParams.from_q(0.5, text.state(0), n_states=3))
+    with pytest.raises(DimensionMismatch, match="subtext indices"):
+        direct_sum_enscribe(text, cert, ())
+
+
 def test_direct_sum_enscribe_full_reordering_recertifies():
     text = make_text(2, [[1, 0], [0.3 + 0.4j, np.sqrt(0.75)]])
     cert = solve_two_text(text.subtext((1, 0)))

@@ -105,14 +105,15 @@ def test_machine_runs_on_valid_certificates_near_certain_success(q, eps):
     for i in range(3):
         outcome = run_clone(text, cert, i, procedure=u)
         assert abs(outcome.fidelity - 1.0) < 1e-12
-        assert (outcome.failure_state is None) == (i == 0 and eps < 1e-4 and q in (0.5, 1.0, 1e-4))
+        has_failure = machine._split(text, cert.params, i).has_failure
+        assert has_failure != (i == 0 and eps < 1e-4 and q in (0.5, 1.0, 1e-4))
         if complex(q).imag:
             with pytest.raises(ComplexQ):
                 failure_state_symmetry_check(text, cert, i)
             continue
         report = failure_state_symmetry_check(text, cert, i)
         assert report.parity_ok
-        assert (report.expected_parity is None) == (outcome.failure_state is None)
+        assert (report.expected_parity is None) == (not has_failure)
 
 
 def test_success_probability_orthogonal_tablet():
@@ -160,19 +161,29 @@ def test_run_clone_qubit_example_probability_and_fidelity():
         assert abs(outcome.fidelity - 1.0) < 1e-8
 
 
-def test_run_clone_norm_and_decomposition():
-    # the controlled-swap output stays normalized and splits onto the pointers
-    text = make_real_uniform(2, -0.4)
-    cert = solve_two_text(text)
+def _branches(text, cert, i, p):
+    """The controlled-swap output on xi (x) psi_i (x) t, dense, and the split the machine claims for it:
+    sqrt(p) eta (x) Omega(q) + sqrt(1 - p) chi (x) Omega(-q/|q|)."""
+    q = complex(cert.params.q)
+    anc = ancilla_states(q)
+    product = np.kron(text.state(i), cert.params.tablet)
+    output = controlled_swap(text.dimension) @ np.kron(anc.xi, product)
+    success = np.kron(anc.eta, entangled_input(text, i, q, cert.params.tablet))
+    failure = np.kron(anc.chi, entangled_input(text, i, -q / abs(q), cert.params.tablet))
+    return output, np.sqrt(p) * success + np.sqrt(1.0 - p) * failure
+
+
+@pytest.mark.parametrize("kind", ["uniform-d3", "two-d2", "two-d16", "complex-q", "qubit"])
+def test_run_clone_norm_and_decomposition(kind):
+    # the dense controlled-swap output stays normalized and splits onto the pointers with the run's p_i
+    text, cert = _machine_case(kind)
     u = build_procedure(text, cert)
-    for i in range(2):
+    for i in range(text.n_states):
         outcome = run_clone(text, cert, i, procedure=u)
-        assert outcome.failure_state is not None
-        total = (
-            np.sqrt(outcome.p_success) * outcome.success_state
-            + np.sqrt(1 - outcome.p_success) * outcome.failure_state
-        )
-        assert abs(np.linalg.norm(total) - 1.0) < 1e-12
+        assert machine._split(text, cert.params, i).has_failure
+        output, split = _branches(text, cert, i, outcome.p_success)
+        assert abs(np.linalg.norm(output) - 1.0) < 1e-12
+        assert np.linalg.norm(output - split) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -210,12 +221,9 @@ def test_failure_symmetry_positive_q_is_antisymmetric():
         report = failure_state_symmetry_check(text, cert, i)
         assert report.expected_parity == -1
         assert report.parity_ok
-        # dense oracle: the failure branch really flips under the swap
-        outcome = run_clone(text, cert, i, procedure=u)
-        fail = outcome.failure_state.reshape(2, 4)[:, :]
-        # strip the ancilla factor before applying the register swap
-        anc = ancilla_states(cert.params.q)
-        omega_fail = anc.chi.conj() @ fail
+        # dense oracle: the failure input Omega(-q/|q|) really flips under the swap operator
+        q = complex(cert.params.q)
+        omega_fail = entangled_input(text, i, -q / abs(q), cert.params.tablet)
         assert np.linalg.norm(swap @ omega_fail + omega_fail) < 1e-10
 
 
@@ -231,14 +239,22 @@ def test_failure_symmetry_negative_q_is_symmetric():
 
 
 def test_failure_state_orthogonal_tablet_explicit_form():
+    # at q = 1 the failure input is the antisymmetrization (psi (x) t - t (x) psi) / sqrt(2), and the
+    # controlled-swap output minus the success branch is that input under chi, weighted sqrt(1 - p)
     text = make_text(3, [[1, 0, 0], [0, 1, 0]])
     tablet = np.array([0.0, 0.0, 1.0])
     params = EnscriptionParams.from_q(1.0, tablet, n_states=2)
     cert = certificate(text, params)
     outcome = run_clone(text, cert, 0, procedure=build_procedure(text, cert))
     expected = (np.kron(text.state(0), tablet) - np.kron(tablet, text.state(0))) / np.sqrt(2)
+    assert np.linalg.norm(entangled_input(text, 0, -1.0, tablet) - expected) < 1e-12
     anc = ancilla_states(1.0)
-    assert np.linalg.norm(outcome.failure_state - np.kron(anc.chi, expected)) < 1e-10
+    output = controlled_swap(3) @ np.kron(anc.xi, np.kron(text.state(0), tablet))
+    success = np.sqrt(outcome.p_success) * np.kron(anc.eta, entangled_input(text, 0, 1.0, tablet))
+    failure = np.sqrt(1.0 - outcome.p_success) * np.kron(anc.chi, expected)
+    assert np.linalg.norm(output - success - failure) < 1e-10
+    report = failure_state_symmetry_check(text, cert, 0)
+    assert (report.expected_parity, report.parity_ok) == (-1, True)
 
 
 def test_failure_symmetry_rejects_complex_q():
@@ -322,18 +338,15 @@ def _oracle_run_clone(text, cert, i, procedure):
     out = np.concatenate([anc.xi[0] * product, anc.xi[1] * linalg.swap_factors(product, d)])
     prob = _oracle_success_probability(text, p, i)
     omega_q = _oracle_entangled_input(text, i, q, p.tablet)
-    success_state = np.outer(anc.eta, omega_q).ravel()
-    failure_state = None
-    recon = np.sqrt(prob) * success_state
+    recon = np.sqrt(prob) * np.outer(anc.eta, omega_q).ravel()
     if 1.0 - prob > 1e-12:
         omega_fail = _oracle_entangled_input(text, i, -q / abs(q), p.tablet)
-        failure_state = np.outer(anc.chi, omega_fail).ravel()
-        recon = recon + np.sqrt(1.0 - prob) * failure_state
+        recon = recon + np.sqrt(1.0 - prob) * np.outer(anc.chi, omega_fail).ravel()
     assert np.linalg.norm(out - recon) <= 1e-10
     final_clone = procedures.apply_procedure(procedure, omega_q)
     target = np.outer(text.state(i), text.state(i)).ravel()
     fidelity = float(abs(np.vdot(target, final_clone)))
-    return machine.CloneOutcome(i, prob, success_state, failure_state, final_clone, fidelity)
+    return machine.CloneOutcome(i, prob, final_clone, fidelity)
 
 
 def _oracle_failure_state_symmetry_check(text, cert, i):
@@ -390,9 +403,9 @@ def test_machine_keeps_the_bits_of_the_per_use_oracle(kind):
     certain = 0
     for i in range(text.n_states):
         new, old = run_clone(text, cert, i, procedure=u), _oracle_run_clone(text, cert, i, u)
-        for field in ("index", "p_success", "success_state", "failure_state", "final_clone", "fidelity"):
+        for field in ("index", "p_success", "final_clone", "fidelity"):
             assert _same_bits(getattr(new, field), getattr(old, field)), field
-        certain += new.failure_state is None
+        certain += not machine._split(text, cert.params, i).has_failure
         if kind == "complex-q":
             for check in (failure_state_symmetry_check, _oracle_failure_state_symmetry_check):
                 with pytest.raises(ComplexQ):
@@ -417,26 +430,16 @@ def test_parity_deviation_keeps_the_oracle_bits_at_nearly_real_q(q):
         assert 1e-13 < new.deviation and _same_bits(new.deviation, old.deviation)
 
 
-def test_a_run_keeps_its_branch_states_through_replace():
-    # run_clone forms the branch states on first read; dataclasses.replace reads them and hands them on
-    text, cert = _machine_case("two-d16")
-    u = build_procedure(text, cert)
-    run = run_clone(text, cert, 0, procedure=u)
-    copy = dataclasses.replace(run, fidelity=0.5)
-    assert isinstance(copy, machine.CloneOutcome) and copy.fidelity == 0.5
-    for field in ("index", "p_success", "success_state", "failure_state", "final_clone"):
-        assert _same_bits(getattr(copy, field), getattr(run, field)), field
-
-
-def test_verification_reads_the_parity_of_the_runs_failure_branch(monkeypatch):
-    # a failure branch with its copies in one order only, chi (x) psi (x) t, has no swap parity
+def test_a_swap_layout_fault_fails_the_cloning_machine_check(monkeypatch):
+    # a swap that leaves the copies in place gives an antisymmetric failure input the parity +1, not -1;
+    # check_cloning_machine sees it through failure_state_symmetry_check alone, which swaps the formed input
     from enscribe import verification
 
-    assert verification.check_cloning_machine(seed=0).details["failure_parity_ok"]
-    monkeypatch.setattr(machine._Run, "failure_state",
-                        property(lambda run: np.outer(run._anc.chi, run._products[0]).ravel()))
+    assert verification.check_cloning_machine(seed=0).passed
+    monkeypatch.setattr(machine.linalg, "swap_factors", lambda v, dim: v)
     result = verification.check_cloning_machine(seed=0)
     assert not result.passed and not result.details["failure_parity_ok"]
+    assert result.details["fidelity_error"] < 1e-8
 
 
 @pytest.mark.parametrize("corrupt", ["ancilla-weight", "probability"])
@@ -470,10 +473,11 @@ def test_run_clone_forms_at_most_two_normalizers_per_state(monkeypatch):
         return wrapped
 
     # every way the machine reaches A: the public normalizer and the shared form
+    assert all(machine._split(text, cert.params, i).has_failure for i in range(text.n_states))
     monkeypatch.setattr(certificates, "input_normalizer", counting(certificates.input_normalizer))
     monkeypatch.setattr(machine, "_normalizer", counting(machine._normalizer))
     for i in range(text.n_states):
-        assert run_clone(text, cert, i, procedure=u).failure_state is not None
+        run_clone(text, cert, i, procedure=u)
     assert len(calls) <= 2 * text.n_states
 
 

@@ -49,6 +49,14 @@ def test_make_text_rejects_wrong_length():
         make_text(3, [[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("indices", [[-1], [0, 0], [5], []], ids=["negative", "repeated", "past-the-end", "empty"])
+def test_subtext_rejects_an_index_set_that_names_no_text(indices):
+    # -1 would wrap to the last state and a repeat would make a colinear pair, which make_text forbids
+    text = make_real_uniform(3, 0.3)
+    with pytest.raises(DimensionMismatch, match="subtext indices"):
+        text.subtext(indices)
+
+
 def test_qubit_pair_overlap():
     text = _qubit_pair()
     assert abs(gram(text)[0, 1] - Z_QUBIT) < 1e-12

@@ -195,6 +195,28 @@ def test_one_function_splits_a_state_in_the_machine():
     assert readers == {("machine", "_split")}
 
 
+def test_only_linalg_holds_a_lazy_attribute():
+    # SpanUnitary holds M - I and V^dag, which every apply reads; a machine outcome is plain data,
+    # so no result type defers fields behind a cached_property
+    assert set(_functions_where(_loads({"cached_property"}))) == {
+        ("linalg", None),  # the import
+        ("linalg", "block_offset"),
+        ("linalg", "frame_adjoint"),
+    }
+
+
+def test_a_clone_outcome_holds_what_the_machine_certifies():
+    # p_i and, on success, the clone W omega_q with its fidelity: no 2 d^2 branch vector
+    import dataclasses
+
+    from enscribe import machine, qubit_example
+
+    text, cert, u = qubit_example()
+    outcome = machine.run_clone(text, cert, 0, procedure=u)
+    assert type(outcome) is machine.CloneOutcome
+    assert [f.name for f in dataclasses.fields(outcome)] == ["index", "p_success", "final_clone", "fidelity"]
+
+
 def test_only_the_acceptance_checks_read_z0_threshold():
     # the bisection is the reference that verify-theorems compares the closed
     # form against; no runtime verdict reads it
