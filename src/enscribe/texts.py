@@ -50,13 +50,15 @@ class QuantumText:
         return self.states[:, i]
 
     def subtext(self, indices) -> "QuantumText":
-        """The states at ``indices``, in that order: a nonempty set of distinct indices in range(N),
-        so the subtext keeps make_text's invariants; any other index set raises DimensionMismatch."""
-        idx = [int(i) for i in indices]
+        """The states at ``indices``, in that order: a nonempty set of distinct integer indices in
+        range(N), so the subtext keeps make_text's invariants; any other index set (a float or a bool
+        among them) raises DimensionMismatch."""
+        idx = list(indices)
         n = self.states.shape[1]
-        if not idx or len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
-            raise DimensionMismatch(f"subtext indices {idx} must be distinct and in range({n}), at least one")
-        return QuantumText(self.dimension, self.states[:, idx].copy())
+        if (not idx or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx)
+                or len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx)):
+            raise DimensionMismatch(f"subtext indices {idx} must be distinct integers in range({n}), at least one")
+        return QuantumText(self.dimension, self.states[:, [int(i) for i in idx]].copy())
 
 
 @dataclass(frozen=True)

@@ -161,18 +161,6 @@ def test_run_clone_qubit_example_probability_and_fidelity():
         assert abs(outcome.fidelity - 1.0) < 1e-8
 
 
-def _branches(text, cert, i, p):
-    """The controlled-swap output on xi (x) psi_i (x) t, dense, and the split the machine claims for it:
-    sqrt(p) eta (x) Omega(q) + sqrt(1 - p) chi (x) Omega(-q/|q|)."""
-    q = complex(cert.params.q)
-    anc = ancilla_states(q)
-    product = np.kron(text.state(i), cert.params.tablet)
-    output = controlled_swap(text.dimension) @ np.kron(anc.xi, product)
-    success = np.kron(anc.eta, entangled_input(text, i, q, cert.params.tablet))
-    failure = np.kron(anc.chi, entangled_input(text, i, -q / abs(q), cert.params.tablet))
-    return output, np.sqrt(p) * success + np.sqrt(1.0 - p) * failure
-
-
 @pytest.mark.parametrize("kind", ["uniform-d3", "two-d2", "two-d16", "complex-q", "qubit"])
 def test_run_clone_norm_and_decomposition(kind):
     # the dense controlled-swap output stays normalized and splits onto the pointers with the run's p_i
@@ -181,7 +169,8 @@ def test_run_clone_norm_and_decomposition(kind):
     for i in range(text.n_states):
         outcome = run_clone(text, cert, i, procedure=u)
         assert machine._split(text, cert.params, i).has_failure
-        output, split = _branches(text, cert, i, outcome.p_success)
+        output, split, p, _ = _oracle_output(text, cert, i)
+        assert abs(outcome.p_success - p) < 1e-12
         assert abs(np.linalg.norm(output) - 1.0) < 1e-12
         assert np.linalg.norm(output - split) < 1e-12
 
@@ -329,19 +318,26 @@ def _oracle_success_probability(text, params, i):
     return float(p)
 
 
-def _oracle_run_clone(text, cert, i, procedure):
+def _oracle_output(text, cert, i):
+    """The controlled-swap output on xi (x) psi_i (x) t, dense, its split onto the pointers
+    sqrt(p) eta (x) Omega(q) + sqrt(1 - p) chi (x) Omega(-q/|q|), p and Omega(q)."""
     p = cert.params
     q = complex(p.q)
     d = text.dimension
     anc = ancilla_states(q)
     product = np.outer(text.state(i), p.tablet).ravel()
-    out = np.concatenate([anc.xi[0] * product, anc.xi[1] * linalg.swap_factors(product, d)])
+    out = controlled_swap(d) @ np.kron(anc.xi, product)
     prob = _oracle_success_probability(text, p, i)
     omega_q = _oracle_entangled_input(text, i, q, p.tablet)
     recon = np.sqrt(prob) * np.outer(anc.eta, omega_q).ravel()
     if 1.0 - prob > 1e-12:
         omega_fail = _oracle_entangled_input(text, i, -q / abs(q), p.tablet)
         recon = recon + np.sqrt(1.0 - prob) * np.outer(anc.chi, omega_fail).ravel()
+    return out, recon, prob, omega_q
+
+
+def _oracle_run_clone(text, cert, i, procedure):
+    out, recon, prob, omega_q = _oracle_output(text, cert, i)
     assert np.linalg.norm(out - recon) <= 1e-10
     final_clone = procedures.apply_procedure(procedure, omega_q)
     target = np.outer(text.state(i), text.state(i)).ravel()

@@ -49,9 +49,14 @@ def test_make_text_rejects_wrong_length():
         make_text(3, [[1, 0], [0, 1]])
 
 
-@pytest.mark.parametrize("indices", [[-1], [0, 0], [5], []], ids=["negative", "repeated", "past-the-end", "empty"])
+@pytest.mark.parametrize(
+    "indices",
+    [[-1], [0, 0], [5], [], [1.5], [True], [np.float64(1.0)]],
+    ids=["negative", "repeated", "past-the-end", "empty", "float", "bool", "numpy-float"],
+)
 def test_subtext_rejects_an_index_set_that_names_no_text(indices):
-    # -1 would wrap to the last state and a repeat would make a colinear pair, which make_text forbids
+    # -1 would wrap to the last state, a repeat would make a colinear pair, which make_text forbids,
+    # and int() would truncate 1.5 to state 1
     text = make_real_uniform(3, 0.3)
     with pytest.raises(DimensionMismatch, match="subtext indices"):
         text.subtext(indices)
