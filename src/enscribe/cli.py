@@ -63,12 +63,14 @@ def _certificate(args, text: texts.QuantumText):
     """The valid certificate of a second --input, else of engine's closed form, else of the search.
 
     Else raises _Negative with solve's report: a solver's reason, the search's floor, or the invalid certificate.
-    EnscribeError if a third --input, or --q or --search beside a certificate file, would go unread.
+    EnscribeError if a third --input, or --q, --search, --starts or --seed beside a certificate file, would
+    go unread.
     """
     if len(args.input) > 2:
         raise EnscribeError(f"--input takes a text and at most one certificate, got {len(args.input)} files")
     if len(args.input) > 1:
-        for flag, given in (("--q", args.q is not None), ("--search", args.search)):
+        for flag, given in (("--q", args.q is not None), ("--search", args.search),
+                            ("--starts", args.starts is not None), ("--seed", args.seed is not None)):
             if given:
                 raise EnscribeError(f"{flag} has no effect when a certificate file is given as the second --input")
         cert = files.load_certificate(args.input[1], text)
@@ -76,7 +78,7 @@ def _certificate(args, text: texts.QuantumText):
         try:
             cert = engine.solve_closed_form(text) if args.q is None and not args.search else None
             if cert is None:
-                result = feasibility_search(text, args.q, SearchOptions(seed=args.seed, starts=args.starts))
+                result = feasibility_search(text, args.q, args.options)
                 cert = result.certificate
         except EnscribeError as exc:
             log.info("solver reported: %s", exc)
@@ -168,17 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
     # flag groups: each subcommand takes exactly the flags it reads
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", help="write the JSON report here instead of stdout")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
     reader = argparse.ArgumentParser(add_help=False, parents=[output])
     reader.add_argument(
         "--input", action="append", help="input JSON file; repeat to pass a text then a certificate"
     )
-    solver = argparse.ArgumentParser(add_help=False, parents=[reader, seed])
-    solver.add_argument("--starts", type=int, default=64)
+    solver = argparse.ArgumentParser(add_help=False, parents=[reader])
+    # None unless given, so that a certificate file can reject them; main resolves them by SearchOptions
+    solver.add_argument("--seed", type=int, default=None)
+    solver.add_argument("--starts", type=int, default=None)
     solver.add_argument("--q", type=float, default=None, help="fix the entanglement parameter")
     solver.add_argument("--search", action="store_true", help="force the numeric search path")
-    checks = argparse.ArgumentParser(add_help=False, parents=[output, seed])
+    checks = argparse.ArgumentParser(add_help=False, parents=[output])
+    checks.add_argument("--seed", type=int, default=0)
     checks.add_argument("--only", default=None, help="filter verification checks by name")
 
     for name, fn, flags in (
@@ -209,7 +212,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "seed" in args:  # a bad seed or start count fails up front, by the rule of SearchOptions
-            SearchOptions(seed=args.seed, starts=getattr(args, "starts", SearchOptions.starts))
+            args.options = SearchOptions(**{name: value for name in ("seed", "starts")
+                                            if (value := getattr(args, name, None)) is not None})
         try:
             return args.func(args)
         except _Negative as negative:

@@ -18,7 +18,6 @@ from .certificates import (
     entangled_inputs,
 )
 from .errors import (
-    DimensionMismatch,
     DirectionNotOrthogonal,
     EnscribeError,
     IllegibleText,
@@ -327,23 +326,21 @@ def direct_sum_enscribe(
     hold on the subtext with a residual below ACCEPT_TOL. The lifted tablet is
     the normalized projection of the input tablet onto the subtext dialect,
     and the entanglement parameter is scaled by the squared projection norm.
-    Indices outside range(N) raise DimensionMismatch; the identity order
-    returns ``cert`` itself once it is validated, and any other order is
-    re-certified on the whole text.
+    Indices that QuantumText.subtext rejects (none, a repeated one, one
+    outside range(N), or one that is not an integer, such as a float or a
+    bool) raise DimensionMismatch; the identity order returns ``cert`` itself
+    once it is validated, and any other order is re-certified on the whole
+    text.
     """
     n = combined_text.n_states
-    idx2 = tuple(int(i) for i in quantum_indices)
-    if not all(0 <= i < n for i in idx2):
-        raise DimensionMismatch(f"subtext indices {idx2} must lie in range({n})")
+    idx2 = tuple(quantum_indices)
+    subtext = combined_text.subtext(idx2)
     idx1 = tuple(i for i in range(n) if i not in idx2)
-    if len(set(idx2)) != len(idx2):
-        raise NotADirectSum("duplicate indices in the certified subtext")
     graph = texts.overlap_graph(combined_text)
     if graph[np.ix_(idx1, idx1)].any():
         raise NotADirectSum(f"states {idx1} of the complement are not pairwise orthogonal")
     if graph[np.ix_(idx1, idx2)].any():
         raise NotADirectSum(f"states {idx1} overlap the certified subtext {idx2}")
-    subtext = combined_text.subtext(idx2)
     if cert.params.n_states != len(idx2):
         raise InvalidInputCertificate("certificate phase count does not match the subtext")
     if enscription_residual(subtext, cert.params) >= ACCEPT_TOL:

@@ -83,30 +83,37 @@ def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
 def numerical_rank(values: np.ndarray) -> int:
     """Count of singular values (or PSD eigenvalues) above RANK_TOL times the largest.
 
-    A dialect dimension is counted on Gram eigenvalues, as in dialect_frame.
+    On singular values the cut sits at RANK_TOL relative, as in the polar
+    frames of unitary_from_correspondence and engine.q_minus_one_dependence_check;
+    on Gram eigenvalues, the squares of singular values, at RANK_TOL of the
+    largest eigenvalue, which is 1e-4 of a singular value, as in texts.classify,
+    dialect_frame and the reciprocal-Gram check of engine.illegibility_screen.
     """
     return int(np.sum(values > RANK_TOL * max(float(np.max(values)), 1e-300)))
+
+
+def _polar(m: np.ndarray) -> np.ndarray:
+    """U_r V_r^dag from one SVD U S V^dag of ``m``, r = numerical_rank of S: the polar factor of m, the
+    nearest matrix with orthonormal columns, with the directions under the rank cut dropped."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    r = numerical_rank(s)
+    return u[:, :r] @ vh[:r]
 
 
 def dialect_frame(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal dialect frame U of the columns of ``vectors``.
 
     Of their Gram matrix g = E diag(w) E^dag the eigenvalues numerical_rank
-    counts are kept, and U = polar(vectors E_r / sqrt(w_r)), so
-    vectors ~ U (E_r sqrt(w_r))^dag: two families with the same Gram matrix
-    get frames with the same coefficients.
+    counts are kept, and at least two when there are two or more columns, as
+    texts.classify counts a 2-text: a valid text has no colinear pair, so its
+    second Gram eigenvalue exceeds texts.DEFAULT_TOL (interlacing with that
+    pair's 1 - |z|). Then U = polar(vectors E_r / sqrt(w_r)), so
+    vectors ~ U (E_r sqrt(w_r))^dag.
     """
-    return _polar_frame(vectors, *np.linalg.eigh(dagger(vectors) @ vectors))
-
-
-def _polar_frame(vectors: np.ndarray, w: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The dialect_frame of ``vectors`` from a given eigendecomposition (w, e) of a Gram matrix, which two
-    Gram-matched families can share."""
+    w, e = np.linalg.eigh(dagger(vectors) @ vectors)
     # eigh sorts ascending, so the kept eigenvalues are the last ones
-    keep = w.size - numerical_rank(w)
-    # the polar factor: nearest matrix with orthonormal columns
-    u, _, vh = np.linalg.svd(vectors @ (e[:, keep:] / np.sqrt(w[keep:])), full_matrices=False)
-    return u @ vh
+    keep = w.size - max(numerical_rank(w), min(w.size, 2))
+    return _polar(vectors @ (e[:, keep:] / np.sqrt(w[keep:])))
 
 
 @dataclass(frozen=True)
@@ -168,11 +175,15 @@ def unitary_from_correspondence(
 ) -> SpanUnitary:
     """Unitary W with W @ inputs[k] = outputs[k] for Gram-matched vector families.
 
-    The dim x 2N stack X = [inputs | outputs] is factored as X = V R: the
-    frame V has k = min(dim, 2N) orthonormal columns, and R holds both
-    families' coordinates on it, R_a for the inputs and R_b for the outputs.
-    The factors come from the 2N x 2N Gram matrix K = X^dag X, formed in one
-    product, when its eigenvalues allow, and from a Householder QR otherwise:
+    The dim x 2N stack X = [inputs | outputs] has the 2N x 2N Gram matrix
+    K = X^dag X, formed in one product. Its diagonal blocks are the two
+    families' Gram matrices, and the Gram gate compares them first: it raises
+    GramMismatch when they differ by more than ``gram_tol`` entrywise, and a
+    non-finite vector fails it, so eigh sees a finite K. X is then factored as X = V R: the frame V
+    has k = min(dim, 2N) orthonormal columns, and R holds both families'
+    coordinates on it, R_a for the inputs and R_b for the outputs. The factors
+    come from K when its eigenvalues allow, and from a Householder QR
+    otherwise:
 
     - Gram route: one eigh K = E diag(w) E^dag gives V = X E w^-1/2 and
       R = w^1/2 E^dag. The rounding of K and of its eigh, magnified by the
@@ -186,35 +197,36 @@ def unitary_from_correspondence(
       whatever the conditioning.
 
     One debug line on the enscribe logger names the route, w_min / w_max and
-    k. The Gram gate
-    and the one eigendecomposition of the mean Gram matrix read R_a^dag R_a
-    and R_b^dag R_b, whose rank r sets the dialect frame size. Both families
-    are mixed with the same coefficients into their dialect frames, taken on
-    the k x r coordinate blocks: a = polar frame of R_a, b = that of R_b, so
-    V a and V b are the dialect frames A and B (polar(V X) = V polar(X)).
-    W is a unitary with W A = B nearest the identity: the identity outside
-    span(inputs, outputs) and a rotation inside, W = I + V (m - I) V^dag,
-    where m is the polar factor of b a^dag + (I - b b^dag)(I - a a^dag) in
-    C^k: it maps a to b, and the complement of span(a) to that of span(b) as
+    k. Each family's frame is the polar factor of its own k x N coordinate
+    block, a = U_r V_r^dag from one SVD of R_a (b likewise from R_b), with
+    r = numerical_rank of that SVD's singular values. Since R = polar(R)
+    (R^dag R)^1/2, Gram-matched coordinates share their Hermitian factor, so
+    b a^dag maps R_a to R_b, and V a and V b are the dialect frames of the
+    two families (polar(V R) = V polar(R)). W is a unitary with W A = B
+    nearest the identity: the identity outside span(inputs, outputs) and a
+    rotation inside, W = I + V (m - I) V^dag, where m is the polar factor of
+    b a^dag + (I - b b^dag)(I - a a^dag) in C^k: it maps span(a) to span(b)
+    as b a^dag does, and the complement of span(a) to that of span(b) as
     close to the identity as a unitary can, so it fixes every direction
     orthogonal to both, including columns of V outside their span. W is
     returned as the factors V and m (SpanUnitary).
 
     Each family is a sequence of vectors of length dim or an N x dim array
-    of them. Raises GramMismatch when the two
-    Gram matrices differ by more than ``gram_tol`` entrywise,
-    DimensionMismatch on empty or ragged families, on an entry that is not a
-    vector of length dim, or on families of different sizes.
+    of them. Raises DimensionMismatch on empty or ragged families, on an
+    entry that is not a vector of length dim, or on families of different
+    sizes.
     """
     a, b = _family(inputs, dim), _family(outputs, dim)
     n = a.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatch(f"input and output families must have matching sizes, got {n} and {b.shape[0]}")
     x = np.concatenate([a, b])
-    # K = X^dag X for the dim x 2N stack X = x.T, in one product; its eigenvalues pick the route. A
-    # non-finite K, which eigh need not take, goes the QR way, whose Gram gate rejects it
+    # K = X^dag X for the dim x 2N stack X = x.T, in one product
     k = x.conj() @ x.T
-    w, e = np.linalg.eigh(k) if np.isfinite(k).all() else (np.zeros(1), None)
+    gap = float(np.max(np.abs(k[:n, :n] - k[n:, n:])))
+    if not gap <= gram_tol:
+        raise GramMismatch(f"Gram matrices differ by {gap:.3e} (> {gram_tol:.1e})")
+    w, e = np.linalg.eigh(k)
     ratio = float(w[0] / w[-1]) if w[-1] > 0 else 0.0
     # the Gram frame's predicted excess defect, 2N u w_max / w_min with u = eps / 2, against FRAME_TOL
     if n * np.finfo(float).eps < FRAME_TOL * ratio:
@@ -226,15 +238,7 @@ def unitary_from_correspondence(
         v, r = np.linalg.qr(x.T)
     log.debug("unitary_from_correspondence: %s route, lambda_min/lambda_max %.3e, %d frame columns",
               route, ratio, v.shape[1])
-    r_a, r_b = r[:, :n], r[:, n:]
-    ga = dagger(r_a) @ r_a
-    gb = dagger(r_b) @ r_b
-    gap = float(np.max(np.abs(ga - gb)))
-    if not gap <= gram_tol:
-        raise GramMismatch(f"Gram matrices differ by {gap:.3e} (> {gram_tol:.1e})")
-
-    eig = np.linalg.eigh(0.5 * (ga + gb))
-    a_in, b_in = _polar_frame(r_a, *eig), _polar_frame(r_b, *eig)
+    a_in, b_in = _polar(r[:, :n]), _polar(r[:, n:])
     eye = np.eye(v.shape[1])
     # the polar factor of b a^dag + (I - b b^dag)(I - a a^dag) maps a to b and,
     # needing no completion convention, fixes every direction orthogonal to both

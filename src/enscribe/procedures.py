@@ -32,10 +32,14 @@ def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> li
     factored as X = V R, the frame V and both families' coordinates R on it:
     from one eigh of the 2N x 2N Gram matrix X^dag X where it is well
     conditioned (the Gram route), and from one Householder QR of X on
-    rank-deficient and nearly parallel stacks (the QR route, with the bits it
-    always had); linalg.FRAME_TOL draws the line, and the route is logged at
-    debug. The Gram gate reads the coordinates, and the polar frames are
-    taken on blocks of at most 2N rows, so no SVD runs on a d^2-row array. At q = 1 the
+    rank-deficient and nearly parallel stacks (the QR route, whose frame keeps
+    the QR's bits); linalg.FRAME_TOL draws the line, and the route is logged at
+    debug. The Gram gate compares the two diagonal blocks of X^dag X, and
+    each family's dialect frame is the polar factor of its own coordinates,
+    a block of at most 2N rows, so no SVD runs on a d^2-row array; its rank
+    cut reads singular values, so a near-parallel pair of a valid text, whose
+    Gram eigenvalue of order 1 - |z| falls under RANK_TOL relative, keeps both its
+    directions and the procedure realizes an exact certificate. At q = 1 the
     inputs and the clones are all swap-symmetric, so the procedure commutes
     with the swap of the two copies. The Gram-match gate is widened with the certificate
     residual, since a residual r allows the two families' Gram matrices to

@@ -188,20 +188,32 @@ def test_build_procedure_command(tmp_path, capsys):
     assert report["verification_error"] < 1e-8
 
 
+@pytest.mark.parametrize("n, eps", [(2, 2e-9), (2, 5e-9), (3, 1e-8), (4, 1.5e-8)])
+def test_near_parallel_texts_build_and_clone_their_closed_form(tmp_path, capsys, n, eps):
+    # the closed-form certificate is exact, so the procedure must realize it: a Gram eigenvalue of order eps
+    # is a singular value of order sqrt(eps), which the builder's rank cut keeps
+    path = _write_text(tmp_path, "t.json", make_real_uniform(n, 1 - eps))
+    code, report = _run(capsys, ["build-procedure", "--input", path])
+    assert code == 0 and report["verification_error"] < 1e-8
+    code, report = _run(capsys, ["clone", "--input", path])
+    assert code == 0 and len(report["results"]) == n
+
+
 @pytest.mark.parametrize(
     "text, digest",
     [
-        (make_real_uniform(2, 0.5), "bec2fee608ffea9c72487514939a6c54b9a4ade566e16bb0e0e141b63295551c"),
-        (make_real_uniform(3, 0.3), "ebd9c0baee98ca978f3b54a20b6d730bc5d7c587a53dd00994677960d24e9bda"),
-        (random_text(np.random.default_rng(11), 2, 3), "50f72d8d3ba1c2c868e9600aff2e0e61ef4b8e607d3b287474f014d8233352f8"),
-        (qubit_example()[0], "318049e4f8200bed3a155e14c04644ce9947091495bc996bf023cc0bcfd1aa75"),
+        (make_real_uniform(2, 0.5), "8cafec355e0727d2eb1576816736e99102140552cc14bac182de73f30a097031"),
+        (make_real_uniform(3, 0.3), "cffc828baa7d17c2f0ad10998683ecd4a3ecda7d4605e7bc42ce24fbcf5e9944"),
+        (random_text(np.random.default_rng(11), 2, 3), "d44cc38137c5ba3c2a5e9d6d2dae8ed417a76998b34ccb4f56af3dd499d5db88"),
+        (qubit_example()[0], "163383eca7faaa980d4bae2e5fbf63ccb51d31e5b2376540284d645bf084479e"),
     ],
     ids=["uniform-2", "uniform-3", "complex-2-text", "qubit-text"],
 )
 def test_build_procedure_matrix_keeps_its_bits(tmp_path, capsys, text, digest):
     # the report forms the dense matrix of the factored procedure; the first three digests pin a
     # frame from one eigh of the Gram matrix of [inputs | clones], and the qubit example's text,
-    # whose stack is rank-deficient, one from the Householder QR of that stack
+    # whose stack is rank-deficient, one from the Householder QR of that stack; each family's
+    # dialect frame is the polar factor of its own coordinates
     path = _write_text(tmp_path, "t.json", text)
     code, report = _run(capsys, ["build-procedure", "--input", path])
     assert code == 0
@@ -614,11 +626,18 @@ def test_verify_theorems_with_no_matching_check_is_an_error(capsys):
 @pytest.mark.parametrize("command", ["solve", "build-procedure", "clone"])
 @pytest.mark.parametrize(
     "extra, flag",
-    [(["--q", "0.9"], "--q"), (["--search"], "--search"), (None, "--input")],
-    ids=["q", "search", "third-input"],
+    [
+        (["--q", "0.9"], "--q"),
+        (["--search"], "--search"),
+        (["--starts", "3"], "--starts"),
+        (["--seed", "7"], "--seed"),
+        (None, "--input"),
+    ],
+    ids=["q", "search", "starts", "seed", "third-input"],
 )
 def test_flags_a_certificate_file_would_leave_unread_are_errors(tmp_path, capsys, command, extra, flag):
-    # with a certificate file as the second --input, --q and --search and a third file would be dropped
+    # with a certificate file as the second --input, --q, --search, --starts, --seed and a third file
+    # would be dropped
     text = make_real_uniform(2, -0.5)
     tpath = _write_text(tmp_path, "t.json", text)
     cpath = str(tmp_path / "cert.json")
@@ -632,7 +651,7 @@ def test_flags_a_certificate_file_would_leave_unread_are_errors(tmp_path, capsys
     assert captured.err.startswith("error: ") and flag in captured.err
 
 
-CLONE_Q07_DIGEST = "88e50706317a360aacaba534c47ac01001be1eb41e74919f7b5cc895b92f0026"
+CLONE_Q07_DIGEST = "c0c6425d669f0c682b5a006b706bf988c95898376bbd1b27bbbdcc0122422143"
 
 
 def test_clone_fails_on_a_failure_input_without_its_parity(tmp_path, capsys, monkeypatch):

@@ -42,7 +42,7 @@ from enscribe.errors import (
     ZOutOfRange,
 )
 from enscribe.engine import _phase_gauge
-from enscribe.linalg import unit
+from enscribe.linalg import dialect_frame, unit
 from enscribe.verification import random_equivalence_image, random_nonclassical_text
 
 from helpers import random_state, random_text, random_unitary
@@ -559,8 +559,13 @@ def test_lemma2_block_rules_read_the_overlap_graph(pattern):
         assert raised == not_a_direct_sum, sub
 
 
-@pytest.mark.parametrize("indices", [(2, 7), (-2, -1)], ids=["past-the-end", "negative"])
+@pytest.mark.parametrize(
+    "indices",
+    [(2, 7), (-2, -1), (2.2, 3.9), (True, 3), (np.float64(2), np.float64(3)), (2, 2)],
+    ids=["past-the-end", "negative", "float", "bool", "np-float64", "duplicate"],
+)
 def test_direct_sum_enscribe_indices_outside_the_text_are_typed(indices):
+    # the indices QuantumText.subtext rejects, and no others: a float is not truncated to the state it names
     combined = _classical_pair_plus_two_text()
     cert = solve_two_text(combined.subtext((2, 3)))
     with pytest.raises(DimensionMismatch):
@@ -616,6 +621,20 @@ def test_thin_extension_errors():
         thin_extension_family(embedded, cert, abs(cert.params.Q) / 2, [0, 0, 1.0])
     with pytest.raises(DirectionNotOrthogonal):
         thin_extension_family(embedded, cert, 0.9, embedded.state(0))
+
+
+def test_direct_sum_lift_keeps_both_states_of_a_near_parallel_two_text():
+    # the Gram eigenvalue 1e-8 of the pair falls under the rank cut, but a 2-text spans two dimensions, as
+    # classify counts it: the lift projects the tablet onto both, and keeps the subtext's residual
+    block = make_real_uniform(2, 1 - 5e-9)
+    assert classify(block).dialect_dimension == 2
+    text = make_text(3, [np.append(block.state(0), 0), np.append(block.state(1), 0), [0, 0, 1]])
+    sub = text.subtext((0, 1))
+    assert dialect_frame(sub.states).shape == (3, 2)
+    cert = search.feasibility_search(sub, 0.9, search.SearchOptions(seed=1, starts=16)).certificate
+    assert cert is not None and cert.residual > 1e-9
+    lifted = direct_sum_enscribe(text, cert, (0, 1))
+    assert abs(lifted.residual - cert.residual) < 1e-12
 
 
 def test_thin_extension_takes_the_dialect_that_classify_counts():

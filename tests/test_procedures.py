@@ -106,16 +106,25 @@ def gram_matched_families(draw):
 
     dim is N..max(N, 2r), where the rotation may fill the space, or 4r..30; the
     outputs are the inputs under a unitary that moves only the first few
-    coordinates, so the two spans may share directions.
+    coordinates, so the two spans may share directions. With r >= 2 the first
+    two inputs may be a near-parallel pair, |<a_0|a_1>| = 1 - eps with eps down
+    to 2e-9, the band where a valid text's pair may sit.
     """
     n = draw(st.integers(1, 6))
     rank = draw(st.integers(1, n))
     dim = draw(st.integers(n, max(n, 2 * rank)) | st.integers(max(n, 4 * rank), 30))
     moved = draw(st.integers(1, dim))
+    eps = draw(st.none() | st.floats(2e-9, 1e-7)) if rank >= 2 else None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     a = span @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
     a /= np.linalg.norm(a, axis=0)
+    if eps is not None:
+        # a_1 = phase (c a_0 + s u) with u a unit vector of the span orthogonal to a_0
+        u = a[:, 1] - a[:, 0] * np.vdot(a[:, 0], a[:, 1])
+        u /= np.linalg.norm(u)
+        c = 1.0 - eps
+        a[:, 1] = np.exp(1j * rng.uniform(0, 2 * np.pi)) * (c * a[:, 0] + np.sqrt(1.0 - c * c) * u)
     rot = np.eye(dim, dtype=complex)
     rot[:moved, :moved] = random_unitary(rng, moved)
     return list(a.T), list((rot @ a).T)
