@@ -64,7 +64,8 @@ def _certificate(args, text: texts.QuantumText):
 
     Else raises _Negative with solve's report: a solver's reason, the search's floor, or the invalid certificate.
     EnscribeError if a third --input, or --q, --search, --starts or --seed beside a certificate file, would
-    go unread.
+    go unread. --starts and --seed are read only when the search runs; where the closed form gives the
+    certificate, one info line names those given.
     """
     if len(args.input) > 2:
         raise EnscribeError(f"--input takes a text and at most one certificate, got {len(args.input)} files")
@@ -80,6 +81,8 @@ def _certificate(args, text: texts.QuantumText):
             if cert is None:
                 result = feasibility_search(text, args.q, args.options)
                 cert = result.certificate
+            elif unread := [flag for flag in ("--starts", "--seed") if getattr(args, flag[2:]) is not None]:
+                log.info("the closed form gave the certificate, so %s went unread", " and ".join(unread))
         except EnscribeError as exc:
             log.info("solver reported: %s", exc)
             raise _Negative({"feasible": False, "reason": str(exc)}) from exc

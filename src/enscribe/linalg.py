@@ -81,13 +81,11 @@ def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
 
 
 def numerical_rank(values: np.ndarray) -> int:
-    """Count of singular values (or PSD eigenvalues) above RANK_TOL times the largest.
+    """Count of singular values above RANK_TOL times the largest.
 
-    On singular values the cut sits at RANK_TOL relative, as in the polar
-    frames of unitary_from_correspondence and engine.q_minus_one_dependence_check;
-    on Gram eigenvalues, the squares of singular values, at RANK_TOL of the
-    largest eigenvalue, which is 1e-4 of a singular value, as in texts.classify,
-    dialect_frame and the reciprocal-Gram check of engine.illegibility_screen.
+    Every reader passes singular values: an SVD's, or, in the reciprocal-Gram
+    check of engine.illegibility_screen, the eigenvalue moduli of a Hermitian
+    matrix, which are its singular values.
     """
     return int(np.sum(values > RANK_TOL * max(float(np.max(values)), 1e-300)))
 
@@ -101,19 +99,10 @@ def _polar(m: np.ndarray) -> np.ndarray:
 
 
 def dialect_frame(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal dialect frame U of the columns of ``vectors``.
-
-    Of their Gram matrix g = E diag(w) E^dag the eigenvalues numerical_rank
-    counts are kept, and at least two when there are two or more columns, as
-    texts.classify counts a 2-text: a valid text has no colinear pair, so its
-    second Gram eigenvalue exceeds texts.DEFAULT_TOL (interlacing with that
-    pair's 1 - |z|). Then U = polar(vectors E_r / sqrt(w_r)), so
-    vectors ~ U (E_r sqrt(w_r))^dag.
-    """
-    w, e = np.linalg.eigh(dagger(vectors) @ vectors)
-    # eigh sorts ascending, so the kept eigenvalues are the last ones
-    keep = w.size - max(numerical_rank(w), min(w.size, 2))
-    return _polar(vectors @ (e[:, keep:] / np.sqrt(w[keep:])))
+    """Orthonormal dialect frame of the columns of ``vectors``: from one SVD U S V^dag, the columns
+    of U for the numerical_rank(S) singular values it keeps."""
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    return u[:, :numerical_rank(s)]
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,8 @@ def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> li
     debug. The Gram gate compares the two diagonal blocks of X^dag X, and
     each family's dialect frame is the polar factor of its own coordinates,
     a block of at most 2N rows, so no SVD runs on a d^2-row array; its rank
-    cut reads singular values, so a near-parallel pair of a valid text, whose
-    Gram eigenvalue of order 1 - |z| falls under RANK_TOL relative, keeps both its
-    directions and the procedure realizes an exact certificate. At q = 1 the
+    cut reads singular values, so a near-parallel pair of a valid text keeps
+    both its directions and the procedure realizes an exact certificate. At q = 1 the
     inputs and the clones are all swap-symmetric, so the procedure commutes
     with the swap of the two copies. The Gram-match gate is widened with the certificate
     residual, since a residual r allows the two families' Gram matrices to

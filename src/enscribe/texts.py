@@ -143,19 +143,19 @@ def spanning_forest(graph) -> list:
 def classify(text: QuantumText) -> TextClassification:
     """Flags: pairwise-orthogonal, pairwise-overlapping, linearly independent, spanning.
 
-    Which pairs overlap comes from overlap_graph.
+    Which pairs overlap comes from overlap_graph. The dialect dimension is
+    linalg.numerical_rank of the states' singular values; make_text's
+    colinearity margin keeps the second one of a valid text above
+    sqrt(DEFAULT_TOL), far above that cut, so one or two states are always
+    independent.
     """
     n = text.n_states
     edges = int(overlap_graph(text).sum())
-    dialect_dim = linalg.numerical_rank(np.linalg.eigvalsh(gram(text)))
-    # one or two valid states are always independent, whatever the eigen cutoff says
-    efficient = dialect_dim == n or n <= 2
-    if n <= 2:
-        dialect_dim = n
+    dialect_dim = linalg.numerical_rank(np.linalg.svd(text.states, compute_uv=False))
     return TextClassification(
         classical=edges == 0,
         fully_quantum=edges == n * (n - 1),
-        efficient=efficient,
+        efficient=dialect_dim == n,
         thick=dialect_dim == text.dimension,
         dialect_dimension=dialect_dim,
     )

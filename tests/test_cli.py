@@ -349,7 +349,7 @@ def test_text_with_nan_component_is_an_error(tmp_path, capsys, command):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n, z", [(2, 0.5), (3, 0.3)])
+@pytest.mark.parametrize("n, z", [(2, 0.5), (3, 0.3), (3, 1 - 5e-9), (4, 1 - 5e-9), (5, 1 - 2e-8)])
 def test_thick_text_at_q_minus_one_is_a_negative_result(tmp_path, capsys, n, z):
     path = _write_text(tmp_path, "t.json", make_real_uniform(n, z))
     code, report = _run(capsys, ["solve", "--input", path, "--q", "-1", "--starts", "16"])
@@ -473,6 +473,28 @@ def test_calls_share_no_parsed_state(tmp_path, capsys):
     main(["solve", "--input", path, "--q", "0.3", "--search", "--starts", "8", "--seed", "3"])
     capsys.readouterr()
     assert _run(capsys, ["solve", "--input", path]) == first
+
+
+@pytest.mark.parametrize("text", [make_real_uniform(2, 0.5), make_real_uniform(4, 0.3)])
+def test_closed_form_names_the_search_flags_it_leaves_unread_at_info(tmp_path, capsys, caplog, monkeypatch, text):
+    # the closed form gives the certificate, so the search and its flags never run
+    path = _write_text(tmp_path, "t.json", text)
+    plain = _run(capsys, ["solve", "--input", path])
+    assert plain[0] == 0
+    # cli.main stops the enscribe logger from propagating to the root, where caplog listens
+    monkeypatch.setattr(logging.getLogger("enscribe"), "propagate", True)
+    monkeypatch.setenv("ENSCRIBE_LOG", "info")
+    for flags, unread in ((["--starts", "3"], "--starts"), (["--seed", "7", "--starts", "3"], "--starts and --seed")):
+        caplog.clear()
+        assert _run(capsys, ["solve", "--input", path, *flags]) == plain
+        lines = [r.getMessage() for r in caplog.records if "went unread" in r.getMessage()]
+        assert lines == [f"the closed form gave the certificate, so {unread} went unread"]
+    # where the search runs, it reads them
+    for flags in (["--q", "0.3", "--starts", "3"], ["--search", "--seed", "7"]):
+        caplog.clear()
+        main(["solve", "--input", path, *flags])
+        capsys.readouterr()
+        assert not any("went unread" in r.getMessage() for r in caplog.records)
 
 
 def test_log_level_is_read_on_every_call(tmp_path):

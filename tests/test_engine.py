@@ -624,8 +624,8 @@ def test_thin_extension_errors():
 
 
 def test_direct_sum_lift_keeps_both_states_of_a_near_parallel_two_text():
-    # the Gram eigenvalue 1e-8 of the pair falls under the rank cut, but a 2-text spans two dimensions, as
-    # classify counts it: the lift projects the tablet onto both, and keeps the subtext's residual
+    # the pair's second singular value, 7.1e-5, stays above the rank cut, so classify and dialect_frame
+    # both count two dimensions: the lift projects the tablet onto both, and keeps the subtext's residual
     block = make_real_uniform(2, 1 - 5e-9)
     assert classify(block).dialect_dimension == 2
     text = make_text(3, [np.append(block.state(0), 0), np.append(block.state(1), 0), [0, 0, 1]])
@@ -638,8 +638,8 @@ def test_direct_sum_lift_keeps_both_states_of_a_near_parallel_two_text():
 
 
 def test_thin_extension_takes_the_dialect_that_classify_counts():
-    # singular values 1.41, 1, 5e-7: the Gram eigenvalue 2.5e-13 falls under the rank cutoff
-    text = make_text(3, [[1, 0, 0], [0, 1, 0], unit(np.array([1, 1, 1e-6]))])
+    # singular values 1.41, 1, 5e-11: the smallest falls under the rank cut, RANK_TOL of the largest
+    text = make_text(3, [[1, 0, 0], [0, 1, 0], unit(np.array([1, 1, 1e-10]))])
     assert classify(text).dialect_dimension == 2
     u = np.linalg.svd(text.states)[0]
     cert = certificate(text, EnscriptionParams.from_Q(0.5, u[:, 0], n_states=3))

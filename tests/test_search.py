@@ -249,8 +249,9 @@ def texts_with_zero_overlaps(draw):
     if kind == "classical":
         return random_classical_text(rng, n, d), rng
     if kind == "near_dependent":
-        # the last state leaves the span of the others by eps, so G has an
-        # eigenvalue near eps^2, under the rank cutoff of numerical_rank
+        # the last state leaves the span of the others by about eps, so the
+        # states' smallest singular value is near eps, above the rank cut of
+        # numerical_rank: nearly dependent, yet independent
         eps = draw(st.sampled_from([1e-4, 1e-5, 1e-6]))
         base = random_text(rng, n - 1, d)
         mix = base.states @ (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
@@ -392,7 +393,7 @@ def test_thick_text_at_q_minus_one_is_infeasible_not_degenerate(n, z):
     assert result.verdict == "infeasible"
 
 
-@pytest.mark.parametrize("n, z", [(2, 0.5), (3, 0.3)])
+@pytest.mark.parametrize("n, z", [(2, 0.5), (3, 0.3), (3, 1 - 5e-9), (4, 1 - 5e-9), (5, 1 - 2e-8)])
 def test_thick_text_at_q_minus_one_runs_no_start(monkeypatch, n, z):
     calls = _count_starts(monkeypatch)
     result = feasibility_search(make_real_uniform(n, z), -1.0, SearchOptions(seed=0, starts=16))

@@ -13,8 +13,9 @@ from enscribe import (
     unitary_from_correspondence,
 )
 from enscribe.errors import ColinearPair, DimensionMismatch, GramMismatch, NonUnitState, SizeMismatch, ZOutOfRange
+from enscribe.linalg import dialect_frame
 
-from helpers import random_classical_text, random_text, random_unitary
+from helpers import random_classical_text, random_state, random_text, random_unitary
 
 Z_QUBIT = np.sqrt(3.0) - 2.0
 
@@ -444,3 +445,28 @@ def test_overlap_graph_is_a_symmetric_threshold_of_the_gram_matrix(n, extra, see
     assert sorted(taken) == list(range(n))
     for pos, (i, parent) in enumerate(forest):
         assert parent is None or (graph[parent, i] and parent in taken[:pos])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 7), st.integers(0, 2), st.sampled_from(["complex", "real", "near_parallel", "near_dependent"]),
+       st.floats(np.log10(2e-9), -3.0), st.sampled_from([1e-4, 1e-5, 1e-6]), st.integers(0, 2**32 - 1))
+def test_classify_and_dialect_frame_count_one_rank(n, extra, kind, log_gap, eps, seed):
+    # one rank on one scale: the dialect classify counts is the frame dialect_frame keeps
+    rng = np.random.default_rng(seed)
+    d = n + extra
+    if kind == "near_parallel":
+        # real uniform overlap z = 1 - 10^log_gap, so 1 - z runs over [2e-9, 1e-3]
+        text = make_real_uniform(n, 1.0 - 10.0 ** log_gap)
+    elif kind == "near_dependent" and n >= 3:
+        # the last state leaves the span of the others by about eps, as tests/test_search.py builds it
+        base = random_text(rng, n - 1, d)
+        mix = base.states @ (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+        last = mix / np.linalg.norm(mix) + eps * random_state(rng, d)
+        text = make_text(d, [*base.states.T, last / np.linalg.norm(last)])
+    elif kind == "real":
+        text = make_text(d, [v / np.linalg.norm(v) for v in rng.standard_normal((n, d))])
+    else:
+        text = random_text(rng, n, d)
+    cls = classify(text)
+    assert cls.dialect_dimension == dialect_frame(text.states).shape[1]
+    assert cls.efficient == (cls.dialect_dimension == text.n_states)

@@ -356,6 +356,23 @@ def test_default_tol_readers_are_listed():
     assert set(_functions_where(reads)) == DEFAULT_TOL_READERS
 
 
+# the functions that call linalg.numerical_rank, each on singular values: the screen passes the
+# eigenvalue moduli of a Hermitian matrix, which are its singular values, and every other reader an SVD's
+NUMERICAL_RANK_READERS = {
+    ("linalg", "_polar"),
+    ("linalg", "dialect_frame"),
+    ("texts", "classify"),
+    ("engine", "q_minus_one_dependence_check"),
+    ("engine", "illegibility_screen"),
+}
+
+
+def test_numerical_rank_readers_are_listed_and_cut_no_gram_eigenvalue():
+    assert set(_functions_where(_loads({"numerical_rank"}))) == NUMERICAL_RANK_READERS
+    eigen = set(_functions_where(_loads({"eigh", "eigvalsh"}))) & NUMERICAL_RANK_READERS
+    assert eigen == {("engine", "illegibility_screen")}
+
+
 def test_only_the_phase_gauge_reads_imaginary_parts_in_engine():
     # one rule decides that an overlap is real, so a text and its phased images get one closed form
     readers = {where for where in _functions_where(_loads({"imag"})) if where[0] == "engine"}
