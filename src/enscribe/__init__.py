@@ -26,6 +26,7 @@ from .engine import (
     solve_real_uniform_central,
     solve_two_text,
     thin_extension_family,
+    two_text_gap_floor,
     uniform_sextic,
     z0_threshold,
 )

@@ -23,6 +23,7 @@ from .errors import (
     IllegibleText,
     InvalidInputCertificate,
     NotADirectSum,
+    QOutOfRange,
     RootNotBracketed,
     SizeMismatch,
     TOutOfRange,
@@ -113,6 +114,39 @@ def q_range_two_text(z_modulus: float) -> QRangeResult:
             QInterval(pos_lo, 1.0, True, True, "weakly_central", "closed"),
         )
     )
+
+
+def two_text_gap_floor(z_modulus: float, big_q: float) -> float:
+    """Least largest mismatch, over all tablets, of a 2-text with overlap modulus z at a fixed Q.
+
+    0 inside q_range_two_text(z) and at Q = -1, where a tablet on a state
+    matches but its entangled input degenerates. In the gap it is exact:
+    - After the gauge, w = z + Q a0 conj(a1) and P = (1 + Q|a0|^2)(1 + Q|a1|^2),
+      and the mismatch is | |w| - z^2 sqrt(P) |. A unit tablet in the span has
+      a^dag G^-1 a = 1, so |w|^2 = P - c with c = (1 - z^2)(1 + Q), and
+      f(P) = sqrt(P - c) - z^2 sqrt(P) strictly increases with P.
+    - P is monotone in |a0|^2 and in |a1|^2, so its least value lies on the
+      boundary of their reachable region, which real tablets trace:
+      P = B^2 y^2 + 2ABzy + A^2 - B^2(1 - z^2), A = 1 + Q/2, B = Q/2,
+      y in [-1, 1]. In the gap the vertex lies outside [-1, 1], so
+      sqrt(P_min) = 1 + (Q - |Q|z)/2, and P_min - c is the square of
+      sqrt(P_min) - 1 + z (Q < 0) or of 1 + z - sqrt(P_min) (Q > 0). The floor
+      f(P_min) is therefore (1 - z)(z - |Q|k/2), with k = 1 + z^2 for Q > 0
+      and (1 + z)^2 for Q < 0. That form has no square root, and it cancels
+      only in the factor that vanishes at the range's ends.
+    - A thin text's tablet with weight v on the span has overlaps sqrt(v) a',
+      which meets the thick problem at Qv. Qv lies in the gap with Q, where
+      the floor falls as |Qv| grows, so v = 1 is best: thin and thick
+      2-texts share the floor.
+    """
+    q_range = q_range_two_text(z_modulus)
+    z, q = float(z_modulus), float(big_q)
+    if not -1.0 <= q <= 1.0:
+        raise QOutOfRange(f"entanglement parameter must lie in [-1, 1], got {q}")
+    if q_range.contains(q):
+        return 0.0
+    k = 1.0 + z * z if q > 0.0 else (1.0 + z) ** 2
+    return max(0.0, (1.0 - z) * (z - abs(q) * k / 2.0))
 
 
 def uniform_sextic(n_states: int, z: float) -> float:

@@ -21,7 +21,10 @@ Starts run in a fixed, seeded order and the first whose largest residual
 beats certificates.ACCEPT_TOL wins, so the search stops there. When no start
 certifies, every start runs and the result records the earliest start whose
 residual is within FLOOR_TIE (relative) of the smallest: a floor over the
-starts, not a proof of infeasibility. FLOOR_TIE is also the precision to
+starts, not a proof of infeasibility. A 2-text at a fixed Q has its floor in
+closed form (engine.two_text_gap_floor), so there the search also stops at
+the first start within FLOOR_TIE of it, and a floor it stops at is the exact
+minimum to that precision. FLOOR_TIE is also the precision to
 which a start polishes its floor: it stops once a step gains less than that
 share of its squared residual. At a fixed Q = 0 the residual does not depend
 on the tablet, so start 0 alone runs. The starts are coordinate vectors:
@@ -38,7 +41,7 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from . import linalg, texts
+from . import engine, linalg, texts
 from .certificates import (
     ACCEPT_TOL,
     DEGENERATE_TOL,
@@ -83,7 +86,10 @@ class SearchResult:
     of its minimum over the starts. Each start minimizes the sum of squares,
     not the largest mismatch, and stops once a step gains less than FLOOR_TIE
     of it, so the floor moves with the stop rules of _minimize_start; it is
-    evidence of infeasibility, not a lower bound. ``evaluations`` counts the
+    evidence of infeasibility, not a lower bound. The exception is a 2-text
+    at a fixed Q other than 0 and -1: the search stops at a start within
+    FLOOR_TIE of engine.two_text_gap_floor, so a floor it stops at is the
+    exact minimum to FLOOR_TIE. ``evaluations`` counts the
     objective evaluations of every start run: 1 at a fixed Q = 0, where
     start 0 alone runs and makes no step.
     A floor whose winning start ran into the 100-evaluation cap near |Q| = 1,
@@ -363,8 +369,12 @@ def feasibility_search(
     and the result records the earliest start whose floor is within FLOOR_TIE
     (relative) of the smallest, with that start's floor and Q, and verdict
     "infeasible" (above the floor tolerance) or "inconclusive" (in between).
+    At any other fixed Q a 2-text's floor is known exactly
+    (engine.two_text_gap_floor), so the search also ends at the first start
+    whose residual is within FLOOR_TIE of it; the winner rule is unchanged.
     Each search logs one debug line on the ``enscribe`` logger: the starts
-    run, the evaluations, the verdict and the best residual.
+    run, the evaluations, the verdict and the best residual, and for a
+    fixed-Q 2-text the closed-form floor.
     """
     options = options or SearchOptions()
     joint = big_q is None
@@ -373,18 +383,22 @@ def feasibility_search(
         canonical_q(fixed_q)  # raises QOutOfRange outside [-1, 1], NaN included
     obj = _Objective(text)
     starts = _starts_for(obj, options, joint)
+    closed_floor = None
     if fixed_q == 0.0:
         # w = z and every s_i = 1, so the residual does not see the tablet and
         # every start would end on start 0's floor
         starts = islice(starts, 1)
     elif fixed_q == -1.0 and texts.classify(text).thick:
         starts = ()
+    elif not joint and obj.n == 2:
+        # a fixed-Q 2-text's floor is known in closed form, so a start that reaches it ends the search
+        closed_floor = engine.two_text_gap_floor(abs(obj.pairs[0][2]), fixed_q)
     ends, evals = [], 0
     for x0 in starts:
         x, used = _minimize_start(obj, x0, fixed_q)
         evals += used
         ends.append((*obj.max_residual(x, fixed_q), x))
-        if ends[-1][0] < ACCEPT_TOL:
+        if ends[-1][0] < ACCEPT_TOL or (closed_floor is not None and ends[-1][0] <= closed_floor * (1.0 + FLOOR_TIE)):
             break
     floor = min((res for res, _, _ in ends), default=np.inf)
     if floor == np.inf:
@@ -402,6 +416,7 @@ def feasibility_search(
         else:
             verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
             result = SearchResult(None, best_res, verdict, qv, best_idx, evals)
-    log.debug("feasibility_search: starts run %d, evaluations %d, verdict %s, best_residual %.3e",
-              len(ends), evals, result.verdict, result.best_residual)
+    note = "" if closed_floor is None else f", closed-form floor {closed_floor:.3e}"
+    log.debug("feasibility_search: starts run %d, evaluations %d, verdict %s, best_residual %.3e%s",
+              len(ends), evals, result.verdict, result.best_residual, note)
     return result

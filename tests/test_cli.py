@@ -550,6 +550,25 @@ def test_search_at_q_zero_logs_its_single_start_only_at_debug(tmp_path):
     ]
 
 
+def test_gap_search_names_its_closed_form_floor_only_at_debug(tmp_path):
+    # Q = 0.3 lies in the gap of this 2-text, where the floor is 5/32; in a fresh process, so that
+    # the stderr handler main installs is the only one
+    path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env.pop("ENSCRIBE_LOG", None)
+    argv = [sys.executable, "-m", "enscribe.cli", "solve", "--input", path, "--q", "0.3"]
+    quiet = subprocess.run(argv, env=env, capture_output=True, text=True)
+    loud = subprocess.run(argv, env={**env, "ENSCRIBE_LOG": "debug"}, capture_output=True, text=True)
+    assert quiet.returncode == loud.returncode == 2
+    assert quiet.stderr == ""
+    assert loud.stdout == quiet.stdout
+    floor = json.loads(quiet.stdout)["best_residual"]
+    (line,) = loud.stderr.splitlines()
+    assert line.startswith("DEBUG enscribe: feasibility_search: starts run 1, ")
+    assert line.endswith(f", verdict infeasible, best_residual {floor:.3e}, closed-form floor {5 / 32:.3e}")
+
+
 def test_main_leaves_other_loggers_alone():
     # in a fresh process: main configures only the enscribe logger, so the root
     # level stays as it was and another logger's warning still prints

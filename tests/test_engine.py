@@ -27,6 +27,7 @@ from enscribe import (
     solve_two_text,
     texts,
     thin_extension_family,
+    two_text_gap_floor,
     uniform_sextic,
     z0_threshold,
 )
@@ -37,6 +38,7 @@ from enscribe.errors import (
     IllegibleText,
     InvalidInputCertificate,
     NotADirectSum,
+    QOutOfRange,
     SizeMismatch,
     TOutOfRange,
     ZOutOfRange,
@@ -134,6 +136,28 @@ def test_q_range_two_text_out_of_range():
         q_range_two_text(1.0)
     with pytest.raises(ZOutOfRange):
         q_range_two_text(-0.1)
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5, 0.9])
+def test_two_text_gap_floor_vanishes_at_the_gap_ends(z):
+    neg, pos = q_range_two_text(z).intervals
+    assert two_text_gap_floor(z, neg.upper) == two_text_gap_floor(z, pos.lower) == 0.0
+    assert two_text_gap_floor(z, neg.upper + 1e-9) > 0.0 and two_text_gap_floor(z, pos.lower - 1e-9) > 0.0
+    # at Q = 0 the mismatch is z - z^2 whatever the tablet
+    assert two_text_gap_floor(z, 0.0) == pytest.approx(z * (1.0 - z), rel=1e-15)
+
+
+def test_two_text_gap_floor_values():
+    assert two_text_gap_floor(0.5, 0.3) == pytest.approx(5 / 32, rel=1e-15)
+    # orthogonal states are enscribable at every Q, and Q = -1 has a tablet on a state with mismatch 0
+    assert all(two_text_gap_floor(0.0, q) == 0.0 for q in np.linspace(-1.0, 1.0, 41))
+    assert two_text_gap_floor(0.5, -1.0) == 0.0
+    with pytest.raises(QOutOfRange):
+        two_text_gap_floor(0.5, 1.5)
+    with pytest.raises(QOutOfRange):
+        two_text_gap_floor(0.5, float("nan"))
+    with pytest.raises(ZOutOfRange):
+        two_text_gap_floor(1.0, 0.3)
 
 
 def test_uniform_sextic_constant_term():

@@ -10,9 +10,12 @@ from enscribe import (
     build_procedure,
     closed_form_q_range,
     feasibility_search,
+    gram,
     make_real_uniform,
     make_text,
+    q_range_two_text,
     search,
+    two_text_gap_floor,
     verification,
     verify_procedure,
 )
@@ -122,10 +125,28 @@ def test_qubit_text_at_q_one_wins_at_first_start(monkeypatch):
 
 
 def test_infeasible_search_runs_every_start(monkeypatch):
+    # a 3-text has no closed-form floor, so no start can show that it reached the floor
     calls = _count_starts(monkeypatch)
-    result = feasibility_search(make_real_uniform(2, 0.5), 0.3, SearchOptions(seed=0, starts=32))
+    result = feasibility_search(make_real_uniform(3, -0.3), 0.5, SearchOptions(seed=0, starts=32))
     assert result.verdict == "infeasible"
     assert len(calls) == 32
+
+
+def test_gap_two_text_search_stops_at_its_closed_form_floor(monkeypatch):
+    # Q = 0.3 lies in the gap (-0.444, 0.8) of this 2-text, where the floor is 5/32; the
+    # search ends at the first start that reaches it, with the floor, Q and start index that
+    # the winner rule picks over all 64 starts
+    text, options = make_real_uniform(2, 0.5), SearchOptions(seed=0, starts=64)
+    obj = search._Objective(text)
+    floors = [obj.max_residual(search._minimize_start(obj, x0, 0.3)[0], 0.3)[0]
+              for x0 in search._starts_for(obj, options, False)]
+    winner = next(i for i, res in enumerate(floors) if res - min(floors) <= search.FLOOR_TIE * min(floors))
+    calls = _count_starts(monkeypatch)
+    result = feasibility_search(text, 0.3, options)
+    assert len(calls) == 1
+    assert result.verdict == "infeasible"
+    assert abs(result.best_residual - 5 / 32) <= 1e-12
+    assert (result.best_residual, result.Q, result.start_index) == (floors[winner], 0.3, winner)
 
 
 @pytest.mark.parametrize("seed, n, d", [(0, 2, 2), (1, 2, 3), (2, 3, 3), (3, 4, 3)])
@@ -180,6 +201,17 @@ def test_search_logs_one_debug_line(caplog, monkeypatch):
     )
 
 
+def test_fixed_q_two_text_search_logs_its_closed_form_floor(caplog, monkeypatch):
+    monkeypatch.setattr(logging.getLogger("enscribe"), "propagate", True)
+    caplog.set_level(logging.DEBUG, logger="enscribe")
+    result = feasibility_search(make_real_uniform(2, 0.5), 0.3, SearchOptions(seed=0, starts=64))
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        f"feasibility_search: starts run 1, evaluations {result.evaluations}, verdict infeasible, "
+        f"best_residual {result.best_residual:.3e}, closed-form floor {5 / 32:.3e}"
+    )
+
+
 def test_feasible_search_stops_at_first_certifying_start(monkeypatch):
     # The first solve stalls where it starts, which does not certify at this
     # Q, so a later start has to find the certificate.
@@ -231,6 +263,41 @@ def test_evaluations_count_objective_calls(monkeypatch, text, big_q, starts):
     monkeypatch.setattr(search._Objective, "residual_vector", counted)
     result = feasibility_search(text, big_q, SearchOptions(seed=0, starts=starts))
     assert result.evaluations == count[0] > 0
+
+
+@st.composite
+def two_texts_at_q(draw):
+    """A 2-text of overlap modulus in [0.05, 0.95], real or complex, in C^2 to C^4, alone or as a phased,
+    rotated and relabelled image; a Q anywhere in [-1, 1] or within 1e-6 of an end of its gap; a seed."""
+    z, d = draw(st.floats(0.05, 0.95)), draw(st.integers(2, 4))
+    phase = np.exp(1j * draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * np.pi))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    text = make_text(d, [np.eye(d)[0], z * phase * np.eye(d)[0] + np.sqrt(1.0 - z * z) * np.eye(d)[1]])
+    if draw(st.booleans()):
+        text = verification.random_equivalence_image(np.random.default_rng(seed), text)[0]
+    neg, pos = q_range_two_text(z).intervals
+    end = draw(st.sampled_from([None, neg.upper, pos.lower]))
+    if end is None:
+        return text, draw(st.floats(-1.0, 1.0)), seed
+    # at least 1e-7 away, so that the floor (about 1e-7 z (1 - z) there) is not lost in rounding
+    return text, end + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-7, 1e-6)), seed
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(two_texts_at_q())
+def test_two_text_gap_floor_bounds_every_start_and_meets_the_best(drawn):
+    text, big_q, seed = drawn
+    z = abs(gram(text)[0, 1])
+    floor = two_text_gap_floor(z, big_q)
+    # Q = -1 is outside the range only because the entangled inputs degenerate there
+    assert (floor > 0.0) == (not q_range_two_text(z).contains(big_q) and big_q > -1.0)
+    obj = search._Objective(text)
+    ends = [obj.max_residual(search._minimize_start(obj, x0, big_q)[0], big_q)[0]
+            for x0 in search._starts_for(obj, SearchOptions(seed=seed, starts=16), False)]
+    # a mismatch is the difference of two numbers near z < 1, so it also rounds by about 1e-16 absolute
+    assert all(floor * (1.0 - 1e-12) - 2e-15 <= res for res in ends)
+    if floor > 0.0:
+        assert abs(min(ends) - floor) <= 1e-8 * floor + 1e-13
 
 
 @st.composite
