@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, texts
-from .errors import DegenerateNormalizer, DimensionMismatch, QOutOfRange
+from .errors import DegenerateNormalizer, DimensionMismatch, InvalidCertificate, QOutOfRange
 
 FLAVOR_TOL = 1e-8
 DEGENERATE_TOL = 1e-9
@@ -248,3 +248,16 @@ def certificate(text: texts.QuantumText, params: EnscriptionParams) -> Enscripti
         residual=enscription_residual(text, params),
         flavor=tablet_flavor(text, params.tablet),
     )
+
+
+def check_fit(text: texts.QuantumText, cert: EnscriptionCertificate) -> None:
+    """InvalidCertificate unless ``cert`` has one output phase per state of ``text`` and a tablet in its language.
+
+    The O(1) shape check that the procedure builder, its verifier and the
+    cloning machine run first, so a certificate of another text fails as such
+    instead of as a broadcast error or a result for the wrong states.
+    """
+    p = cert.params
+    if p.n_states != text.n_states or p.tablet.shape[0] != text.dimension:
+        raise InvalidCertificate(f"a certificate of {p.n_states} states in C^{p.tablet.shape[0]} does not fit "
+                                 f"a text of {text.n_states} states in C^{text.dimension}")

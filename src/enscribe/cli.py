@@ -125,18 +125,15 @@ def cmd_clone(args) -> int:
     rows = []
     for i in range(text.n_states):
         outcome = machine.run_clone(text, cert, i, procedure=u)
-        p_real = machine.real_q_success_probability(text, cert.params, i)
-        parity = None
-        if p_real is not None:
-            report = machine.failure_state_symmetry_check(text, cert, i)
-            if not report.parity_ok:
-                raise InvalidCertificate(f"failure input of state {i} misses its swap parity by {report.deviation:.3e}")
-            parity = report.expected_parity
+        report = machine.failure_state_symmetry_check(text, cert, i)
+        if not report.parity_ok:
+            raise InvalidCertificate(f"failure input of state {i} misses its swap parity by {report.deviation:.3e}")
+        parity = report.expected_parity
         rows.append(
             {
                 "i": i,
                 "p_success": outcome.p_success,
-                "p_formula_real_q": p_real,
+                "p_formula_real_q": machine.real_q_success_probability(text, cert.params, i),
                 "fidelity": outcome.fidelity,
                 "failure_symmetry": "n/a" if parity is None else f"{parity:+d}",
             }

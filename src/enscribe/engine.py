@@ -470,12 +470,26 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
 
     Checks, in order: linear independence of the states; the states that
     overlap any other must overlap pairwise (the others then form an
-    orthogonal block with no cross terms); for an overlapping block of three
-    or more states the entrywise-reciprocal Gram matrix must be nonsingular
-    with all but one eigenvalue of a single sign (which pins the sign of any
+    orthogonal block with no cross terms); for an overlapping block of n >= 3
+    states the entrywise-reciprocal Gram matrix 1/G must be nonsingular with
+    all but one eigenvalue of a single sign (which pins the sign of any
     feasible entanglement parameter); and a real uniform text must have a
     nonempty _closed_form range, the rule that qrange and solve apply. Which
     states overlap comes from texts.overlap_graph.
+
+    The signs are counted against a margin m on the rounding of 1/G's
+    eigenvalues, computed from the input: an eigenvalue in [-m, m] reads as
+    zero, so the block as singular. Each Gram entry is an inner product of
+    unit vectors of length d, which rounds by at most (d + 2) eps (eps the
+    machine epsilon); its reciprocal then moves by at most (d + 4) eps / |G_ij|^2
+    with the rounding of the division. By Weyl's inequality the eigenvalues
+    move by at most the Frobenius norm of those bounds, and eigvalsh adds at
+    most n eps max|lambda|, so
+
+        m = eps ((d + 4) ||1/|G|^2||_F + n max|lambda|).
+
+    A near-parallel pair keeps its sign: at z = 1 - 5e-9 on a uniform 3-text
+    the N - 1 eigenvalues near -5e-9 lie six orders of magnitude beyond m.
     """
     cls = texts.classify(text)
     g = texts.gram(text)
@@ -486,20 +500,15 @@ def illegibility_screen(text: texts.QuantumText) -> IllegibilityReport:
     eigen_ok = True
     eps: int | None = None
     if lemma2_ok and len(busy) >= 3:
-        block = g[np.ix_(busy, busy)]
-        m = 1.0 / block
-        eig = np.linalg.eigvalsh(m)
-        if linalg.numerical_rank(np.abs(eig)) < eig.size:
-            eigen_ok = False
+        reciprocal = 1.0 / g[np.ix_(busy, busy)]
+        eig = np.linalg.eigvalsh(reciprocal)
+        margin = np.finfo(float).eps * ((text.dimension + 4) * np.linalg.norm(np.abs(reciprocal) ** 2)
+                                        + eig.size * np.abs(eig).max())
+        pos, neg = int(np.sum(eig > margin)), int(np.sum(eig < -margin))
+        if pos + neg == eig.size and min(pos, neg) == 1:
+            eps = 1 if neg == 1 else -1
         else:
-            pos = int(np.sum(eig > 0))
-            neg = eig.size - pos
-            if pos == eig.size - 1 and neg == 1:
-                eps = 1
-            elif neg == eig.size - 1 and pos == 1:
-                eps = -1
-            else:
-                eigen_ok = False
+            eigen_ok = False
 
     closed = None if cls.classical or text.n_states < 3 else _closed_form(text)
     uniform_ok = None if closed is None else not closed[2].empty

@@ -69,9 +69,5 @@ class QZero(EnscribeError):
     """The cloning machine is undefined at q = 0."""
 
 
-class ComplexQ(EnscribeError):
-    """Check only defined for real q."""
-
-
 class ParseError(EnscribeError):
     """An input file could not be parsed."""

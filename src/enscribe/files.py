@@ -95,9 +95,9 @@ def certificate_from_dict(data: dict, text: texts.QuantumText) -> EnscriptionCer
 
 
 def procedure_to_dict(procedure) -> dict:
-    """The report of build-procedure: the dense matrix of a built procedure (a linalg.SpanUnitary), by rows."""
-    m = procedure.matrix()
-    return {"dim": m.shape[0], "matrix": _vector(m)}
+    """The report of build-procedure: a built procedure W = I + V (M - I) V^dag (a linalg.SpanUnitary) as its
+    factors, the D x k frame V and the k x k block M, by rows; D is the dimension of the doubled space."""
+    return {"dim": procedure.frame.shape[0], "frame": _vector(procedure.frame), "block": _vector(procedure.block)}
 
 
 def _encode(obj):

@@ -81,12 +81,7 @@ def complete_orthonormal(cols: np.ndarray) -> np.ndarray:
 
 
 def numerical_rank(values: np.ndarray) -> int:
-    """Count of singular values above RANK_TOL times the largest.
-
-    Every reader passes singular values: an SVD's, or, in the reciprocal-Gram
-    check of engine.illegibility_screen, the eigenvalue moduli of a Hermitian
-    matrix, which are its singular values.
-    """
+    """Count of singular values above RANK_TOL times the largest; every reader passes an SVD's."""
     return int(np.sum(values > RANK_TOL * max(float(np.max(values)), 1e-300)))
 
 
@@ -111,9 +106,10 @@ class SpanUnitary:
 
     ``frame`` is V, dim x k with orthonormal columns, and ``block`` is M, a
     k x k unitary: W is M on span V and the identity outside it. apply costs
-    O(dim k) per vector, against O(dim^2) for the dense matrix, which only
-    matrix() forms. M - I and V^dag are formed on first use and held
-    (block_offset, frame_adjoint), so later calls copy nothing.
+    O(dim k) per vector, against O(dim^2) for the dense matrix, which the
+    package never forms (apply(np.eye(dim)) is that matrix). M - I and V^dag
+    are formed on first use and held (block_offset, frame_adjoint), so later
+    calls copy nothing.
     """
 
     frame: np.ndarray
@@ -136,12 +132,6 @@ class SpanUnitary:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W x for a vector or a column stack x, from the held M - I and V^dag."""
         return x + self.frame @ (self.block_offset @ (self.frame_adjoint @ x))
-
-    def matrix(self) -> np.ndarray:
-        """W as a dense dim x dim matrix."""
-        w = self.frame @ self.block_offset @ self.frame_adjoint
-        w += np.eye(self.frame.shape[0])
-        return w
 
 
 def _family(vectors, dim: int) -> np.ndarray:

@@ -25,8 +25,9 @@ from .certificates import (
     _nonvanishing,
     _normalizer,
     certificate,
+    check_fit,
 )
-from .errors import ComplexQ, InvalidCertificate, QOutOfRange, QZero, ZOutOfRange
+from .errors import InvalidCertificate, QOutOfRange, QZero, ZOutOfRange
 
 # The line of the machine's own checks: the agreement of the two p_i forms in _split, the
 # decomposition check of run_clone, the parity check and duan_guo_saturation's saturation.
@@ -198,9 +199,11 @@ def run_clone(
     output in |k> (x) {psi (x) t, t (x) psi} (_decomposition_error), so the only
     d^2-vectors formed are the two products, omega_q, W omega_q and psi (x) psi;
     the procedure is the caller's, so its clone check and the fidelity stay in
-    C^d (x) C^d. Raises DimensionMismatch unless the procedure is a SpanUnitary
-    on C^d (x) C^d.
+    C^d (x) C^d. Raises InvalidCertificate unless the certificate fits the text
+    (certificates.check_fit), and DimensionMismatch unless the procedure is a
+    SpanUnitary on C^d (x) C^d.
     """
+    check_fit(text, cert)
     if not cert.is_valid():
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
     p = cert.params
@@ -230,18 +233,20 @@ def failure_state_symmetry_check(
 ) -> FailureSymmetryReport:
     """Check the failure state is the (anti)symmetrization of state i with the tablet.
 
-    Defined for real q only, where real_q_success_probability is not None: the
-    failure state has swap parity +1 when Q < 0 and -1 when Q > 0. The check
-    forms the failure input Omega(-q/|q|) in C^d (x) C^d and swaps its factors
+    For real q, where real_q_success_probability is not None, the failure
+    state has swap parity +1 when Q < 0 and -1 when Q > 0. The check forms the
+    failure input Omega(-q/|q|) in C^d (x) C^d and swaps its factors
     (linalg.swap_factors). It stays there on purpose: for real q, -q/|q| is the
     parity exactly, so the same identity read off the two coefficients of
     psi (x) t and t (x) psi would vanish by construction and test nothing, while
-    the formed vector shows a layout fault in the input or in the swap.
+    the formed vector shows a layout fault in the input or in the swap. A state
+    with no parity to check, at complex q or with no failure input, reports
+    expected_parity None. Raises InvalidCertificate unless the certificate fits
+    the text (certificates.check_fit).
     """
+    check_fit(text, cert)
     split = _split(text, cert.params, i)
-    if split.p_real is None:
-        raise ComplexQ("failure-state parity is only defined for real q")
-    if not split.has_failure:
+    if split.p_real is None or not split.has_failure:
         return FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)
     parity = 1 if cert.params.Q < 0 else -1
     omega_fail = _entangled(*_products(text.state(i), cert.params.tablet), split.q_fail, split.a_fail)

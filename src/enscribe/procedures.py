@@ -7,7 +7,14 @@ import logging
 import numpy as np
 
 from . import linalg, texts
-from .certificates import ACCEPT_TOL, EnscriptionCertificate, EnscriptionParams, certificate, entangled_inputs
+from .certificates import (
+    ACCEPT_TOL,
+    EnscriptionCertificate,
+    EnscriptionParams,
+    certificate,
+    check_fit,
+    entangled_inputs,
+)
 from .errors import DimensionMismatch, InvalidCertificate
 
 log = logging.getLogger("enscribe")
@@ -52,8 +59,7 @@ def build_procedure(text: texts.QuantumText, cert: EnscriptionCertificate) -> li
     SVD pick; there the procedure of an equivalent text need not be the moved
     (V (x) V) U (V (x) V)^dag, though both realize the moved certificate.
     """
-    if cert.params.n_states != text.n_states:
-        raise InvalidCertificate("certificate does not match the text size")
+    check_fit(text, cert)
     if not cert.is_valid():
         raise InvalidCertificate(f"certificate residual {cert.residual:.3e} above {ACCEPT_TOL:.1e}")
     inputs, clones = _inputs_and_clones(text, cert.params)
@@ -94,9 +100,11 @@ def verify_procedure(u: linalg.SpanUnitary, text: texts.QuantumText, cert: Enscr
     orthonormal, which delta alone cannot see. It costs O(D N^2) for
     D = d^2, against O(D^3) for the dense U^dag U.
 
-    Raises DimensionMismatch unless U is a SpanUnitary on the doubled space
-    (apply_procedure).
+    Raises InvalidCertificate unless the certificate fits the text
+    (certificates.check_fit), and DimensionMismatch unless U is a SpanUnitary
+    on the doubled space (apply_procedure).
     """
+    check_fit(text, cert)
     n = text.n_states
     # columns of one C-ordered array, as stacking the vectors gave: BLAS rounds another layout differently
     families = np.ascontiguousarray(np.concatenate(_inputs_and_clones(text, cert.params)).T)

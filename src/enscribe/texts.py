@@ -44,21 +44,25 @@ class QuantumText:
         return self.states.shape[1]
 
     def state(self, i: int) -> np.ndarray:
-        """State i for 0 <= i < N; any other index raises DimensionMismatch."""
-        if not 0 <= i < self.states.shape[1]:
-            raise DimensionMismatch(f"state index {i} out of range for {self.states.shape[1]} states")
+        """State i for an integer 0 <= i < N (_is_index); any other index raises DimensionMismatch."""
+        if not _is_index(i, self.states.shape[1]):
+            raise DimensionMismatch(f"state index {i!r} must be an integer in range({self.states.shape[1]})")
         return self.states[:, i]
 
     def subtext(self, indices) -> "QuantumText":
-        """The states at ``indices``, in that order: a nonempty set of distinct integer indices in
-        range(N), so the subtext keeps make_text's invariants; any other index set (a float or a bool
-        among them) raises DimensionMismatch."""
+        """The states at ``indices``, in that order: a nonempty set of distinct indices that state
+        accepts, so the subtext keeps make_text's invariants; any other index set raises DimensionMismatch."""
         idx = list(indices)
         n = self.states.shape[1]
-        if (not idx or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx)
-                or len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx)):
+        if not idx or not all(_is_index(i, n) for i in idx) or len(set(idx)) != len(idx):
             raise DimensionMismatch(f"subtext indices {idx} must be distinct integers in range({n}), at least one")
         return QuantumText(self.dimension, self.states[:, [int(i) for i in idx]].copy())
+
+
+def _is_index(i, n: int) -> bool:
+    """Whether i indexes one of n states: an int or numpy integer in range(n); a bool, a float and a
+    negative index are not."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,8 @@ def classical_valid_tablet(rng: np.random.Generator, text: texts.QuantumText, k:
     phase = np.exp(2j * np.pi * rng.random())
     if d == n:
         return phase * text.state(k)
-    comp = linalg.complete_orthonormal(text.states)
+    # the trailing columns of the complete Householder QR of the states span the complement of the dialect
+    comp = np.linalg.qr(text.states, mode="complete")[0][:, n:]
     coeff = rng.standard_normal(comp.shape[1]) + 1j * rng.standard_normal(comp.shape[1])
     outside = comp @ coeff
     mix = rng.random()
@@ -108,17 +109,17 @@ def check_uniform_threshold(seed: int = 0) -> CheckResult:
 
 
 def check_qubit_example(seed: int = 0) -> CheckResult:
-    """Explicit two-qubit procedure: unitarity, action, and swap commutation."""
+    """Explicit two-qubit procedure: unitarity, action, and swap commutation of its 4 x 4 matrix W."""
     text, cert, procedure = procedures.qubit_example()
-    u = procedure.matrix()
+    u = procedure.apply(np.eye(4, dtype=complex))
     defect = float(np.linalg.norm(linalg.dagger(u) @ u - np.eye(4)))
     action = 0.0
     for i in range(2):
         omega = entangled_input(text, i, cert.params.q, cert.params.tablet)
         target = cert.params.phases[i] * np.outer(text.state(i), text.state(i)).ravel()
         action = max(action, float(np.linalg.norm(u @ omega - target)))
-    swap = linalg.swap_operator(2)
-    comm = float(np.linalg.norm(u @ swap - swap @ u))
+    # W P - P W for the factor swap P: W P is W with its columns swapped, P W with its rows
+    comm = float(np.linalg.norm(linalg.swap_factors(u.T, 2).T - linalg.swap_factors(u, 2)))
     overlap = complex(texts.gram(text)[0, 1])
     ok = defect < 1e-12 and action < 1e-10 and comm < 1e-12
     return CheckResult(

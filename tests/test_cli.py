@@ -200,24 +200,37 @@ def test_near_parallel_texts_build_and_clone_their_closed_form(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "text, digest",
+    "text, digest, report_digest",
     [
-        (make_real_uniform(2, 0.5), "8cafec355e0727d2eb1576816736e99102140552cc14bac182de73f30a097031"),
-        (make_real_uniform(3, 0.3), "cffc828baa7d17c2f0ad10998683ecd4a3ecda7d4605e7bc42ce24fbcf5e9944"),
-        (random_text(np.random.default_rng(11), 2, 3), "d44cc38137c5ba3c2a5e9d6d2dae8ed417a76998b34ccb4f56af3dd499d5db88"),
-        (qubit_example()[0], "163383eca7faaa980d4bae2e5fbf63ccb51d31e5b2376540284d645bf084479e"),
+        (make_real_uniform(2, 0.5), "8cafec355e0727d2eb1576816736e99102140552cc14bac182de73f30a097031",
+         "15bf7621cb0ab98e13d1fa98e81ea3739937d8d6bfe6d474d53bf7b03a1c79bb"),
+        (make_real_uniform(3, 0.3), "cffc828baa7d17c2f0ad10998683ecd4a3ecda7d4605e7bc42ce24fbcf5e9944",
+         "7397c59c3350a8feba7584033fa1c839c8d4c6b7f64eb2de3e6e89bef193a312"),
+        (random_text(np.random.default_rng(11), 2, 3),
+         "d44cc38137c5ba3c2a5e9d6d2dae8ed417a76998b34ccb4f56af3dd499d5db88",
+         "a5dd26aa05fbf30e3ca16f8a2230f2fb584ef05e2dc3469b61bed363f55295b8"),
+        (qubit_example()[0], "163383eca7faaa980d4bae2e5fbf63ccb51d31e5b2376540284d645bf084479e",
+         "174e60e1c8203212c0231a639b51945c6234dd9f2d4e53e06e8bd46d01eaa97e"),
     ],
     ids=["uniform-2", "uniform-3", "complex-2-text", "qubit-text"],
 )
-def test_build_procedure_matrix_keeps_its_bits(tmp_path, capsys, text, digest):
-    # the report forms the dense matrix of the factored procedure; the first three digests pin a
-    # frame from one eigh of the Gram matrix of [inputs | clones], and the qubit example's text,
-    # whose stack is rank-deficient, one from the Householder QR of that stack; each family's
-    # dialect frame is the polar factor of its own coordinates
+def test_build_procedure_matrix_keeps_its_bits(tmp_path, capsys, text, digest, report_digest):
+    # the report is the factors V and M of W = I + V (M - I) V^dag; W formed from the parsed factors as the
+    # dense report formed it has the digest of that report's matrix. The first three pin a frame from one
+    # eigh of the Gram matrix of [inputs | clones], and the qubit example's text, whose stack is
+    # rank-deficient, one from the Householder QR of that stack; each family's dialect frame is the polar
+    # factor of its own coordinates
     path = _write_text(tmp_path, "t.json", text)
-    code, report = _run(capsys, ["build-procedure", "--input", path])
-    assert code == 0
-    assert hashlib.sha256(json.dumps(report["matrix"]).encode()).hexdigest() == digest
+    assert main(["build-procedure", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == report_digest
+    report = json.loads(out)
+    assert set(report) == {"dim", "frame", "block", "verification_error"}
+    v, m = (np.array(report[name], dtype=float).view(complex)[..., 0] for name in ("frame", "block"))
+    assert v.shape == (report["dim"], m.shape[0]) and m.shape == (m.shape[0],) * 2
+    w = v @ (m - np.eye(m.shape[0])) @ v.conj().T
+    w += np.eye(report["dim"])
+    assert hashlib.sha256(json.dumps(files._vector(w)).encode()).hexdigest() == digest
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

@@ -762,6 +762,46 @@ def test_illegibility_screen_classical_ok():
     assert report.eigen_sign is None
 
 
+@st.composite
+def uniform_texts_and_images(draw):
+    """A real uniform N-text, N = 3..7, or a phased or rotated image of one: z anywhere in
+    (-1/(N-1), 1) with |z| >= 1e-8, near-parallel with 1 - z down to 2e-9, or within 1e-6 of z0(N)."""
+    n = draw(st.integers(3, 7))
+    kind = draw(st.sampled_from(["across", "near-parallel", "near-z0"]))
+    if kind == "across":
+        z = draw(st.floats(-1.0 / (n - 1), 1.0 - 2e-9, exclude_min=True))
+        assume(abs(z) >= 1e-8)
+    elif kind == "near-parallel":
+        z = 1.0 - 10.0 ** -draw(st.floats(3.0, np.log10(5e8)))
+    else:
+        z = z0_threshold(n) + draw(st.floats(-1e-6, 1e-6))
+    text = make_real_uniform(n, z)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image = draw(st.sampled_from(["as-is", "phased", "rotated"]))
+    if image == "phased":
+        return make_text(n, list((text.states * np.exp(2j * np.pi * rng.random(n))).T))
+    if image == "rotated":
+        return random_equivalence_image(rng, text)[0]
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(uniform_texts_and_images())
+@example(make_real_uniform(3, 1 - 5e-9))
+@example(make_real_uniform(4, 1 - 5e-9))
+@example(make_real_uniform(5, 1 - 5e-9))
+@example(make_real_uniform(5, 1 - 2e-8))
+def test_the_screen_reads_a_uniform_text_as_its_closed_form_range(text):
+    # the reciprocal-Gram eigenvalues of a near-parallel text, about -(1 - z) N - 1 times and N once,
+    # are counted by sign against their rounding margin, not cut relative to the largest
+    screen = illegibility_screen(text)
+    q_range = closed_form_q_range(text)
+    assert screen.illegible == q_range.empty
+    if not q_range.empty:
+        (interval,) = q_range.intervals
+        assert screen.eigen_sign == np.sign(interval.lower + interval.upper)
+
+
 @pytest.mark.parametrize("scale, overlapping", [(1.0, False), (2.0, True)], ids=["at-tol", "above-tol"])
 def test_overlap_at_the_line_gets_one_verdict_everywhere(scale, overlapping):
     # |z01| is DEFAULT_TOL exactly (orthogonal) or twice it (overlapping)

@@ -196,7 +196,8 @@ def test_dict_writers_match_the_per_entry_pairs(monkeypatch):
     procedure = build_procedure(make_real_uniform(3, 0.3), solve_real_uniform_central(3, 0.3))
     expected = [
         {"dimension": 2, "states": [[files._pair(x) for x in text.state(i)] for i in range(2)]},
-        {"dim": 9, "matrix": [[files._pair(x) for x in row] for row in procedure.matrix()]},
+        {"dim": 9, **{name: [[files._pair(x) for x in row] for row in getattr(procedure, name)]
+                      for name in ("frame", "block")}},
     ]
 
     def no_pair(x):

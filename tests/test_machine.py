@@ -19,7 +19,7 @@ from enscribe import (
     swap_operator,
 )
 from enscribe import certificates, entangled_input, input_normalizer, linalg, machine, procedures, solve_real_uniform_central
-from enscribe.errors import ComplexQ, DimensionMismatch, InvalidCertificate, QOutOfRange, QZero, ZOutOfRange
+from enscribe.errors import DimensionMismatch, InvalidCertificate, QOutOfRange, QZero, ZOutOfRange
 
 from helpers import random_classical_text, random_state, random_text, random_unitary
 
@@ -107,13 +107,10 @@ def test_machine_runs_on_valid_certificates_near_certain_success(q, eps):
         assert abs(outcome.fidelity - 1.0) < 1e-12
         has_failure = machine._split(text, cert.params, i).has_failure
         assert has_failure != (i == 0 and eps < 1e-4 and q in (0.5, 1.0, 1e-4))
-        if complex(q).imag:
-            with pytest.raises(ComplexQ):
-                failure_state_symmetry_check(text, cert, i)
-            continue
         report = failure_state_symmetry_check(text, cert, i)
         assert report.parity_ok
-        assert (report.expected_parity is None) == (not has_failure)
+        # complex q has no parity to check, like a state with no failure input
+        assert (report.expected_parity is None) == (not has_failure or bool(complex(q).imag))
 
 
 def test_success_probability_orthogonal_tablet():
@@ -246,12 +243,16 @@ def test_failure_state_orthogonal_tablet_explicit_form():
     assert (report.expected_parity, report.parity_ok) == (-1, True)
 
 
-def test_failure_symmetry_rejects_complex_q():
+NO_PARITY = machine.FailureSymmetryReport(expected_parity=None, parity_ok=True, deviation=0.0)
+
+
+def test_failure_symmetry_of_complex_q_has_no_parity():
+    # the one "no parity" outcome: the report of a state with no failure input
     text = make_text(2, [[1, 0], [0, 1]])
     params = EnscriptionParams.from_q(0.5j, text.state(0), n_states=2)
     cert = certificate(text, params)
-    with pytest.raises(ComplexQ):
-        failure_state_symmetry_check(text, cert, 0)
+    assert machine._split(text, cert.params, 0).has_failure
+    assert failure_state_symmetry_check(text, cert, 0) == NO_PARITY
 
 
 def test_real_q_rule_is_one_line_at_1e_12():
@@ -260,8 +261,9 @@ def test_real_q_rule_is_one_line_at_1e_12():
     cert = certificate(text, EnscriptionParams.from_q(0.5 + 1e-12j, text.state(0), n_states=2))
     assert cert.params.q.imag == 1e-12
     assert machine.real_q_success_probability(text, cert.params, 0) is None
-    with pytest.raises(ComplexQ):
-        failure_state_symmetry_check(text, cert, 0)
+    assert failure_state_symmetry_check(text, cert, 1) == NO_PARITY
+    below = certificate(text, EnscriptionParams.from_q(0.5 + 9e-13j, text.state(0), n_states=2))
+    assert failure_state_symmetry_check(text, below, 1).expected_parity == -1
 
 
 def test_duan_guo_saturation_half_overlap():
@@ -347,7 +349,7 @@ def _oracle_run_clone(text, cert, i, procedure):
 
 def _oracle_failure_state_symmetry_check(text, cert, i):
     if machine.real_q_success_probability(text, cert.params, i) is None:
-        raise ComplexQ("failure-state parity is only defined for real q")
+        return NO_PARITY
     q = complex(cert.params.q)
     prob = _oracle_success_probability(text, cert.params, i)
     if 1.0 - prob <= 1e-12:
@@ -401,15 +403,12 @@ def test_machine_keeps_the_bits_of_the_per_use_oracle(kind):
         new, old = run_clone(text, cert, i, procedure=u), _oracle_run_clone(text, cert, i, u)
         for field in ("index", "p_success", "final_clone", "fidelity"):
             assert _same_bits(getattr(new, field), getattr(old, field)), field
-        certain += not machine._split(text, cert.params, i).has_failure
-        if kind == "complex-q":
-            for check in (failure_state_symmetry_check, _oracle_failure_state_symmetry_check):
-                with pytest.raises(ComplexQ):
-                    check(text, cert, i)
-            continue
+        has_failure = machine._split(text, cert.params, i).has_failure
+        certain += not has_failure
         new, old = failure_state_symmetry_check(text, cert, i), _oracle_failure_state_symmetry_check(text, cert, i)
         assert (new.expected_parity, new.parity_ok) == (old.expected_parity, old.parity_ok)
         assert _same_bits(new.deviation, old.deviation)
+        assert (new.expected_parity is None) == (kind == "complex-q" or not has_failure)
     assert certain == (kind == "certain")
 
 

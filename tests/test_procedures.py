@@ -10,6 +10,7 @@ from enscribe import (
     build_procedure,
     certificate,
     entangled_input,
+    failure_state_symmetry_check,
     feasibility_search,
     gram,
     make_real_uniform,
@@ -34,6 +35,11 @@ from enscribe.verification import random_equivalence_image
 from helpers import random_classical_text, random_state, random_text, random_unitary
 
 
+def _dense(u):
+    """The dense matrix of factors u, as their action on the identity."""
+    return u.apply(np.eye(u.frame.shape[0]))
+
+
 def _unitarity_defect(u):
     return np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
 
@@ -51,7 +57,7 @@ def _dense_reference(u, text, cert):
 def test_correspondence_identity_on_same_lists():
     rng = np.random.default_rng(0)
     vecs = [random_state(rng, 4) for _ in range(2)]
-    w = unitary_from_correspondence(vecs, vecs, 4).matrix()
+    w = _dense(unitary_from_correspondence(vecs, vecs, 4))
     for v in vecs:
         assert np.linalg.norm(w @ v - v) < 1e-12
     assert _unitarity_defect(w) < 1e-12
@@ -60,7 +66,7 @@ def test_correspondence_identity_on_same_lists():
 def test_correspondence_single_pair():
     rng = np.random.default_rng(1)
     u, v = random_state(rng, 2), random_state(rng, 2)
-    w = unitary_from_correspondence([u], [v], 2).matrix()
+    w = _dense(unitary_from_correspondence([u], [v], 2))
     assert np.linalg.norm(w @ u - v) < 1e-12
     assert _unitarity_defect(w) < 1e-12
 
@@ -70,7 +76,7 @@ def test_correspondence_random_isometric_family():
     ins = [random_state(rng, 9) for _ in range(3)]
     rot = random_unitary(rng, 9)
     outs = [rot @ v for v in ins]
-    w = unitary_from_correspondence(ins, outs, 9).matrix()
+    w = _dense(unitary_from_correspondence(ins, outs, 9))
     err = max(np.linalg.norm(w @ a - b) for a, b in zip(ins, outs))
     assert err < 1e-9
     assert _unitarity_defect(w) < 1e-10
@@ -96,7 +102,7 @@ def test_correspondence_gate_is_sharp():
     outs[1] /= np.linalg.norm(outs[1])
     with pytest.raises(GramMismatch):
         unitary_from_correspondence(ins, outs, 3, gram_tol=1e-10)
-    w = unitary_from_correspondence(ins, outs, 3, gram_tol=1e-8).matrix()
+    w = _dense(unitary_from_correspondence(ins, outs, 3, gram_tol=1e-8))
     assert _unitarity_defect(w) < 1e-12
 
 
@@ -136,14 +142,15 @@ def test_correspondence_is_the_identity_plus_a_rotation_on_both_spans(families):
     ins, outs = families
     dim = ins[0].shape[0]
     factors = unitary_from_correspondence(ins, outs, dim)
-    w = factors.matrix()
+    w = _dense(factors)
     assert max(np.linalg.norm(w @ a - b) for a, b in zip(ins, outs)) < 1e-10
     assert _unitarity_defect(w) < 1e-12
     # W x = x for every x orthogonal to both families
     u, sv, _ = np.linalg.svd(np.column_stack(ins + outs))
     outside = u[:, int(np.sum(sv > 1e-10 * sv[0])) :]
     assert np.max(np.abs(w @ outside - outside), initial=0.0) < 1e-12
-    assert np.array_equal(w, unitary_from_correspondence(ins, outs, dim).matrix())
+    again = unitary_from_correspondence(ins, outs, dim)
+    assert np.array_equal(factors.frame, again.frame) and np.array_equal(factors.block, again.block)
     # the factors act as their dense matrix, on one vector and on a column stack
     for x in (ins[0], np.column_stack(ins + outs), outside):
         assert np.linalg.norm(factors.apply(x) - w @ x) <= 1e-14 * np.linalg.norm(x)
@@ -196,14 +203,14 @@ def test_build_procedure_qubit_example_action():
     assert verify_procedure(u, text, cert) < 1e-8
     for i in range(2):
         omega = entangled_input(text, i, cert.params.q, cert.params.tablet)
-        assert np.linalg.norm(u.matrix() @ omega - np.kron(text.state(i), text.state(i))) < 1e-8
+        assert np.linalg.norm(_dense(u) @ omega - np.kron(text.state(i), text.state(i))) < 1e-8
 
 
 def test_build_procedure_uniform_central():
     cert = solve_real_uniform_central(3, 0.3)
     text = make_real_uniform(3, 0.3)
     u = build_procedure(text, cert)
-    assert u.matrix().shape == (9, 9)
+    assert _dense(u).shape == (9, 9)
     assert verify_procedure(u, text, cert) < 1e-8
 
 
@@ -226,7 +233,7 @@ def test_qubit_example_explicit_matrix():
     text, cert, procedure = qubit_example()
     s3 = np.sqrt(3.0) / 2.0
     explicit = np.array([[0.5, 0, 0, s3], [0, 1, 0, 0], [0, 0, 1, 0], [s3, 0, 0, -0.5]], dtype=complex)
-    u = procedure.matrix()
+    u = _dense(procedure)
     assert u.dtype == explicit.dtype and u.tobytes() == explicit.tobytes()
     assert _unitarity_defect(u) < 1e-12
     assert verify_procedure(procedure, text, cert) < 1e-10
@@ -266,8 +273,8 @@ def test_procedure_commutes_with_swap_at_q_one(kind, seed):
     text, cert = _q_one_case(kind, seed)
     assert abs(cert.params.Q - 1.0) < 1e-12
     u = build_procedure(text, cert)
-    s = swap_operator(text.dimension)
-    assert np.linalg.norm(u.matrix() @ s - s @ u.matrix()) < 1e-12
+    s, w = swap_operator(text.dimension), _dense(u)
+    assert np.linalg.norm(w @ s - s @ w) < 1e-12
     assert verify_procedure(u, text, cert) < 1e-8
 
 
@@ -276,7 +283,7 @@ def test_procedures_are_deterministic():
     text = make_real_uniform(3, 0.3)
     a = build_procedure(text, cert)
     b = build_procedure(text, cert)
-    assert np.array_equal(a.matrix(), b.matrix())
+    assert np.array_equal(a.frame, b.frame) and np.array_equal(a.block, b.block)
 
 
 @st.composite
@@ -312,7 +319,7 @@ def test_every_procedure_is_unitary(case):
     text, cert = case
     assert cert.is_valid()
     u = build_procedure(text, cert)
-    assert _unitarity_defect(u.matrix()) < 1e-10
+    assert _unitarity_defect(_dense(u)) < 1e-10
     assert verify_procedure(u, text, cert) < 1e-8
 
 
@@ -330,12 +337,12 @@ def test_built_procedure_is_covariant_under_equivalence(case, seed):
     u = build_procedure(text, cert)
     # (V x V) U (V x V)^dag = I + (V x V) F (M - I) ((V x V) F)^dag: only the frame F moves
     assert verify_procedure(SpanUnitary(vv @ u.frame, u.block), image, moved) < 1e-8
-    expected = vv @ u.matrix() @ vv.conj().T
+    expected = vv @ _dense(u) @ vv.conj().T
     # the unitary nearest the identity is unique unless some clone is orthogonal to every
     # input, as at Q = -1, where the inputs are antisymmetric and the clones symmetric, and
     # on an orthonormal text with the tablet on one of its states
     if cert.params.Q > -0.99 and texts.overlap_graph(text).any():
-        assert np.max(np.abs(build_procedure(image, moved).matrix() - expected)) < 1e-9
+        assert np.max(np.abs(_dense(build_procedure(image, moved)) - expected)) < 1e-9
 
 
 def _bench_size_cases():
@@ -347,7 +354,7 @@ def _bench_size_cases():
 
 def _assert_tight(u, text, cert):
     """verify_procedure on the factors lies within rounding of the dense reference on their matrix."""
-    ref = _dense_reference(u.matrix(), text, cert)
+    ref = _dense_reference(_dense(u), text, cert)
     assert ref - 1e-13 <= verify_procedure(u, text, cert) <= ref + 1e-12
 
 
@@ -367,7 +374,7 @@ def test_verify_procedure_bounds_the_dense_defect(case, seed):
     scale = np.ones(k)
     scale[rng.integers(k)] += 1e-6
     for moved in (SpanUnitary(u.frame, u.block + 1e-6 * block_bump), SpanUnitary(u.frame * scale, u.block)):
-        assert verify_procedure(moved, text, cert) >= _dense_reference(moved.matrix(), text, cert) - 1e-13
+        assert verify_procedure(moved, text, cert) >= _dense_reference(_dense(moved), text, cert) - 1e-13
 
 
 @pytest.mark.parametrize("case", _bench_size_cases(), ids=["uniform-d20", "two-text-d20"])
@@ -386,8 +393,8 @@ def test_verify_procedure_accepts_factors_that_also_rotate_off_the_span():
     k = u.block.shape[0]
     block = np.block([[u.block, np.zeros((k, rot.shape[0]))], [np.zeros((rot.shape[0], k)), rot]])
     uw = SpanUnitary(np.column_stack([u.frame, out]), block)
-    assert np.linalg.norm((uw.matrix() - u.matrix()) @ out) > 1.0
-    assert _dense_reference(uw.matrix(), text, cert) < 1e-13
+    assert np.linalg.norm((_dense(uw) - _dense(u)) @ out) > 1.0
+    assert _dense_reference(_dense(uw), text, cert) < 1e-13
     assert verify_procedure(uw, text, cert) < 1e-13
 
 
@@ -478,3 +485,38 @@ def test_the_broadcast_families_keep_the_bits_of_each_state(n, d, seed, kind):
         literal = (np.outer(psi, tab).ravel() + q * np.outer(tab, psi).ravel()) / np.sqrt(a)
         assert inputs[i].tobytes() == entangled_input(text, i, q, tab).tobytes() == literal.tobytes()
         assert clones[i].tobytes() == (params.phases[i] * np.outer(psi, psi).ravel()).tobytes()
+
+
+def _misfits():
+    """A text with a valid certificate of a text of another shape: fewer states, more states, another dimension."""
+    rng = np.random.default_rng(12)
+    two, wide = random_text(rng, 2, 3), random_text(rng, 2, 4)
+    return {
+        "fewer-states": (make_real_uniform(3, 0.3), solve_two_text(two)),
+        "more-states": (two, solve_real_uniform_central(3, 0.3)),
+        "other-dimension": (wide, solve_two_text(two)),
+    }
+
+
+def _identity(text):
+    return SpanUnitary(np.eye(text.dimension ** 2, dtype=complex)[:, :1], np.eye(1, dtype=complex))
+
+
+@pytest.mark.parametrize("misfit", ["fewer-states", "more-states", "other-dimension"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        build_procedure,
+        lambda text, cert: verify_procedure(_identity(text), text, cert),
+        lambda text, cert: run_clone(text, cert, 0, procedure=_identity(text)),
+        lambda text, cert: failure_state_symmetry_check(text, cert, 0),
+    ],
+    ids=["build_procedure", "verify_procedure", "run_clone", "failure_state_symmetry_check"],
+)
+def test_a_certificate_of_another_shape_is_an_invalid_certificate(call, misfit):
+    # one shape check runs first, so no entry point returns a result for the wrong states or raises a
+    # broadcast error
+    text, cert = _misfits()[misfit]
+    assert cert.is_valid()
+    with pytest.raises(InvalidCertificate, match="does not fit a text of"):
+        call(text, cert)

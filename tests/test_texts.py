@@ -63,6 +63,24 @@ def test_subtext_rejects_an_index_set_that_names_no_text(indices):
         text.subtext(indices)
 
 
+@pytest.mark.parametrize("index", [1.0, True, -1, 3, np.float64(1.0), np.bool_(True)],
+                         ids=["float", "bool", "negative", "past-the-end", "numpy-float", "numpy-bool"])
+def test_state_takes_the_index_rule_of_subtext(index):
+    # 1.0 used to raise IndexError and True to return a (d, 1, N) array
+    text = make_real_uniform(3, 0.3)
+    with pytest.raises(DimensionMismatch, match="state index"):
+        text.state(index)
+    with pytest.raises(DimensionMismatch, match="subtext indices"):
+        text.subtext([index])
+
+
+@pytest.mark.parametrize("index", [1, np.int64(1), np.int32(1)], ids=["int", "numpy-int64", "numpy-int32"])
+def test_state_takes_integers_of_any_width(index):
+    text = make_real_uniform(3, 0.3)
+    assert text.state(index).tobytes() == text.states[:, 1].tobytes()
+    assert text.subtext([index]).states.tobytes() == text.states[:, [1]].tobytes()
+
+
 def test_qubit_pair_overlap():
     text = _qubit_pair()
     assert abs(gram(text)[0, 1] - Z_QUBIT) < 1e-12
@@ -346,9 +364,10 @@ def _correspondence_pairing(text_a, text_b):
         sources = [text_b.state(k) for k in perm]
         targets = [np.conj(beta[i]) * text_a.state(i) for i in range(n)]
         try:
-            v = unitary_from_correspondence(sources, targets, text_a.dimension, gram_tol=tol).matrix()
+            w = unitary_from_correspondence(sources, targets, text_a.dimension, gram_tol=tol)
         except GramMismatch:
             return None
+        v = w.apply(np.eye(text_a.dimension))
         err = max(np.linalg.norm(text_a.state(i) - beta[i] * v @ text_b.state(k)) for i, k in enumerate(perm))
         return (tuple(perm), beta.copy()) if err < tol * 10 else None
 

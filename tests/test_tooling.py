@@ -94,6 +94,8 @@ UNREAD_PUBLIC_FUNCTIONS = {
     ("files", "save_certificate"),  # file API: the writer of what load_certificate reads
     ("engine", "solve_real_uniform_central"),  # bench setup and screen op: the closed form of a canonical text
     ("machine", "controlled_swap"),  # bench probe: the dense operator's size in procedure-clone
+    ("linalg", "swap_operator"),  # bench probe: the dense swap's time in procedure-clone
+    ("linalg", "complete_orthonormal"),  # bench probe: basis completion's time in procedure-clone
     ("texts", "equivalent"),  # bench screen op: the equivalence search on rotated texts
 }
 
@@ -235,16 +237,16 @@ def test_clone_path_builds_product_vectors_without_kron():
     assert [module for module, _ in _functions_where(kron) if module in ("certificates", "procedures", "machine")] == []
 
 
-def test_only_the_reports_form_a_dense_procedure():
-    # a procedure is built, verified and run on its factors; only the build-procedure report
-    # and the check whose subject is the qubit example's explicit matrix form a matrix
+def test_no_package_function_forms_a_dense_procedure():
+    # a procedure is built, verified, run and reported as its factors, and no package path reads a
+    # dense doubled-space operator: the three helpers that form one are read only by the package's
+    # re-exports, for the benchmark
     def forms(node):
-        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "matrix"
+        return isinstance(node, ast.Attribute) and node.attr == "matrix"
 
-    assert set(_functions_where(forms)) == {
-        ("files", "procedure_to_dict"),
-        ("verification", "check_qubit_example"),
-    }
+    assert _functions_where(forms) == []
+    dense = {"swap_operator", "complete_orthonormal", "controlled_swap"}
+    assert set(_functions_where(_loads(dense))) == {("__init__", None)}
 
 
 def test_only_procedures_builds_a_unitary_from_a_correspondence():
@@ -356,21 +358,19 @@ def test_default_tol_readers_are_listed():
     assert set(_functions_where(reads)) == DEFAULT_TOL_READERS
 
 
-# the functions that call linalg.numerical_rank, each on singular values: the screen passes the
-# eigenvalue moduli of a Hermitian matrix, which are its singular values, and every other reader an SVD's
+# the functions that call linalg.numerical_rank, each on an SVD's singular values; the screen counts
+# the signs of its eigenvalues against a rounding margin instead
 NUMERICAL_RANK_READERS = {
     ("linalg", "_polar"),
     ("linalg", "dialect_frame"),
     ("texts", "classify"),
     ("engine", "q_minus_one_dependence_check"),
-    ("engine", "illegibility_screen"),
 }
 
 
 def test_numerical_rank_readers_are_listed_and_cut_no_gram_eigenvalue():
     assert set(_functions_where(_loads({"numerical_rank"}))) == NUMERICAL_RANK_READERS
-    eigen = set(_functions_where(_loads({"eigh", "eigvalsh"}))) & NUMERICAL_RANK_READERS
-    assert eigen == {("engine", "illegibility_screen")}
+    assert set(_functions_where(_loads({"eigh", "eigvalsh"}))) & NUMERICAL_RANK_READERS == set()
 
 
 def test_only_the_phase_gauge_reads_imaginary_parts_in_engine():
