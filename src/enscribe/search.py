@@ -17,14 +17,19 @@ parameters.
 Each start is one Levenberg-Marquardt solve of the pairwise mismatches with
 their analytic Jacobian: Wirtinger rows over the overlaps, built on Python
 scalars from the residual's own evaluation, times a fixed direction matrix.
-Starts run in a fixed, seeded order and the first whose largest residual
-beats certificates.ACCEPT_TOL wins, so the search stops there. When no start
+Its model is Gauss-Newton's J^T J, save that a joint Q's diagonal entry is
+the larger of that and the sine's own curvature term -tan(x_q) g_q: the sine
+is flat on |Q| = 1, where most starts on an infeasible text end, and there
+Gauss-Newton alone sees no curvature along the Q coordinate. Starts run in a
+fixed, seeded order and the first whose largest residual beats
+certificates.ACCEPT_TOL wins, so the search stops there. When no start
 certifies, every start runs and the result records the earliest start whose
 residual is within FLOOR_TIE (relative) of the smallest: a floor over the
 starts, not a proof of infeasibility. A 2-text at a fixed Q has its floor in
 closed form (engine.two_text_gap_floor), so there the search also stops at
-the first start within FLOOR_TIE of it, and a floor it stops at is the exact
-minimum to that precision. FLOOR_TIE is also the precision to
+the first start within FLOOR_TIE of it, or within the mismatch's rounding
+near the gap's ends, and a floor it stops at is the exact minimum to that
+precision. FLOOR_TIE is also the precision to
 which a start polishes its floor: it stops once a step gains less than that
 share of its squared residual. At a fixed Q = 0 the residual does not depend
 on the tablet, so start 0 alone runs. The starts are coordinate vectors:
@@ -37,7 +42,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import islice
-from math import cos, sin, sqrt
+from math import cos, sin, sqrt, tan
 
 import numpy as np
 
@@ -57,6 +62,7 @@ log = logging.getLogger("enscribe")
 
 FLOOR_TOL = 1e-4
 FLOOR_TIE = 1e-10
+MAX_EVALUATIONS = 100  # objective evaluations one start may spend
 
 
 @dataclass(frozen=True)
@@ -88,13 +94,16 @@ class SearchResult:
     of it, so the floor moves with the stop rules of _minimize_start; it is
     evidence of infeasibility, not a lower bound. The exception is a 2-text
     at a fixed Q other than 0 and -1: the search stops at a start within
-    FLOOR_TIE of engine.two_text_gap_floor, so a floor it stops at is the
-    exact minimum to FLOOR_TIE. ``evaluations`` counts the
+    FLOOR_TIE of engine.two_text_gap_floor, or within the mismatch's
+    rounding of it (feasibility_search), so a floor it stops at is the exact
+    minimum to that precision. ``evaluations`` counts the
     objective evaluations of every start run: 1 at a fixed Q = 0, where
     start 0 alone runs and makes no step.
-    A floor whose winning start ran into the 100-evaluation cap near |Q| = 1,
-    where a joint Q coordinate barely moves, carries rounding noise of up to
-    1e-4 relative: a 1e-15 relative change of the Jacobian moves it there.
+    A joint floor whose winning start ends on |Q| = 1, where the sine that
+    carries Q is flat, is reproducible to rounding: a 1e-15 relative jitter
+    of the Jacobian moves the floor of make_real_uniform(3, -0.319) by at
+    most 1e-10 relative (measured: 3e-14; 8e-5 while the model had no
+    curvature along Q there and such starts ran into the evaluation cap).
     """
 
     certificate: EnscriptionCertificate | None
@@ -173,7 +182,12 @@ class _Objective:
         return linalg.unit(t)
 
     def q_of(self, x, fixed_q: float | None) -> float:
-        """Fixed Q, or sin of the joint coordinate: smooth, so no stretch of x is flat in Q."""
+        """Fixed Q, or sin of the joint coordinate, clamped below at -1 + 1e-9.
+
+        The sine keeps a joint Q in [-1, 1] with no bound to hit, but its slope
+        cos x vanishes at Q = +-1, and below the clamp Q does not move with x at
+        all; _normal_equations gives the model the sine's curvature there.
+        """
         if fixed_q is not None:
             return fixed_q
         return max(-1.0 + 1e-9, sin(float(x[-1])))
@@ -304,25 +318,41 @@ def _starts_for(obj: _Objective, options: SearchOptions, joint_q: bool):
         yield vec
 
 
+def _normal_equations(obj: _Objective, x: np.ndarray, r: np.ndarray, fixed_q: float | None):
+    """Gradient g = J^T r and model matrix at x: J^T J, with a joint Q entry that sees the sine's curvature.
+
+    A joint Q = sin x_q moves r by r_Q cos x_q, which vanishes on |Q| = 1, so
+    J^T J is flat there along x_q. The chart's own share of the Hessian,
+    sum_i r_i d^2 r_i / dx_q^2 through sin'' = -sin, is -sin x_q sum_i r_i r_Q,i
+    = -tan(x_q) g_q, exact on |Q| = 1; the (Q, Q) entry takes the larger of it
+    and Gauss-Newton's J_q^T J_q. On the clamp near Q = -1, g_q is 0.
+    """
+    jac = obj.jacobian(x, fixed_q)
+    grad, normal = jac.T @ r, jac.T @ jac
+    if fixed_q is None:
+        normal[-1, -1] = max(normal[-1, -1], -tan(float(x[-1])) * float(grad[-1]))
+    return grad, normal
+
+
 def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
     """One Levenberg-Marquardt solve from x0; returns its end point and objective evaluations.
 
-    Each step solves (J^T J + mu I) h = -J^T r with the analytic Jacobian; mu
-    follows Nielsen's gain-ratio rule, floored at 1e-12 of J^T J's largest
+    Each step solves (N + mu I) h = -J^T r with the analytic Jacobian, where N
+    is J^T J with a joint Q's curvature entry (_normal_equations); mu
+    follows Nielsen's gain-ratio rule, floored at 1e-12 of N's largest
     diagonal entry. A trial with a larger or non-finite residual is rejected.
     The solve stops when the gradient vanishes, an accepted step gains less
     than FLOOR_TIE of the squared residual (the precision to which the search
-    ties floors), a rejected step has shrunk to nothing, or 100 residuals have
-    been evaluated. The scalar bookkeeping runs on Python floats.
+    ties floors), a rejected step has shrunk to nothing, or MAX_EVALUATIONS
+    residuals have been evaluated. The scalar bookkeeping runs on Python floats.
     """
     x = np.array(x0, dtype=float)
     r = obj.residual_vector(x, fixed_q)
     cost, evals = float(r @ r), 1
-    jac = obj.jacobian(x, fixed_q)
-    grad, normal = jac.T @ r, jac.T @ jac
+    grad, normal = _normal_equations(obj, x, r, fixed_q)
     mu, nu = 1e-3 * float(np.max(np.diagonal(normal), initial=0.0)), 2.0
     eye = np.eye(len(x))
-    while evals < 100 and abs(grad).max() > 1e-15:
+    while evals < MAX_EVALUATIONS and abs(grad).max() > 1e-15:
         step = np.linalg.solve(normal + mu * eye, -grad)
         trial = x + step
         r_trial = obj.residual_vector(trial, fixed_q)
@@ -339,9 +369,8 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
             x, r, cost = trial, r_trial, cost_trial
             if small:
                 break
-            jac = obj.jacobian(x, fixed_q)
-            grad, normal = jac.T @ r, jac.T @ jac
-            # the tablet's radial direction leaves J^T J singular, so mu has a floor
+            grad, normal = _normal_equations(obj, x, r, fixed_q)
+            # the tablet's radial direction leaves N singular, so mu has a floor
             mu = max(mu, 1e-12 * float(normal.diagonal().max()))
         else:
             mu, nu = mu * nu, nu * 2.0
@@ -371,10 +400,18 @@ def feasibility_search(
     "infeasible" (above the floor tolerance) or "inconclusive" (in between).
     At any other fixed Q a 2-text's floor is known exactly
     (engine.two_text_gap_floor), so the search also ends at the first start
-    whose residual is within FLOOR_TIE of it; the winner rule is unchanged.
+    whose residual is within FLOOR_TIE (relative) of it, or within
+    8 eps (1 + |Q|) absolute; the winner rule is unchanged. The absolute
+    margin is the mismatch's own rounding: m = z + Q a0 conj(a1)
+    - s0 s1 e^{i theta} z^2 has terms of modulus at most 1, |Q| and 1 + |Q|
+    (|a_i| <= 1, s_i^2 <= 1 + |Q|), so about eight roundings, each off by
+    eps/2 of what it rounds, move it by up to 8 eps (1 + |Q|), which also
+    covers the closed form's own rounding. Near the gap's ends, where the
+    floor is below about 1e-6, that is more than FLOOR_TIE of the floor.
     Each search logs one debug line on the ``enscribe`` logger: the starts
-    run, the evaluations, the verdict and the best residual, and for a
-    fixed-Q 2-text the closed-form floor.
+    run, the evaluations, the starts that ran into the MAX_EVALUATIONS cap,
+    the verdict and the best residual, and for a fixed-Q 2-text the
+    closed-form floor.
     """
     options = options or SearchOptions()
     joint = big_q is None
@@ -383,7 +420,7 @@ def feasibility_search(
         canonical_q(fixed_q)  # raises QOutOfRange outside [-1, 1], NaN included
     obj = _Objective(text)
     starts = _starts_for(obj, options, joint)
-    closed_floor = None
+    closed_floor, stop_at = None, -np.inf
     if fixed_q == 0.0:
         # w = z and every s_i = 1, so the residual does not see the tablet and
         # every start would end on start 0's floor
@@ -393,12 +430,14 @@ def feasibility_search(
     elif not joint and obj.n == 2:
         # a fixed-Q 2-text's floor is known in closed form, so a start that reaches it ends the search
         closed_floor = engine.two_text_gap_floor(abs(obj.pairs[0][2]), fixed_q)
-    ends, evals = [], 0
+        stop_at = closed_floor * (1.0 + FLOOR_TIE) + 8.0 * np.finfo(float).eps * (1.0 + abs(fixed_q))
+    ends, evals, capped = [], 0, 0
     for x0 in starts:
         x, used = _minimize_start(obj, x0, fixed_q)
         evals += used
+        capped += used >= MAX_EVALUATIONS
         ends.append((*obj.max_residual(x, fixed_q), x))
-        if ends[-1][0] < ACCEPT_TOL or (closed_floor is not None and ends[-1][0] <= closed_floor * (1.0 + FLOOR_TIE)):
+        if ends[-1][0] < ACCEPT_TOL or ends[-1][0] <= stop_at:
             break
     floor = min((res for res, _, _ in ends), default=np.inf)
     if floor == np.inf:
@@ -417,6 +456,6 @@ def feasibility_search(
             verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
             result = SearchResult(None, best_res, verdict, qv, best_idx, evals)
     note = "" if closed_floor is None else f", closed-form floor {closed_floor:.3e}"
-    log.debug("feasibility_search: starts run %d, evaluations %d, verdict %s, best_residual %.3e%s",
-              len(ends), evals, result.verdict, result.best_residual, note)
+    log.debug("feasibility_search: starts run %d, evaluations %d, capped starts %d, verdict %s, best_residual %.3e%s",
+              len(ends), evals, capped, result.verdict, result.best_residual, note)
     return result

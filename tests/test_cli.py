@@ -559,7 +559,8 @@ def test_search_at_q_zero_logs_its_single_start_only_at_debug(tmp_path):
     assert loud.stdout == quiet.stdout
     floor = json.loads(quiet.stdout)["best_residual"]
     assert loud.stderr.splitlines() == [
-        f"DEBUG enscribe: feasibility_search: starts run 1, evaluations 1, verdict infeasible, best_residual {floor:.3e}"
+        "DEBUG enscribe: feasibility_search: starts run 1, evaluations 1, capped starts 0, verdict infeasible, "
+        f"best_residual {floor:.3e}"
     ]
 
 

@@ -105,6 +105,20 @@ def _count_starts(monkeypatch) -> list:
     return calls
 
 
+def _record_ends(monkeypatch) -> list:
+    """Record the end Q and evaluations of every call of search._minimize_start; returns the record."""
+    ends = []
+    original = search._minimize_start
+
+    def recorded(obj, x0, fixed_q):
+        x, evals = original(obj, x0, fixed_q)
+        ends.append((obj.q_of(x, fixed_q), evals))
+        return x, evals
+
+    monkeypatch.setattr(search, "_minimize_start", recorded)
+    return ends
+
+
 @pytest.mark.parametrize("big_q", [-1.5, float("nan"), 2.0])
 def test_out_of_range_fixed_q_raises_before_any_start(monkeypatch, big_q):
     calls = _count_starts(monkeypatch)
@@ -149,6 +163,19 @@ def test_gap_two_text_search_stops_at_its_closed_form_floor(monkeypatch):
     assert (result.best_residual, result.Q, result.start_index) == (floors[winner], 0.3, winner)
 
 
+@pytest.mark.parametrize("offset", [1e-6, 1e-7])
+def test_gap_two_text_search_stops_at_its_floor_near_the_gap_end(monkeypatch, offset):
+    # the floor (about 3e-7 and 3e-8) times FLOOR_TIE is below a mismatch's rounding, so the stop
+    # also takes the absolute margin 8 eps (1 + |Q|)
+    big_q = 0.8 - offset
+    floor = two_text_gap_floor(0.5, big_q)
+    calls = _count_starts(monkeypatch)
+    result = feasibility_search(make_real_uniform(2, 0.5), big_q, SearchOptions(seed=0, starts=64))
+    assert len(calls) == 1
+    assert result.start_index == 0
+    assert abs(result.best_residual - floor) <= search.FLOOR_TIE * floor + 8.0 * np.finfo(float).eps * (1.0 + big_q)
+
+
 @pytest.mark.parametrize("seed, n, d", [(0, 2, 2), (1, 2, 3), (2, 3, 3), (3, 4, 3)])
 def test_search_at_q_zero_runs_start_zero_alone(monkeypatch, seed, n, d):
     # at Q = 0 the residual does not see the tablet: every start ends on start 0's floor, bit for bit
@@ -185,6 +212,36 @@ def test_infeasible_floors_stay_flat(text, big_q, floor, rel):
     assert abs(result.best_residual - floor) <= rel * floor
 
 
+def test_joint_floor_survives_rounding_of_the_jacobian(monkeypatch):
+    # a winning start that ends on |Q| = 1 used to run into the evaluation cap there, and a
+    # 1e-15 relative jitter of the Jacobian moved this floor by up to 8.4e-5 relative
+    text, options = make_real_uniform(3, -0.31908484394177206), SearchOptions(seed=2114292751, starts=64)
+    floor = feasibility_search(text, None, options).best_residual
+    original = search._Objective.jacobian
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+
+        def jittered(self, x, fixed_q, rng=rng):
+            jac = original(self, x, fixed_q)
+            return jac * (1.0 + 1e-15 * rng.standard_normal(jac.shape))
+
+        monkeypatch.setattr(search._Objective, "jacobian", jittered)
+        moved = feasibility_search(text, None, options).best_residual
+        assert abs(moved - floor) <= 1e-10 * floor
+
+
+@pytest.mark.parametrize("z", [-0.35, -0.30, -0.27])
+def test_joint_starts_that_end_on_unit_q_do_not_hit_the_cap(monkeypatch, z):
+    # Q = sin x_q is flat in x_q on |Q| = 1; the chart's curvature term keeps the model's (Q, Q)
+    # entry from vanishing there
+    ends = _record_ends(monkeypatch)
+    result = feasibility_search(make_real_uniform(3, z), None, SearchOptions(seed=0, starts=64))
+    assert result.verdict == "infeasible" and len(ends) == 64
+    on_unit_q = [evals for big_q, evals in ends if abs(abs(big_q) - 1.0) <= 1e-6]
+    assert on_unit_q
+    assert max(on_unit_q) < search.MAX_EVALUATIONS
+
+
 def test_search_logs_one_debug_line(caplog, monkeypatch):
     # cli.main stops the enscribe logger from propagating to the root, where caplog listens
     monkeypatch.setattr(logging.getLogger("enscribe"), "propagate", True)
@@ -197,7 +254,8 @@ def test_search_logs_one_debug_line(caplog, monkeypatch):
     (record,) = caplog.records
     assert record.name == "enscribe" and record.levelno == logging.DEBUG
     assert record.getMessage() == (
-        f"feasibility_search: starts run 1, evaluations 1, verdict infeasible, best_residual {result.best_residual:.3e}"
+        "feasibility_search: starts run 1, evaluations 1, capped starts 0, verdict infeasible, "
+        f"best_residual {result.best_residual:.3e}"
     )
 
 
@@ -207,8 +265,22 @@ def test_fixed_q_two_text_search_logs_its_closed_form_floor(caplog, monkeypatch)
     result = feasibility_search(make_real_uniform(2, 0.5), 0.3, SearchOptions(seed=0, starts=64))
     (record,) = caplog.records
     assert record.getMessage() == (
-        f"feasibility_search: starts run 1, evaluations {result.evaluations}, verdict infeasible, "
-        f"best_residual {result.best_residual:.3e}, closed-form floor {5 / 32:.3e}"
+        f"feasibility_search: starts run 1, evaluations {result.evaluations}, capped starts 0, "
+        f"verdict infeasible, best_residual {result.best_residual:.3e}, closed-form floor {5 / 32:.3e}"
+    )
+
+
+def test_search_debug_line_counts_the_starts_that_hit_the_cap(caplog, monkeypatch):
+    monkeypatch.setattr(logging.getLogger("enscribe"), "propagate", True)
+    caplog.set_level(logging.DEBUG, logger="enscribe")
+    ends = _record_ends(monkeypatch)
+    result = feasibility_search(make_real_uniform(3, -0.35), None, SearchOptions(seed=0, starts=64))
+    capped = sum(evals == search.MAX_EVALUATIONS for _, evals in ends)
+    assert capped > 0
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        f"feasibility_search: starts run 64, evaluations {result.evaluations}, capped starts {capped}, "
+        f"verdict infeasible, best_residual {result.best_residual:.3e}"
     )
 
 
