@@ -30,11 +30,19 @@ closed form (engine.two_text_gap_floor), so there the search also stops at
 the first start within FLOOR_TIE of it, or within the mismatch's rounding
 near the gap's ends, and a floor it stops at is the exact minimum to that
 precision. FLOOR_TIE is also the precision to
-which a start polishes its floor: it stops once a step gains less than that
-share of its squared residual. At a fixed Q = 0 the residual does not depend
-on the tablet, so start 0 alone runs. The starts are coordinate vectors:
-the text's states, their normalized sum, then seeded random vectors. The
-tablet is built once, for the winning start.
+which a fixed-Q start polishes its floor: it stops once a step gains less
+than that share of its squared residual. At a fixed Q = 0 the residual does
+not depend on the tablet, so start 0 alone runs. The starts are coordinate
+vectors: the text's states, their normalized sum, then seeded random
+vectors. The tablet is built once, for the winning start or solve.
+
+A joint search (Q free) that no start certifies ends with the Q problem:
+it minimizes over Q the fixed-Q floor F(Q), the largest mismatch at the end
+of one fixed-Q solve warm-started from the nearest Q already solved, by a
+coarse grid and golden-section search (_minimize_over_q). Its least F is the
+joint floor, so a joint start no longer polishes its own: it stops once a
+step gains less than JOINT_STOP of its squared residual, which a start
+converging on a certificate never does.
 """
 
 from __future__ import annotations
@@ -62,7 +70,11 @@ log = logging.getLogger("enscribe")
 
 FLOOR_TOL = 1e-4
 FLOOR_TIE = 1e-10
-MAX_EVALUATIONS = 100  # objective evaluations one start may spend
+MAX_EVALUATIONS = 100  # objective evaluations one solve (a start or a Q-problem solve) may spend
+JOINT_STOP = 1e-3  # a joint start stops once a step gains less than this share of its squared residual
+JOINT_Q_MIN = -1.0 + 1e-9  # where q_of clamps a joint Q, and where the Q problem's grid begins
+Q_GRID = 9  # points of the Q problem's coarse scan, evenly spaced on [JOINT_Q_MIN, 1]
+Q_TOL = 1e-2  # width to which golden-section search narrows the Q problem's bracket
 
 
 @dataclass(frozen=True)
@@ -87,23 +99,29 @@ class SearchOptions:
 class SearchResult:
     """Best certificate found (if any) together with the attained residual.
 
-    Without a certificate, ``best_residual`` is the search's floor: the
-    largest pair mismatch at the winning start's end point, within FLOOR_TIE
-    of its minimum over the starts. Each start minimizes the sum of squares,
-    not the largest mismatch, and stops once a step gains less than FLOOR_TIE
-    of it, so the floor moves with the stop rules of _minimize_start; it is
-    evidence of infeasibility, not a lower bound. The exception is a 2-text
-    at a fixed Q other than 0 and -1: the search stops at a start within
-    FLOOR_TIE of engine.two_text_gap_floor, or within the mismatch's
-    rounding of it (feasibility_search), so a floor it stops at is the exact
-    minimum to that precision. ``evaluations`` counts the
-    objective evaluations of every start run: 1 at a fixed Q = 0, where
-    start 0 alone runs and makes no step.
-    A joint floor whose winning start ends on |Q| = 1, where the sine that
-    carries Q is flat, is reproducible to rounding: a 1e-15 relative jitter
-    of the Jacobian moves the floor of make_real_uniform(3, -0.319) by at
-    most 1e-10 relative (measured: 3e-14; 8e-5 while the model had no
-    curvature along Q there and such starts ran into the evaluation cap).
+    Without a certificate at a fixed Q, ``best_residual`` is the search's
+    floor: the largest pair mismatch at the winning start's end point, within
+    FLOOR_TIE of its minimum over the starts. Each start minimizes the sum of
+    squares, not the largest mismatch, and stops once a step gains less than
+    FLOOR_TIE of it, so the floor moves with the stop rules of
+    _minimize_start; it is evidence of infeasibility, not a lower bound. The
+    exception is a 2-text at a fixed Q other than 0 and -1: the search stops
+    at a start within FLOOR_TIE of engine.two_text_gap_floor, or within the
+    mismatch's rounding of it (feasibility_search), so a floor it stops at is
+    the exact minimum to that precision.
+
+    A joint floor is the least fixed-Q floor F(Q) that the Q problem found:
+    ``Q`` is where it found it, and ``start_index`` is the joint start that
+    seeded the problem (the earliest within FLOOR_TIE of the smallest joint
+    end), also when a fixed-Q solve of the problem certifies. F is a floor of
+    the same kind as a fixed-Q search's, so it too is evidence and not a
+    lower bound, and the Q problem narrows Q to Q_TOL only. A 1e-15 relative
+    jitter of the Jacobian moves the joint floor of
+    make_real_uniform(3, -0.319) by at most 1e-10 relative (measured: 8e-15).
+
+    ``evaluations`` counts the objective evaluations of every start and every
+    solve of the Q problem: 1 at a fixed Q = 0, where start 0 alone runs and
+    makes no step.
     """
 
     certificate: EnscriptionCertificate | None
@@ -182,7 +200,7 @@ class _Objective:
         return linalg.unit(t)
 
     def q_of(self, x, fixed_q: float | None) -> float:
-        """Fixed Q, or sin of the joint coordinate, clamped below at -1 + 1e-9.
+        """Fixed Q, or sin of the joint coordinate, clamped below at JOINT_Q_MIN = -1 + 1e-9.
 
         The sine keeps a joint Q in [-1, 1] with no bound to hit, but its slope
         cos x vanishes at Q = +-1, and below the clamp Q does not move with x at
@@ -190,7 +208,7 @@ class _Objective:
         """
         if fixed_q is not None:
             return fixed_q
-        return max(-1.0 + 1e-9, sin(float(x[-1])))
+        return max(JOINT_Q_MIN, sin(float(x[-1])))
 
     def _mismatches(self, ov: list, big_q: float) -> tuple:
         """Pair mismatches at overlaps ov and Q, with the forest phases that eliminate them
@@ -342,10 +360,14 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
     follows Nielsen's gain-ratio rule, floored at 1e-12 of N's largest
     diagonal entry. A trial with a larger or non-finite residual is rejected.
     The solve stops when the gradient vanishes, an accepted step gains less
-    than FLOOR_TIE of the squared residual (the precision to which the search
-    ties floors), a rejected step has shrunk to nothing, or MAX_EVALUATIONS
-    residuals have been evaluated. The scalar bookkeeping runs on Python floats.
+    than a share of the squared residual, a rejected step has shrunk to
+    nothing, or MAX_EVALUATIONS residuals have been evaluated. The share is
+    FLOOR_TIE at a fixed Q, the precision to which the search ties floors, and
+    JOINT_STOP for a joint Q, whose floor the search does not report: a joint
+    start either certifies, which it does at full gain, or seeds the Q
+    problem (_minimize_over_q). The scalar bookkeeping runs on Python floats.
     """
+    stop = FLOOR_TIE if fixed_q is not None else JOINT_STOP
     x = np.array(x0, dtype=float)
     r = obj.residual_vector(x, fixed_q)
     cost, evals = float(r @ r), 1
@@ -365,7 +387,7 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
             gain = min((cost - cost_trial) / predicted, 1.0) if predicted > 0.0 else 1.0
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
-            small = cost - cost_trial <= FLOOR_TIE * cost
+            small = cost - cost_trial <= stop * cost
             x, r, cost = trial, r_trial, cost_trial
             if small:
                 break
@@ -377,6 +399,60 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
             if not sqrt(float(step @ step)) > 1e-15 * sqrt(float(x @ x)):
                 break
     return x, evals
+
+
+def _q_problem(q0: float):
+    """Yield the Qs of the outer problem in order; each yield takes back F at the Q it gave.
+
+    First q0, the seeding joint end's Q; then Q_GRID points evenly spaced on
+    [JOINT_Q_MIN, 1]; then golden-section search between the neighbours of
+    the best grid point, until the bracket is at most Q_TOL wide.
+    """
+    yield q0
+    grid = np.linspace(JOINT_Q_MIN, 1.0, Q_GRID).tolist()
+    floors = []
+    for q in grid:
+        floors.append((yield q))
+    i = floors.index(min(floors))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, Q_GRID - 1)]
+    shrink = (sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc = yield c
+    fd = yield d
+    while hi - lo > Q_TOL:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = yield c
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = yield d
+
+
+def _minimize_over_q(obj: _Objective, q0: float, x0: np.ndarray):
+    """Minimize over Q the fixed-Q floor F(Q), seeded by a joint start's end at (q0, tablet x0).
+
+    F(Q) is the largest mismatch at the end of one fixed-Q _minimize_start,
+    warm-started from the end tablet of the nearest Q already solved (x0 for
+    the first). The Qs come from _q_problem, and a solve below ACCEPT_TOL ends
+    the problem. Returns the least F's (F, phases, tablet, Q) and the
+    evaluations of each solve.
+    """
+    points, solved, uses = _q_problem(q0), [], []
+    big_q = next(points)
+    while True:
+        warm = min(solved, key=lambda end: abs(end[3] - big_q))[2] if solved else x0
+        x, used = _minimize_start(obj, warm, big_q)
+        uses.append(used)
+        solved.append((*obj.max_residual(x, big_q), x, big_q))
+        if solved[-1][0] < ACCEPT_TOL:
+            break
+        try:
+            big_q = points.send(solved[-1][0])
+        except StopIteration:
+            break
+    return min(solved, key=lambda end: end[0]), uses
 
 
 def feasibility_search(
@@ -398,6 +474,14 @@ def feasibility_search(
     and the result records the earliest start whose floor is within FLOOR_TIE
     (relative) of the smallest, with that start's floor and Q, and verdict
     "infeasible" (above the floor tolerance) or "inconclusive" (in between).
+    A joint search goes on from that start to the Q problem
+    (_minimize_over_q): F(Q) at the start's Q, then at Q_GRID points evenly
+    spaced on [JOINT_Q_MIN, 1], then by golden-section search between the
+    best grid point's neighbours down to a bracket Q_TOL wide. The first
+    fixed-Q solve below ACCEPT_TOL certifies at its Q; otherwise the least F
+    and its Q are the result's floor and Q, with the seeding start's index.
+    So ``options.starts`` counts joint starts only; the Q problem's solves
+    come on top.
     At any other fixed Q a 2-text's floor is known exactly
     (engine.two_text_gap_floor), so the search also ends at the first start
     whose residual is within FLOOR_TIE (relative) of it, or within
@@ -409,9 +493,10 @@ def feasibility_search(
     covers the closed form's own rounding. Near the gap's ends, where the
     floor is below about 1e-6, that is more than FLOOR_TIE of the floor.
     Each search logs one debug line on the ``enscribe`` logger: the starts
-    run, the evaluations, the starts that ran into the MAX_EVALUATIONS cap,
-    the verdict and the best residual, and for a fixed-Q 2-text the
-    closed-form floor.
+    run, the evaluations, the solves (starts and the Q problem's) that ran
+    into the MAX_EVALUATIONS cap, the verdict and the best residual; for a
+    fixed-Q 2-text the closed-form floor, and for a joint search the Q
+    problem's solves, their evaluations and the result's Q.
     """
     options = options or SearchOptions()
     joint = big_q is None
@@ -431,7 +516,7 @@ def feasibility_search(
         # a fixed-Q 2-text's floor is known in closed form, so a start that reaches it ends the search
         closed_floor = engine.two_text_gap_floor(abs(obj.pairs[0][2]), fixed_q)
         stop_at = closed_floor * (1.0 + FLOOR_TIE) + 8.0 * np.finfo(float).eps * (1.0 + abs(fixed_q))
-    ends, evals, capped = [], 0, 0
+    ends, evals, capped, q_uses = [], 0, 0, []
     for x0 in starts:
         x, used = _minimize_start(obj, x0, fixed_q)
         evals += used
@@ -449,6 +534,10 @@ def feasibility_search(
             best_idx = next(i for i, (res, _, _) in enumerate(ends) if res - floor <= FLOOR_TIE * floor)
         best_res, best_phases, best_x = ends[best_idx]
         qv = obj.q_of(best_x, fixed_q)
+        if joint and best_res >= ACCEPT_TOL:
+            (best_res, best_phases, best_x, qv), q_uses = _minimize_over_q(obj, qv, best_x[: obj.size])
+            evals += sum(q_uses)
+            capped += sum(used >= MAX_EVALUATIONS for used in q_uses)
         if best_res < ACCEPT_TOL:
             params = EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases)
             result = SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
@@ -456,6 +545,8 @@ def feasibility_search(
             verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
             result = SearchResult(None, best_res, verdict, qv, best_idx, evals)
     note = "" if closed_floor is None else f", closed-form floor {closed_floor:.3e}"
-    log.debug("feasibility_search: starts run %d, evaluations %d, capped starts %d, verdict %s, best_residual %.3e%s",
+    if joint:
+        note = f", Q problem solves {len(q_uses)}, evaluations {sum(q_uses)}, Q {result.Q}"
+    log.debug("feasibility_search: starts run %d, evaluations %d, capped solves %d, verdict %s, best_residual %.3e%s",
               len(ends), evals, capped, result.verdict, result.best_residual, note)
     return result

@@ -13,11 +13,13 @@ from enscribe import (
     gram,
     make_real_uniform,
     make_text,
+    q_range_real_uniform,
     q_range_two_text,
     search,
     two_text_gap_floor,
     verification,
     verify_procedure,
+    z0_threshold,
 )
 from enscribe.certificates import DEGENERATE_TOL, EnscriptionParams, enscription_residual, input_normalizer
 from enscribe.errors import EnscribeError, QOutOfRange
@@ -106,13 +108,14 @@ def _count_starts(monkeypatch) -> list:
 
 
 def _record_ends(monkeypatch) -> list:
-    """Record the end Q and evaluations of every call of search._minimize_start; returns the record."""
+    """Record the fixed Q (None for a joint start), end Q, evaluations and largest mismatch of every
+    call of search._minimize_start; returns the record."""
     ends = []
     original = search._minimize_start
 
     def recorded(obj, x0, fixed_q):
         x, evals = original(obj, x0, fixed_q)
-        ends.append((obj.q_of(x, fixed_q), evals))
+        ends.append((fixed_q, obj.q_of(x, fixed_q), evals, obj.max_residual(x, fixed_q)[0]))
         return x, evals
 
     monkeypatch.setattr(search, "_minimize_start", recorded)
@@ -194,22 +197,24 @@ def test_search_at_q_zero_runs_start_zero_alone(monkeypatch, seed, n, d):
 
 
 @pytest.mark.parametrize(
-    "text, big_q, floor, rel",
+    "text, big_q, floor, rel, below",
     [
         # Q = 0.3 lies in the gap (-0.444, 0.8) of this 2-text
-        (make_real_uniform(2, 0.5), 0.3, 0.15625000000000022, 1e-10),
-        # a joint floor whose winning start runs into the cap near Q = -1 carries rounding noise
-        (make_real_uniform(3, -0.35), None, 0.3066990948838057, 1e-4),
-        (verification.random_nonclassical_text(np.random.default_rng(5), 3, 3), 0.0, 0.5128078274224358, 0.0),
+        (make_real_uniform(2, 0.5), 0.3, 0.15625000000000022, 1e-10, np.inf),
+        # the least fixed-Q floor of the Q problem, at Q = -0.306; the best of the 64 joint starts
+        # read 0.3066990948838057, on Q = -1, before the Q problem existed
+        (make_real_uniform(3, -0.35), None, 0.2408696678570491, 1e-4, 0.3066990948838057),
+        (verification.random_nonclassical_text(np.random.default_rng(5), 3, 3), 0.0, 0.5128078274224358, 0.0, np.inf),
     ],
     ids=["gap", "joint", "q0"],
 )
-def test_infeasible_floors_stay_flat(text, big_q, floor, rel):
-    # floors of a 64-start search before the LM stop was raised to FLOOR_TIE; a stop rule may
-    # move them by its rounding noise only
+def test_infeasible_floors_stay_flat(text, big_q, floor, rel, below):
+    # fixed-Q floors of a 64-start search before the LM stop was raised to FLOOR_TIE; a stop rule
+    # may move them by its rounding noise only
     result = feasibility_search(text, big_q, SearchOptions(seed=0, starts=64))
     assert result.verdict == "infeasible"
     assert abs(result.best_residual - floor) <= rel * floor
+    assert result.best_residual < below
 
 
 def test_joint_floor_survives_rounding_of_the_jacobian(monkeypatch):
@@ -236,10 +241,60 @@ def test_joint_starts_that_end_on_unit_q_do_not_hit_the_cap(monkeypatch, z):
     # entry from vanishing there
     ends = _record_ends(monkeypatch)
     result = feasibility_search(make_real_uniform(3, z), None, SearchOptions(seed=0, starts=64))
-    assert result.verdict == "infeasible" and len(ends) == 64
-    on_unit_q = [evals for big_q, evals in ends if abs(abs(big_q) - 1.0) <= 1e-6]
+    starts = [(big_q, evals) for fixed_q, big_q, evals, _ in ends if fixed_q is None]
+    assert result.verdict == "infeasible" and len(starts) == 64
+    on_unit_q = [evals for big_q, evals in starts if abs(abs(big_q) - 1.0) <= 1e-6]
     assert on_unit_q
     assert max(on_unit_q) < search.MAX_EVALUATIONS
+
+
+@pytest.mark.parametrize("z, starts_floor", [(-0.35, 0.3066990058451018), (-0.30, 0.2209796291529016)])
+def test_joint_floor_is_the_least_floor_of_its_q_problem_inside_the_range(monkeypatch, z, starts_floor):
+    # starts_floor is what the best of the 64 joint starts read, on |Q| = 1, before the Q problem
+    ends = _record_ends(monkeypatch)
+    result = feasibility_search(make_real_uniform(3, z), None, SearchOptions(seed=0, starts=64))
+    solves = [(floor, big_q) for fixed_q, big_q, _, floor in ends if fixed_q is not None]
+    assert len(solves) > search.Q_GRID
+    assert (result.best_residual, result.Q) == min(solves, key=lambda solve: solve[0])
+    assert result.verdict == "infeasible"
+    assert result.best_residual < starts_floor
+    assert -1.0 + 1e-6 < result.Q < 1.0 - 1e-6
+
+
+def test_joint_floor_that_falls_to_q_one_is_the_fixed_q_floor_there():
+    # the fixed-Q floor of this text falls all the way to Q = 1, so the Q problem ends on its grid's
+    # last point; the joint starts read 0.1508607957422936 there, 4e-7 relative lower, because the
+    # largest mismatch is not what a solve minimizes
+    result = feasibility_search(make_real_uniform(3, -0.27), None, SearchOptions(seed=0, starts=64))
+    assert result.verdict == "infeasible"
+    assert result.Q == 1.0
+    assert abs(result.best_residual - 0.1508607957422936) <= 1e-6 * 0.1508607957422936
+
+
+def test_joint_search_certifies_through_its_q_problem(monkeypatch):
+    # every joint start stalls where it starts, so only a fixed-Q solve of the Q problem can certify
+    original = search._minimize_start
+
+    def stall_joint(obj, x0, fixed_q):
+        return (x0, 0) if fixed_q is None else original(obj, x0, fixed_q)
+
+    monkeypatch.setattr(search, "_minimize_start", stall_joint)
+    result = feasibility_search(make_real_uniform(3, 0.3), None, SearchOptions(seed=0, starts=16))
+    assert result.feasible
+    assert result.certificate.residual < search.ACCEPT_TOL
+    assert q_range_real_uniform(3, 0.3).contains(result.Q)
+
+
+@pytest.mark.parametrize("n, evaluations", [(3, (11, 12, 14, 15)), (4, (9, 10, 11, 13))])
+def test_joint_search_certifies_near_z0_as_it_did_before_the_coarse_joint_stop(n, evaluations):
+    # the start index and evaluations a 16-start joint search had while joint starts stopped at FLOOR_TIE
+    for offset, evals in zip((1e-2, 1e-3, 1e-4, 1e-5), evaluations):
+        for seed in range(3):
+            text = make_real_uniform(n, z0_threshold(n) + offset)
+            image = verification.random_equivalence_image(np.random.default_rng(seed), text)[0]
+            result = feasibility_search(image, None, SearchOptions(seed=0, starts=16))
+            assert result.feasible
+            assert (result.start_index, result.evaluations) == (0, evals)
 
 
 def test_search_logs_one_debug_line(caplog, monkeypatch):
@@ -254,7 +309,7 @@ def test_search_logs_one_debug_line(caplog, monkeypatch):
     (record,) = caplog.records
     assert record.name == "enscribe" and record.levelno == logging.DEBUG
     assert record.getMessage() == (
-        "feasibility_search: starts run 1, evaluations 1, capped starts 0, verdict infeasible, "
+        "feasibility_search: starts run 1, evaluations 1, capped solves 0, verdict infeasible, "
         f"best_residual {result.best_residual:.3e}"
     )
 
@@ -265,7 +320,7 @@ def test_fixed_q_two_text_search_logs_its_closed_form_floor(caplog, monkeypatch)
     result = feasibility_search(make_real_uniform(2, 0.5), 0.3, SearchOptions(seed=0, starts=64))
     (record,) = caplog.records
     assert record.getMessage() == (
-        f"feasibility_search: starts run 1, evaluations {result.evaluations}, capped starts 0, "
+        f"feasibility_search: starts run 1, evaluations {result.evaluations}, capped solves 0, "
         f"verdict infeasible, best_residual {result.best_residual:.3e}, closed-form floor {5 / 32:.3e}"
     )
 
@@ -275,12 +330,14 @@ def test_search_debug_line_counts_the_starts_that_hit_the_cap(caplog, monkeypatc
     caplog.set_level(logging.DEBUG, logger="enscribe")
     ends = _record_ends(monkeypatch)
     result = feasibility_search(make_real_uniform(3, -0.35), None, SearchOptions(seed=0, starts=64))
-    capped = sum(evals == search.MAX_EVALUATIONS for _, evals in ends)
+    capped = sum(evals == search.MAX_EVALUATIONS for _, _, evals, _ in ends)
+    solves = [evals for fixed_q, _, evals, _ in ends if fixed_q is not None]
     assert capped > 0
     (record,) = caplog.records
     assert record.getMessage() == (
-        f"feasibility_search: starts run 64, evaluations {result.evaluations}, capped starts {capped}, "
-        f"verdict infeasible, best_residual {result.best_residual:.3e}"
+        f"feasibility_search: starts run 64, evaluations {result.evaluations}, capped solves {capped}, "
+        f"verdict infeasible, best_residual {result.best_residual:.3e}, "
+        f"Q problem solves {len(solves)}, evaluations {sum(solves)}, Q {result.Q}"
     )
 
 
