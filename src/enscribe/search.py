@@ -29,7 +29,8 @@ starts, not a proof of infeasibility. A 2-text at a fixed Q has its floor in
 closed form (engine.two_text_gap_floor), so there the search also stops at
 the first start within FLOOR_TIE of it, or within the mismatch's rounding
 near the gap's ends, and a floor it stops at is the exact minimum to that
-precision. FLOOR_TIE is also the precision to
+precision; where the floor is above that rounding, no start certifies, even
+below ACCEPT_TOL. FLOOR_TIE is also the precision to
 which a fixed-Q start polishes its floor: it stops once a step gains less
 than that share of its squared residual. At a fixed Q = 0 the residual does
 not depend on the tablet, so start 0 alone runs. The starts are coordinate
@@ -40,9 +41,10 @@ A joint search (Q free) that no start certifies ends with the Q problem:
 it minimizes over Q the fixed-Q floor F(Q), the largest mismatch at the end
 of one fixed-Q solve warm-started from the nearest Q already solved, by a
 coarse grid and golden-section search (_minimize_over_q). Its least F is the
-joint floor, so a joint start no longer polishes its own: it stops once a
-step gains less than JOINT_STOP of its squared residual, which a start
-converging on a certificate never does.
+joint floor, so a joint start no longer polishes its own: it stalls at an
+accepted step that gains at most JOINT_STOP of its squared residual when the
+undamped Gauss-Newton model at its new point predicts at most that share
+too (_minimize_start).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ log = logging.getLogger("enscribe")
 FLOOR_TOL = 1e-4
 FLOOR_TIE = 1e-10
 MAX_EVALUATIONS = 100  # objective evaluations one solve (a start or a Q-problem solve) may spend
-JOINT_STOP = 1e-3  # a joint start stops once a step gains less than this share of its squared residual
+JOINT_STOP = 0.25  # share of its squared residual at which a joint start stalls (_minimize_start)
 JOINT_Q_MIN = -1.0 + 1e-9  # where q_of clamps a joint Q, and where the Q problem's grid begins
 Q_GRID = 9  # points of the Q problem's coarse scan, evenly spaced on [JOINT_Q_MIN, 1]
 Q_TOL = 1e-2  # width to which golden-section search narrows the Q problem's bracket
@@ -117,7 +119,8 @@ class SearchResult:
     the same kind as a fixed-Q search's, so it too is evidence and not a
     lower bound, and the Q problem narrows Q to Q_TOL only. A 1e-15 relative
     jitter of the Jacobian moves the joint floor of
-    make_real_uniform(3, -0.319) by at most 1e-10 relative (measured: 8e-15).
+    make_real_uniform(3, -0.319) by at most 1e-10 relative (measured over 20
+    jitters: 1.5e-15).
 
     ``evaluations`` counts the objective evaluations of every start and every
     solve of the Q problem: 1 at a fixed Q = 0, where start 0 alone runs and
@@ -353,19 +356,25 @@ def _normal_equations(obj: _Objective, x: np.ndarray, r: np.ndarray, fixed_q: fl
 
 
 def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
-    """One Levenberg-Marquardt solve from x0; returns its end point and objective evaluations.
+    """One Levenberg-Marquardt solve from x0; returns its end point, objective evaluations and
+    whether the joint stall ended it.
 
     Each step solves (N + mu I) h = -J^T r with the analytic Jacobian, where N
     is J^T J with a joint Q's curvature entry (_normal_equations); mu
     follows Nielsen's gain-ratio rule, floored at 1e-12 of N's largest
     diagonal entry. A trial with a larger or non-finite residual is rejected.
-    The solve stops when the gradient vanishes, an accepted step gains less
-    than a share of the squared residual, a rejected step has shrunk to
-    nothing, or MAX_EVALUATIONS residuals have been evaluated. The share is
-    FLOOR_TIE at a fixed Q, the precision to which the search ties floors, and
-    JOINT_STOP for a joint Q, whose floor the search does not report: a joint
-    start either certifies, which it does at full gain, or seeds the Q
-    problem (_minimize_over_q). The scalar bookkeeping runs on Python floats.
+    The solve stops when the gradient vanishes, a rejected step has shrunk to
+    nothing, MAX_EVALUATIONS residuals have been evaluated, or an accepted
+    step gains at most a share of the squared residual: FLOOR_TIE at a fixed
+    Q, the precision to which the search ties floors. A joint start, whose
+    floor the search does not report, either certifies or seeds the Q problem
+    (_minimize_over_q); it stalls at an accepted step that gains at most
+    JOINT_STOP when the undamped model at the new point, (N + floor I) h =
+    -J^T r, predicts a gain g^T (N + floor I)^-1 g of at most JOINT_STOP too.
+    A small gain alone is no stall: a start on its way to a certificate can
+    gain a few percent a step for tens of steps while mu holds it back, and
+    there the undamped model predicts nearly its whole squared residual away.
+    The scalar bookkeeping runs on Python floats.
     """
     stop = FLOOR_TIE if fixed_q is not None else JOINT_STOP
     x = np.array(x0, dtype=float)
@@ -389,16 +398,21 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
             nu = 2.0
             small = cost - cost_trial <= stop * cost
             x, r, cost = trial, r_trial, cost_trial
-            if small:
+            if small and fixed_q is not None:
                 break
             grad, normal = _normal_equations(obj, x, r, fixed_q)
             # the tablet's radial direction leaves N singular, so mu has a floor
-            mu = max(mu, 1e-12 * float(normal.diagonal().max()))
+            floor = 1e-12 * float(normal.diagonal().max())
+            mu = max(mu, floor)
+            # a joint start stalls where the undamped model, too, says a step gains at most JOINT_STOP
+            # (floor is 0 only where J, and so the gradient, is 0, and the loop ends anyway)
+            if small and floor > 0.0 and float(grad @ np.linalg.solve(normal + floor * eye, grad)) <= stop * cost:
+                return x, evals, True
         else:
             mu, nu = mu * nu, nu * 2.0
             if not sqrt(float(step @ step)) > 1e-15 * sqrt(float(x @ x)):
                 break
-    return x, evals
+    return x, evals, False
 
 
 def _q_problem(q0: float):
@@ -443,7 +457,7 @@ def _minimize_over_q(obj: _Objective, q0: float, x0: np.ndarray):
     big_q = next(points)
     while True:
         warm = min(solved, key=lambda end: abs(end[3] - big_q))[2] if solved else x0
-        x, used = _minimize_start(obj, warm, big_q)
+        x, used, _ = _minimize_start(obj, warm, big_q)
         uses.append(used)
         solved.append((*obj.max_residual(x, big_q), x, big_q))
         if solved[-1][0] < ACCEPT_TOL:
@@ -485,7 +499,10 @@ def feasibility_search(
     At any other fixed Q a 2-text's floor is known exactly
     (engine.two_text_gap_floor), so the search also ends at the first start
     whose residual is within FLOOR_TIE (relative) of it, or within
-    8 eps (1 + |Q|) absolute; the winner rule is unchanged. The absolute
+    8 eps (1 + |Q|) absolute; the winner rule is unchanged. Where that floor
+    exceeds 8 eps (1 + |Q|), Q lies outside the closed-form range, so no
+    residual certifies there, not even one below ACCEPT_TOL near the gap's
+    ends: the search reports the floor ("inconclusive" below FLOOR_TOL). The absolute
     margin is the mismatch's own rounding: m = z + Q a0 conj(a1)
     - s0 s1 e^{i theta} z^2 has terms of modulus at most 1, |Q| and 1 + |Q|
     (|a_i| <= 1, s_i^2 <= 1 + |Q|), so about eight roundings, each off by
@@ -495,8 +512,9 @@ def feasibility_search(
     Each search logs one debug line on the ``enscribe`` logger: the starts
     run, the evaluations, the solves (starts and the Q problem's) that ran
     into the MAX_EVALUATIONS cap, the verdict and the best residual; for a
-    fixed-Q 2-text the closed-form floor, and for a joint search the Q
-    problem's solves, their evaluations and the result's Q.
+    fixed-Q 2-text the closed-form floor, and for a joint search the starts
+    that stalled (_minimize_start), the Q problem's solves, their evaluations
+    and the result's Q.
     """
     options = options or SearchOptions()
     joint = big_q is None
@@ -505,7 +523,7 @@ def feasibility_search(
         canonical_q(fixed_q)  # raises QOutOfRange outside [-1, 1], NaN included
     obj = _Objective(text)
     starts = _starts_for(obj, options, joint)
-    closed_floor, stop_at = None, -np.inf
+    closed_floor, stop_at, certify_below = None, -np.inf, ACCEPT_TOL
     if fixed_q == 0.0:
         # w = z and every s_i = 1, so the residual does not see the tablet and
         # every start would end on start 0's floor
@@ -515,21 +533,26 @@ def feasibility_search(
     elif not joint and obj.n == 2:
         # a fixed-Q 2-text's floor is known in closed form, so a start that reaches it ends the search
         closed_floor = engine.two_text_gap_floor(abs(obj.pairs[0][2]), fixed_q)
-        stop_at = closed_floor * (1.0 + FLOOR_TIE) + 8.0 * np.finfo(float).eps * (1.0 + abs(fixed_q))
-    ends, evals, capped, q_uses = [], 0, 0, []
+        rounding = 8.0 * np.finfo(float).eps * (1.0 + abs(fixed_q))
+        stop_at = closed_floor * (1.0 + FLOOR_TIE) + rounding
+        if closed_floor > rounding:
+            # Q is outside the closed-form range, so no residual, however small, certifies
+            certify_below = 0.0
+    ends, evals, capped, stalled, q_uses = [], 0, 0, 0, []
     for x0 in starts:
-        x, used = _minimize_start(obj, x0, fixed_q)
+        x, used, stall = _minimize_start(obj, x0, fixed_q)
         evals += used
         capped += used >= MAX_EVALUATIONS
+        stalled += stall
         ends.append((*obj.max_residual(x, fixed_q), x))
-        if ends[-1][0] < ACCEPT_TOL or ends[-1][0] <= stop_at:
+        if ends[-1][0] < certify_below or ends[-1][0] <= stop_at:
             break
     floor = min((res for res, _, _ in ends), default=np.inf)
     if floor == np.inf:
         result = SearchResult(None, np.inf, "infeasible", fixed_q, -1, evals)
     else:
         best_idx = len(ends) - 1
-        if floor >= ACCEPT_TOL:
+        if floor >= certify_below:
             # many starts end on one floor up to rounding, so a tie goes to the earliest
             best_idx = next(i for i, (res, _, _) in enumerate(ends) if res - floor <= FLOOR_TIE * floor)
         best_res, best_phases, best_x = ends[best_idx]
@@ -538,7 +561,7 @@ def feasibility_search(
             (best_res, best_phases, best_x, qv), q_uses = _minimize_over_q(obj, qv, best_x[: obj.size])
             evals += sum(q_uses)
             capped += sum(used >= MAX_EVALUATIONS for used in q_uses)
-        if best_res < ACCEPT_TOL:
+        if best_res < certify_below:
             params = EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases)
             result = SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
         else:
@@ -546,7 +569,7 @@ def feasibility_search(
             result = SearchResult(None, best_res, verdict, qv, best_idx, evals)
     note = "" if closed_floor is None else f", closed-form floor {closed_floor:.3e}"
     if joint:
-        note = f", Q problem solves {len(q_uses)}, evaluations {sum(q_uses)}, Q {result.Q}"
+        note = f", stalled starts {stalled}, Q problem solves {len(q_uses)}, evaluations {sum(q_uses)}, Q {result.Q}"
     log.debug("feasibility_search: starts run %d, evaluations %d, capped solves %d, verdict %s, best_residual %.3e%s",
               len(ends), evals, capped, result.verdict, result.best_residual, note)
     return result

@@ -353,6 +353,18 @@ def test_solve_out_of_range_q_reports_a_reason(tmp_path, capsys, big_q):
     assert report["reason"].startswith("entanglement parameter must lie in [-1, 1]")
 
 
+@pytest.mark.parametrize("big_q", [0.8 - 1e-8, -4 / 9 + 1e-8])
+def test_solve_just_outside_the_two_text_range_agrees_with_qrange(tmp_path, capsys, big_q):
+    # the gap floor there is below ACCEPT_TOL, yet the search no longer certifies what qrange excludes
+    path = _write_text(tmp_path, "t.json", make_real_uniform(2, 0.5))
+    code, report = _run(capsys, ["qrange", "--input", path])
+    assert code == 0
+    assert not any(iv["lower"] <= big_q <= iv["upper"] for iv in report["intervals"])
+    code, report = _run(capsys, ["solve", "--input", path, "--q", repr(big_q)])
+    assert code == 2
+    assert (report["feasible"], report["verdict"]) == (False, "inconclusive")
+
+
 @pytest.mark.parametrize("command", ["classify", "solve"])
 def test_text_with_nan_component_is_an_error(tmp_path, capsys, command):
     path = tmp_path / "nan.json"

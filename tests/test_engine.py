@@ -649,13 +649,14 @@ def test_thin_extension_errors():
 
 def test_direct_sum_lift_keeps_both_states_of_a_near_parallel_two_text():
     # the pair's second singular value, 7.1e-5, stays above the rank cut, so classify and dialect_frame
-    # both count two dimensions: the lift projects the tablet onto both, and keeps the subtext's residual
+    # both count two dimensions: the lift projects the tablet onto both, and keeps the subtext's residual;
+    # Q = -0.75 lies inside the pair's closed-form range (-1, -0.5] U {1}, where a search may certify
     block = make_real_uniform(2, 1 - 5e-9)
     assert classify(block).dialect_dimension == 2
     text = make_text(3, [np.append(block.state(0), 0), np.append(block.state(1), 0), [0, 0, 1]])
     sub = text.subtext((0, 1))
     assert dialect_frame(sub.states).shape == (3, 2)
-    cert = search.feasibility_search(sub, 0.9, search.SearchOptions(seed=1, starts=16)).certificate
+    cert = search.feasibility_search(sub, -0.75, search.SearchOptions(seed=1, starts=16)).certificate
     assert cert is not None and cert.residual > 1e-9
     lifted = direct_sum_enscribe(text, cert, (0, 1))
     assert abs(lifted.residual - cert.residual) < 1e-12
