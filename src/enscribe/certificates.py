@@ -219,23 +219,24 @@ def residual_via_states(text: texts.QuantumText, params: EnscriptionParams) -> f
     return float(worst)
 
 
-def tablet_flavor(text: texts.QuantumText, tablet) -> str:
-    """central / weakly_central / quasi_central / generic tablet-overlap pattern.
+def tablet_flavor(text: texts.QuantumText, params: EnscriptionParams) -> str:
+    """central / weakly_central / quasi_central / generic pattern of the phase-aware overlaps.
 
-    Overlaps (or their moduli) that agree within FLAVOR_TOL count as equal.
+    The pattern reads c_i = conj(alpha_i) <psi_i|t>, with t the tablet and
+    alpha_i the output phases: a text-equivalence image moves the raw overlaps
+    by each state's phase, and the phases of its parameters by the same, so c
+    only permutes and takes one common phase, and the flavor is covariant.
+    Values (or their moduli) that agree within FLAVOR_TOL count as equal.
     """
-    tab = np.asarray(tablet, dtype=complex).reshape(-1)
-    ov = linalg.dagger(text.states) @ tab
-    n = ov.shape[0]
-    if n <= 1:
+    c = params.phases.conj() * (linalg.dagger(text.states) @ params.tablet)
+    n = c.shape[0]
+    if np.max(np.abs(c - c[0])) < FLAVOR_TOL:
         return "central"
-    if np.max(np.abs(ov - ov[0])) < FLAVOR_TOL:
-        return "central"
-    if np.max(np.abs(np.abs(ov) - np.abs(ov[0]))) < FLAVOR_TOL:
+    if np.max(np.abs(np.abs(c) - np.abs(c[0]))) < FLAVOR_TOL:
         return "weakly_central"
     if n >= 3:
         for k in range(n):
-            rest = np.delete(ov, k)
+            rest = np.delete(c, k)
             if np.max(np.abs(rest - rest[0])) < FLAVOR_TOL:
                 return "quasi_central"
     return "generic"
@@ -246,7 +247,7 @@ def certificate(text: texts.QuantumText, params: EnscriptionParams) -> Enscripti
     return EnscriptionCertificate(
         params=params,
         residual=enscription_residual(text, params),
-        flavor=tablet_flavor(text, params.tablet),
+        flavor=tablet_flavor(text, params),
     )
 
 

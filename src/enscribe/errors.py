@@ -10,7 +10,12 @@ class DimensionMismatch(EnscribeError):
 
 
 class SizeMismatch(EnscribeError):
-    """Two texts differ in state count or language dimension."""
+    """A state count outside a solver's domain, or two texts that differ in size.
+
+    Most raises are of the first kind: the 2-text solver given N != 2, or a
+    uniform formula given fewer states than it is defined for. texts.equivalent
+    raises the second, for texts of different state count or language dimension.
+    """
 
 
 class NonUnitState(EnscribeError):

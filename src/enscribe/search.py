@@ -40,11 +40,12 @@ vectors. The tablet is built once, for the winning start or solve.
 A joint search (Q free) that no start certifies ends with the Q problem:
 it minimizes over Q the fixed-Q floor F(Q), the largest mismatch at the end
 of one fixed-Q solve warm-started from the nearest Q already solved, by a
-coarse grid and golden-section search (_minimize_over_q). Its least F is the
-joint floor, so a joint start no longer polishes its own: it stalls at an
-accepted step that gains at most JOINT_STOP of its squared residual when the
-undamped Gauss-Newton model at its new point predicts at most that share
-too (_minimize_start).
+coarse grid and golden-section search (_minimize_over_q). The problem always
+runs to its end, and its least F decides: below ACCEPT_TOL it certifies at
+its Q, otherwise it is the joint floor. So a joint start does not polish its
+own floor: it stalls at an accepted step that gains at most JOINT_STOP of its
+squared residual when the undamped Gauss-Newton model at its new point
+predicts at most that share too (_minimize_start).
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ class SearchResult:
     A joint floor is the least fixed-Q floor F(Q) that the Q problem found:
     ``Q`` is where it found it, and ``start_index`` is the joint start that
     seeded the problem (the earliest within FLOOR_TIE of the smallest joint
-    end), also when a fixed-Q solve of the problem certifies. F is a floor of
+    end), also when that least F certifies. A certified result's ``Q`` is its
+    certificate's, q_to_Q(canonical_q(Q)), which can differ from the Q that
+    was searched by a few ulp. F is a floor of
     the same kind as a fixed-Q search's, so it too is evidence and not a
     lower bound, and the Q problem narrows Q to Q_TOL only. A 1e-15 relative
     jitter of the Jacobian moves the joint floor of
@@ -415,57 +418,43 @@ def _minimize_start(obj: _Objective, x0: np.ndarray, fixed_q: float | None):
     return x, evals, False
 
 
-def _q_problem(q0: float):
-    """Yield the Qs of the outer problem in order; each yield takes back F at the Q it gave.
-
-    First q0, the seeding joint end's Q; then Q_GRID points evenly spaced on
-    [JOINT_Q_MIN, 1]; then golden-section search between the neighbours of
-    the best grid point, until the bracket is at most Q_TOL wide.
-    """
-    yield q0
-    grid = np.linspace(JOINT_Q_MIN, 1.0, Q_GRID).tolist()
-    floors = []
-    for q in grid:
-        floors.append((yield q))
-    i = floors.index(min(floors))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, Q_GRID - 1)]
-    shrink = (sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fc = yield c
-    fd = yield d
-    while hi - lo > Q_TOL:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - shrink * (hi - lo)
-            fc = yield c
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + shrink * (hi - lo)
-            fd = yield d
-
-
 def _minimize_over_q(obj: _Objective, q0: float, x0: np.ndarray):
     """Minimize over Q the fixed-Q floor F(Q), seeded by a joint start's end at (q0, tablet x0).
 
     F(Q) is the largest mismatch at the end of one fixed-Q _minimize_start,
     warm-started from the end tablet of the nearest Q already solved (x0 for
-    the first). The Qs come from _q_problem, and a solve below ACCEPT_TOL ends
-    the problem. Returns the least F's (F, phases, tablet, Q) and the
-    evaluations of each solve.
+    the first). F is computed at q0, then at Q_GRID points evenly spaced on
+    [JOINT_Q_MIN, 1], then by golden-section search between the neighbours of
+    the best grid point, until the bracket is at most Q_TOL wide. The problem
+    always runs to its end. Returns the least F's (F, phases, tablet, Q) and
+    the evaluations of each solve.
     """
-    points, solved, uses = _q_problem(q0), [], []
-    big_q = next(points)
-    while True:
+    solved, uses = [], []
+
+    def floor_at(big_q: float) -> float:
         warm = min(solved, key=lambda end: abs(end[3] - big_q))[2] if solved else x0
         x, used, _ = _minimize_start(obj, warm, big_q)
         uses.append(used)
         solved.append((*obj.max_residual(x, big_q), x, big_q))
-        if solved[-1][0] < ACCEPT_TOL:
-            break
-        try:
-            big_q = points.send(solved[-1][0])
-        except StopIteration:
-            break
+        return solved[-1][0]
+
+    floor_at(q0)
+    grid = np.linspace(JOINT_Q_MIN, 1.0, Q_GRID).tolist()
+    floors = [floor_at(q) for q in grid]
+    i = floors.index(min(floors))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, Q_GRID - 1)]
+    shrink = (sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = floor_at(c), floor_at(d)
+    while hi - lo > Q_TOL:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = floor_at(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = floor_at(d)
     return min(solved, key=lambda end: end[0]), uses
 
 
@@ -484,16 +473,18 @@ def feasibility_search(
     there the residual does not depend on the tablet.
 
     The first start, in start order, whose residual beats ACCEPT_TOL
-    ends the search and yields the certificate. Otherwise every start runs
+    ends the search and gives the certificate. Otherwise every start runs
     and the result records the earliest start whose floor is within FLOOR_TIE
     (relative) of the smallest, with that start's floor and Q, and verdict
     "infeasible" (above the floor tolerance) or "inconclusive" (in between).
     A joint search goes on from that start to the Q problem
     (_minimize_over_q): F(Q) at the start's Q, then at Q_GRID points evenly
     spaced on [JOINT_Q_MIN, 1], then by golden-section search between the
-    best grid point's neighbours down to a bracket Q_TOL wide. The first
-    fixed-Q solve below ACCEPT_TOL certifies at its Q; otherwise the least F
-    and its Q are the result's floor and Q, with the seeding start's index.
+    best grid point's neighbours down to a bracket Q_TOL wide. The problem
+    always runs to its end, and the least F certifies at its Q if it is below
+    ACCEPT_TOL; otherwise the least F and its Q are the result's floor and Q,
+    with the seeding start's index. A certified result reports its
+    certificate's Q.
     So ``options.starts`` counts joint starts only; the Q problem's solves
     come on top.
     At any other fixed Q a 2-text's floor is known exactly
@@ -562,8 +553,8 @@ def feasibility_search(
             evals += sum(q_uses)
             capped += sum(used >= MAX_EVALUATIONS for used in q_uses)
         if best_res < certify_below:
-            params = EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases)
-            result = SearchResult(certificate(text, params), best_res, "feasible", qv, best_idx, evals)
+            cert = certificate(text, EnscriptionParams.from_Q(qv, obj.tablet(best_x), phases=best_phases))
+            result = SearchResult(cert, best_res, "feasible", cert.params.Q, best_idx, evals)
         else:
             verdict = "infeasible" if best_res > FLOOR_TOL else "inconclusive"
             result = SearchResult(None, best_res, verdict, qv, best_idx, evals)

@@ -17,8 +17,8 @@ from enscribe import (
     residual_via_states,
     tablet_flavor,
 )
-from enscribe.certificates import entangled_inputs
-from enscribe.engine import q_minus_one_dependence_check
+from enscribe.certificates import ACCEPT_TOL, entangled_inputs
+from enscribe.engine import q_minus_one_dependence_check, solve_closed_form, z0_threshold
 from enscribe.errors import DegenerateNormalizer, DimensionMismatch, EnscribeError, QOutOfRange
 from enscribe.verification import random_equivalence_image
 
@@ -183,20 +183,50 @@ def test_params_reject_non_finite_values(q, tablet, phases, error):
 
 def test_tablet_flavors():
     text = make_real_uniform(3, 0.4)
-    assert tablet_flavor(text, np.ones(3) / np.sqrt(3)) == "central"
+
+    def flavor(tablet, phases=None):
+        return tablet_flavor(text, EnscriptionParams.from_Q(0.5, tablet, phases=phases, n_states=3))
+
+    assert flavor(np.ones(3) / np.sqrt(3)) == "central"
     rng = np.random.default_rng(7)
-    assert tablet_flavor(text, random_state(rng, 3)) == "generic"
+    assert flavor(random_state(rng, 3)) == "generic"
     # equal moduli but phase-twisted overlaps
     g = gram(text)
-    weights = np.linalg.solve(g, np.exp(1j * np.array([0.0, 2.1, 4.0])))
-    tab = text.states @ weights
+    twist = np.exp(1j * np.array([0.0, 2.1, 4.0]))
+    tab = text.states @ np.linalg.solve(g, twist)
     tab /= np.linalg.norm(tab)
-    assert tablet_flavor(text, tab) == "weakly_central"
+    assert flavor(tab) == "weakly_central"
+    # output phases that carry the same twist make the phase-aware overlaps equal
+    assert flavor(tab, phases=twist) == "central"
     # one distinct overlap
     weights = np.linalg.solve(g, np.array([0.9, 0.3, 0.3]))
     tab = text.states @ weights
     tab /= np.linalg.norm(tab)
-    assert tablet_flavor(text, tab) == "quasi_central"
+    assert flavor(tab) == "quasi_central"
+    # one state: its one overlap is equal to itself
+    one = make_text(2, [[1.0, 0.0]])
+    assert tablet_flavor(one, EnscriptionParams.from_Q(0.5, [0.6, 0.8j], n_states=1)) == "central"
+    # the central tablet of a 2-text with a negative overlap has raw overlaps of opposite sign
+    # (weakly_central), which its output phases carry
+    assert solve_closed_form(make_real_uniform(2, -0.4)).flavor == "central"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tablet_flavor_is_covariant_under_equivalence(n):
+    # an image moves each raw overlap by its state's phase and the output phases by the same, so
+    # conj(alpha_i) <psi_i|t> only permutes and takes one common phase: each closed-form
+    # certificate, moved onto a random image, keeps its flavor (the raw overlaps' pattern changed
+    # on 110 of these 120 images)
+    rng = np.random.default_rng(n)
+    for _ in range(30):
+        z = rng.uniform(-0.9 if n == 2 else z0_threshold(n) + 1e-3, 0.9)
+        text = make_real_uniform(n, z)
+        cert = solve_closed_form(text)
+        image, v, beta, perm = random_equivalence_image(rng, text)
+        phases = [cert.params.phases[perm[i]] * np.conj(beta[i]) for i in range(n)]
+        moved = EnscriptionParams.from_q(cert.params.q, v @ cert.params.tablet, phases=phases)
+        assert enscription_residual(image, moved) < ACCEPT_TOL
+        assert certificate(image, moved).flavor == cert.flavor
 
 
 def test_certificate_bundles_residual_and_flavor():

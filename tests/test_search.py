@@ -288,17 +288,36 @@ def test_joint_floor_that_falls_to_q_one_is_the_fixed_q_floor_there():
 
 
 def test_joint_search_certifies_through_its_q_problem(monkeypatch):
-    # every joint start stalls where it starts, so only a fixed-Q solve of the Q problem can certify
+    # every joint start stalls where it starts, so only a fixed-Q solve of the Q problem can certify;
+    # the problem runs to its end: it solves at q0, at the Q_GRID grid points, then twice at the
+    # golden-section points of a bracket two grid steps (about 0.5) wide and once per shrink by 0.618
+    # until it is at most Q_TOL wide, 9 shrinks, so 1 + 9 + 2 + 9 = 21 solves; the 4th solve is
+    # already below ACCEPT_TOL, so an exit there fails the count
     original = search._minimize_start
+    floors = []
 
     def stall_joint(obj, x0, fixed_q):
-        return (x0, 0, False) if fixed_q is None else original(obj, x0, fixed_q)
+        if fixed_q is None:
+            return x0, 0, False
+        x, evals, stalled = original(obj, x0, fixed_q)
+        floors.append(obj.max_residual(x, fixed_q)[0])
+        return x, evals, stalled
 
     monkeypatch.setattr(search, "_minimize_start", stall_joint)
     result = feasibility_search(make_real_uniform(3, 0.3), None, SearchOptions(seed=0, starts=16))
     assert result.feasible
     assert result.certificate.residual < search.ACCEPT_TOL
     assert q_range_real_uniform(3, 0.3).contains(result.Q)
+    assert len(floors) == 1 + search.Q_GRID + 11
+    assert result.best_residual == min(floors)
+
+
+def test_certified_search_reports_its_certificates_q():
+    # the certificate holds q_to_Q(canonical_q(0.8)) = 0.8000000000000002
+    result = feasibility_search(make_real_uniform(2, 0.3), 0.8, SearchOptions(seed=0, starts=16))
+    assert result.feasible
+    assert result.Q == result.certificate.params.Q
+    assert result.Q != 0.8
 
 
 @pytest.mark.parametrize("n, evaluations", [(3, (11, 12, 14, 15)), (4, (9, 10, 11, 13))])
